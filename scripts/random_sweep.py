@@ -6,6 +6,7 @@ Example:
 """
 
 import argparse
+import json
 import pathlib
 import sys
 
@@ -39,7 +40,8 @@ if __name__ == "__main__":
         text = run_sweep(cfg, workers=args.workers)
     except TheoremViolationError as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
-        print(exc.instance_dump, file=sys.stderr)
+        json.dump(exc.instance_dump, sys.stderr)
+        print(file=sys.stderr)
         raise SystemExit(1)
     if args.out:
         pathlib.Path(args.out).write_text(text)

@@ -16,7 +16,7 @@ from .theorems import (EmpiricalConstant, LargeSubsetResult, TheoremVerdict,
                        empirical_plgen2, ensure_holds, large_subset,
                        restricted_pipeline)
 from .constructions import (Lemma21Report, Lemma21Setup, admissible_q,
-                            build_extension, lemma21_demo, power_experiment)
+                            build_extension, lemma21_demo)
 
 __all__ = [
     "AlphaTable", "BetaValue", "EQ", "EmpiricalConstant", "GSet", "GT", "Group",
@@ -29,7 +29,6 @@ __all__ = [
     "cmp_ratio_vs_beta", "direct_power", "element_cap", "embed_integer_sets",
     "empirical_plgen2", "ensure_holds", "gamma_exhaustive", "gamma_flow",
     "iterated_sumset", "large_subset", "lemma21_demo", "make_abelian_group",
-    "make_cayley_group", "multiplicativity_check", "power_experiment",
-    "power_group", "power_set", "restricted_pipeline", "sumset",
-    "synthetic_alpha_table",
+    "make_cayley_group", "multiplicativity_check", "power_group", "power_set",
+    "restricted_pipeline", "sumset", "synthetic_alpha_table",
 ]

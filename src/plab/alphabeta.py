@@ -35,17 +35,17 @@ class AlphaTable:
     sizes: dict[frozenset[int], int]
     alphas: dict[frozenset[int], Fraction]
 
-    def complement(self, i: int) -> frozenset[int]:
-        """The index set {1..k} minus {i}."""
-        return frozenset(j for j in range(1, self.k + 1) if j != i)
+    def leave_one_out(self) -> list[frozenset[int]]:
+        """The index sets {1..k} minus {i}, for i = 1..k."""
+        return [frozenset(j for j in range(1, self.k + 1) if j != i)
+                for i in range(1, self.k + 1)]
 
 
 @dataclass(frozen=True)
 class BetaValue:
-    """Exact root bound base ** (expo_num / expo_den), plus a float display."""
+    """Exact root bound base ** (1 / expo_den), plus a float display."""
 
     base: Fraction
-    expo_num: int
     expo_den: int
     approx: float
 
@@ -98,20 +98,28 @@ def beta_value(table: AlphaTable, j_set: frozenset[int] | set[int], l: int) -> B
         approx = float(base)
     else:
         approx = math.exp(log_fraction(base) / expo_den)
-    return BetaValue(base=base, expo_num=1, expo_den=expo_den, approx=approx)
+    return BetaValue(base=base, expo_den=expo_den, approx=approx)
 
 
-def cmp_ratio_vs_beta(ratio: Fraction, b: BetaValue) -> int:
+_UNIT = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
+
+
+def cmp_ratio_vs_beta(ratio: Fraction, b: BetaValue,
+                      ratio2: Fraction = _UNIT.base, b2: BetaValue = _UNIT) -> int:
     """Exact order of a positive rational against a root bound: LT, EQ or GT.
 
-    Decided by comparing ratio**expo_den with base**expo_num through integer
-    cross-multiplication; no floating point is involved.
+    More generally, the order of the quotient ratio / b against ratio2 / b2
+    (by default 1 / 1).  Both sides are raised to the lcm d of the two roots
+    and cross-multiplied as integers; no floating point is involved.
     """
-    if ratio <= 0:
+    if ratio.numerator <= 0:
         raise UsageError(f"ratio must be positive, got {ratio}")
-    d = b.expo_den
-    lhs = ratio.numerator ** d * (b.base.denominator ** b.expo_num)
-    rhs = ratio.denominator ** d * (b.base.numerator ** b.expo_num)
+    d = math.lcm(b.expo_den, b2.expo_den)
+    e1, e2 = d // b.expo_den, d // b2.expo_den
+    lhs = (ratio.numerator * ratio2.denominator) ** d * (
+        b.base.denominator ** e1 * b2.base.numerator ** e2)
+    rhs = (ratio2.numerator * ratio.denominator) ** d * (
+        b.base.numerator ** e1 * b2.base.denominator ** e2)
     if lhs < rhs:
         return LT
     if lhs > rhs:

@@ -17,23 +17,23 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import constructions, theorems
+from .alphabeta import alpha_table, beta_value, log_fraction
 from .errors import (ResourceError, TheoremViolationError, UsageError,
                      ValidationError)
-from .groups import (GSet, Instance, embed_integer_sets, iterated_sumset,
-                     make_abelian_group, make_cayley_group, sumset)
+from .groups import (GSet, Instance, embed_integer_sets, make_abelian_group,
+                     make_cayley_group, sumset)
 from .magnification import build_plun_graph, gamma_flow, multiplicativity_check
 
-VERIFY_CHECKS = ("plgen", "pldiff", "single", "restricted", "plgen2", "large", "noncomm")
-SWEEP_CHECKS = ("plgen", "pldiff", "single", "restricted", "power", "plgen2")
 CSV_COLUMNS = ("index", "group", "k", "l", "m", "b_sizes", "check",
                "gamma", "beta_base", "beta_expo_den", "holds", "detail")
 ALL_SUBSETS_MAX = 12
@@ -41,31 +41,49 @@ ALL_SUBSETS_MAX = 12
 
 # -- instance files -------------------------------------------------------------
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise UsageError(f"{what} must be an integer")
+    return value
+
+
+def _ints(value, what: str) -> list[int]:
+    if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
+        raise UsageError(f"{what} must be a list of integers")
+    return list(value)
+
+
+def _int_lists(value, what: str) -> list[list[int]]:
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"{what} must be a list of integer lists")
+    return [_ints(v, f"each entry of {what}") for v in value]
+
+
 def parse_instance(data: dict) -> tuple[Instance, GSet | None]:
     """Build an Instance (and optional restricted set S) from parsed JSON."""
     if not isinstance(data, dict):
         raise UsageError("instance file must contain a JSON object")
     if "A" not in data or "B" not in data or "l" not in data:
         raise UsageError('instance file needs "A", "B" and "l" fields')
-    b_lists = data["B"]
-    if not isinstance(b_lists, list) or not all(isinstance(b, list) for b in b_lists):
-        raise UsageError('"B" must be a list of element lists')
+    a_elems = _ints(data["A"], '"A"')
+    b_lists = _int_lists(data["B"], '"B"')
+    level = _int(data["l"], '"l"')
     if "cayley" in data:
-        group = make_cayley_group(data["cayley"])
-        a = group.set_of(data["A"])
+        group = make_cayley_group(_int_lists(data["cayley"], '"cayley"'))
+        a = group.set_of(a_elems)
         bs = [group.set_of(b) for b in b_lists]
     else:
         spec = data.get("group")
         if spec == "integers":
-            group, a, bs = embed_integer_sets(data["A"], b_lists)
+            group, a, bs = embed_integer_sets(a_elems, b_lists)
         elif isinstance(spec, list):
-            group = make_abelian_group(spec)
-            a = group.set_of(data["A"])
+            group = make_abelian_group(_ints(spec, '"group"'))
+            a = group.set_of(a_elems)
             bs = [group.set_of(b) for b in b_lists]
         else:
             raise UsageError('"group" must be a moduli list or "integers"')
-    inst = Instance(group, a, tuple(bs), int(data["l"]))
-    s = group.set_of(data["S"]) if "S" in data else None
+    inst = Instance(group, a, tuple(bs), level)
+    s = group.set_of(_ints(data["S"], '"S"')) if "S" in data else None
     return inst, s
 
 
@@ -83,122 +101,154 @@ def serialize_instance(inst: Instance, s: GSet | None = None) -> dict:
     return out
 
 
-def load_instance(path: str) -> tuple[Instance, GSet | None]:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_instance(data)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def load_instance(path: str) -> tuple[Instance, GSet | None]:
+    return parse_instance(_load_json(path))
 
 
 def _float_str(x: float) -> str:
     return f"{x:.12g}"
 
 
-# -- verify -----------------------------------------------------------------------
+# -- the check table ---------------------------------------------------------------
+#
+# Each check is one function run(inst, opts) -> (results, line): one
+# (verdict, fields, cells) triple per verdict, where fields are the check's
+# verify --json result fields and cells its sweep CSV cells (gamma, beta_base,
+# beta_expo_den, detail), and the check's verify text line.  opts carries what
+# verify and sweep choose differently: the restricted subsets (s, all_subsets,
+# subset_seed), plgen2's epsilon, samples and seed, and large's mode and value.
 
-def _verify_one(check: str, inst: Instance, s: GSet | None,
-                args: argparse.Namespace) -> list[dict]:
-    """Run one check token; returns one result dict per verdict."""
-    if check in ("plgen", "pldiff", "single") and not inst.group.is_abelian:
-        raise UsageError(f"check {check!r} requires a commutative group")
-    if check == "plgen":
-        v = theorems.check_plgen(inst)
-        return [{"check": check, "holds": v.holds, "gamma": _frac(v.lhs),
-                 "beta_base": _frac(v.rhs.base), "beta_expo_den": v.rhs.expo_den,
-                 "witness": list(v.witness)}]
-    if check == "pldiff":
-        v = theorems.check_pldiff(inst)
-        return [{"check": check, "holds": v.holds, "gamma": _frac(v.lhs),
-                 "beta_base": _frac(v.rhs.base), "beta_expo_den": v.rhs.expo_den,
-                 "witness": list(v.witness)}]
-    if check == "single":
-        v = theorems.check_single_summand(inst.a, inst.bs[0], inst.l, inst.k)
-        return [{"check": check, "holds": v.holds, "gamma": _frac(v.lhs),
-                 "beta_base": _frac(v.rhs.base), "beta_expo_den": v.rhs.expo_den,
-                 "witness": list(v.witness)}]
-    if check == "restricted":
-        bk = iterated_sumset(inst.bs, sorted(inst.key_set))
-        if args.all_subsets:
-            if len(bk) > ALL_SUBSETS_MAX:
-                raise UsageError(
-                    f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(bk)}")
-            members = list(bk)
-            results = []
-            for mask in range(1, 1 << len(members)):
-                subset = inst.group.set_of(members[i] for i in range(len(members))
-                                           if (mask >> i) & 1)
-                v = theorems.check_restricted_sum(inst, subset)
-                results.append({"check": check, "holds": v.holds, "S": list(subset),
-                                "lhs": v.lhs, "rhs": v.rhs})
-            return results
-        subset = s if s is not None else bk
+def _holds(v: theorems.TheoremVerdict) -> str:
+    return "HOLDS" if v.holds else "FAILS"
+
+
+def _bound(name: str, check):
+    """plgen, pldiff and single: the magnification ratio against beta."""
+    def run(inst: Instance, opts):
+        if not inst.group.is_abelian:
+            raise UsageError(f"check {name!r} requires a commutative group")
+        v = check(inst)
+        gamma, base, expo = str(v.lhs), str(v.rhs.base), v.rhs.expo_den
+        beta = base if expo == 1 else f"{base}^(1/{expo})"
+        fields = {"gamma": gamma, "beta_base": base, "beta_expo_den": expo,
+                  "witness": list(v.witness)}
+        return ([(v, fields, (gamma, base, str(expo), ""))],
+                f"{name}: gamma={gamma} beta={beta} {_holds(v)}")
+    return run
+
+
+def _restricted(inst: Instance, opts):
+    bk = inst.bk
+    members = list(bk)
+    if opts.all_subsets:
+        if len(bk) > ALL_SUBSETS_MAX:
+            raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(bk)}")
+        subsets = [inst.group.set_of(members[i] for i in range(len(members)) if (mask >> i) & 1)
+                   for mask in range(1, 1 << len(members))]
+    elif opts.subset_seed is not None:  # the sweep's seeded random S
+        rng = random.Random(opts.subset_seed)
+        subsets = [inst.group.set_of(rng.sample(members, rng.randint(1, len(members))))]
+    else:
+        subsets = [bk if opts.s is None else opts.s]
+    results = []
+    for subset in subsets:
         v = theorems.check_restricted_sum(inst, subset)
-        return [{"check": check, "holds": v.holds, "S": list(subset),
-                 "lhs": v.lhs, "rhs": v.rhs}]
-    if check == "plgen2":
-        emp = theorems.empirical_plgen2(inst, Fraction(args.epsilon).limit_denominator(10**6))
-        return [{"check": check, "holds": True, "epsilon": _frac(emp.epsilon),
-                 "c_emp": _float_str(emp.c_emp.as_float()),
-                 "argmax_j": sorted(emp.argmax_j), "X": list(emp.x),
-                 "exhaustive": emp.exhaustive}]
-    if check == "large":
-        res = theorems.large_subset(inst, args.mode, args.value)
-        return [{"check": check, "holds": res.holds, "mode": args.mode,
-                 "value": args.value, "lhs": res.lhs, "bound": _float_str(res.bound),
-                 "X": list(res.x), "iterations": res.iterations,
-                 "near_boundary": res.near_boundary}]
-    if check == "noncomm":
-        if inst.k != 2:
-            raise UsageError("noncomm check needs exactly two summand sets")
-        v = theorems.check_noncommutative(inst.group, inst.a, inst.bs[0], inst.bs[1])
-        return [{"check": check, "holds": v.holds, "ratio": _frac(v.lhs),
-                 "bound": _frac(v.rhs), "witness": list(v.witness), "notes": v.notes}]
-    raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
+        results.append((v, {"S": list(subset), "lhs": v.lhs, "rhs": v.rhs},
+                        ("", "", "", f"s_size={len(subset)};lhs={v.lhs};rhs={v.rhs}")))
+    if opts.all_subsets:
+        held = sum(1 for v, _, _ in results if v.holds)
+        return results, f"restricted: {held}/{len(results)} subset checks HOLD"
+    # otherwise there is exactly one S, the loop's last subset and verdict
+    return results, f"restricted: |S|={len(subset)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}"
 
 
-def _result_line(res: dict) -> str:
-    check = res["check"]
-    verdict = "HOLDS" if res["holds"] else "FAILS"
-    if check in ("plgen", "pldiff", "single"):
-        expo = res["beta_expo_den"]
-        beta = res["beta_base"] if expo == 1 else f"{res['beta_base']}^(1/{expo})"
-        return f"{check}: gamma={res['gamma']} beta={beta} {verdict}"
-    if check == "restricted":
-        return f"{check}: |S|={len(res['S'])} lhs={res['lhs']} rhs={res['rhs']} {verdict}"
-    if check == "plgen2":
-        return (f"{check}: epsilon={res['epsilon']} c_emp~{res['c_emp']} "
-                f"argmax_J={res['argmax_j']} |X|={len(res['X'])} {verdict}")
-    if check == "large":
-        return (f"{check}: mode={res['mode']} value={res['value']} |X|={len(res['X'])} "
-                f"lhs={res['lhs']} bound={res['bound']} {verdict}")
-    if check == "noncomm":
-        tail = f" ({res['notes']})" if res["notes"] else ""
-        return f"{check}: ratio={res['ratio']} bound={res['bound']} {verdict}{tail}"
-    return f"{check}: {verdict}"
+def _power(inst: Instance, opts):
+    rep = multiplicativity_check(inst, 2)
+    v = theorems.TheoremVerdict(theorem="power", holds=rep.equal, lhs=rep.gamma_power,
+                                rhs=rep.gamma_base ** 2, exact=True)
+    return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
 
+
+def _plgen2(inst: Instance, opts):
+    emp = theorems.empirical_plgen2(inst, Fraction(opts.epsilon).limit_denominator(10**6),
+                                    samples=opts.samples, seed=opts.seed)
+    v = theorems.TheoremVerdict(theorem="plgen2", holds=True, lhs=emp.ratio, rhs=emp.beta,
+                                exact=True, witness=emp.x)
+    c_emp, argmax_j = _float_str(emp.c_emp), sorted(emp.argmax_j)
+    fields = {"epsilon": str(emp.epsilon), "c_emp": c_emp, "argmax_j": argmax_j,
+              "X": list(emp.x), "exhaustive": emp.exhaustive}
+    cells = ("", "", "", f"epsilon={emp.epsilon};c_emp={c_emp};x_size={len(emp.x)}")
+    return [(v, fields, cells)], (f"plgen2: epsilon={emp.epsilon} c_emp~{c_emp} "
+                                  f"argmax_J={argmax_j} |X|={len(emp.x)} {_holds(v)}")
+
+
+def _large(inst: Instance, opts):
+    res = theorems.large_subset(inst, opts.mode, opts.value)
+    v = theorems.TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
+                                rhs=res.bound, exact=False, witness=res.x)
+    bound = _float_str(res.bound)
+    fields = {"mode": opts.mode, "value": opts.value, "lhs": res.lhs, "bound": bound,
+              "X": list(res.x), "iterations": res.iterations,
+              "near_boundary": res.near_boundary}
+    return [(v, fields, None)], (f"large: mode={opts.mode} value={opts.value} "
+                                 f"|X|={len(res.x)} lhs={res.lhs} bound={bound} {_holds(v)}")
+
+
+def _noncomm(inst: Instance, opts):
+    if inst.k != 2:
+        raise UsageError("noncomm check needs exactly two summand sets")
+    v = theorems.check_noncommutative(inst.group, inst.a, inst.bs[0], inst.bs[1])
+    fields = {"ratio": str(v.lhs), "bound": str(v.rhs), "witness": list(v.witness),
+              "notes": v.notes}
+    tail = f" ({v.notes})" if v.notes else ""
+    return [(v, fields, None)], f"noncomm: ratio={v.lhs} bound={v.rhs} {_holds(v)}{tail}"
+
+
+# name -> (run, offered by verify, offered by sweep)
+CHECKS = {
+    "plgen": (_bound("plgen", lambda inst: theorems.check_plgen(inst)), True, True),
+    "pldiff": (_bound("pldiff", lambda inst: theorems.check_pldiff(inst)), True, True),
+    "single": (_bound("single", lambda inst: theorems.check_single_summand(
+        inst.a, inst.bs[0], inst.l, inst.k)), True, True),
+    "restricted": (_restricted, True, True),
+    "power": (_power, False, True),
+    "plgen2": (_plgen2, True, True),
+    "large": (_large, True, False),
+    "noncomm": (_noncomm, True, False),
+}
+VERIFY_CHECKS = tuple(name for name, (_, verify, _) in CHECKS.items() if verify)
+SWEEP_CHECKS = tuple(name for name, (_, _, sweep) in CHECKS.items() if sweep)
+
+
+# -- verify -----------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, s = load_instance(args.instance)
+    opts = argparse.Namespace(**vars(args), s=s, subset_seed=None,
+                              samples=theorems.DEFAULT_SAMPLES, seed=0)
     checks = []
     for chunk in args.check or ["plgen"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
     results: list[dict] = []
+    violated = False
     for check in checks:
-        batch = _verify_one(check, inst, s, args)
-        results.extend(batch)
-        if check == "restricted" and args.all_subsets:
-            held = sum(1 for r in batch if r["holds"])
-            print(f"restricted: {held}/{len(batch)} subset checks HOLD")
-        else:
-            for res in batch:
-                print(_result_line(res))
+        if check not in VERIFY_CHECKS:
+            raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
+        batch, line = CHECKS[check][0](inst, opts)
+        print(line)
+        violated = violated or any(theorems.is_fatal(v) for v, _, _ in batch)
+        results.extend({"check": check, "holds": v.holds, **fields} for v, fields, _ in batch)
     all_hold = all(r["holds"] for r in results)
     if args.json:
         report = {"instance": serialize_instance(inst, s), "checks": results,
@@ -206,7 +256,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    violated = any(not r["holds"] and r["check"] in theorems.GUARANTEED for r in results)
     if violated:
         print("GUARANTEED CHECK FAILED; instance dump follows", file=sys.stderr)
         json.dump(serialize_instance(inst, s), sys.stderr)
@@ -233,29 +282,37 @@ class SweepConfig:
 
 
 def load_sweep_config(path: str) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return sweep_config_from_dict(data)
+    return sweep_config_from_dict(_load_json(path))
+
+
+def _range(data: dict, key: str, default: list[int]) -> list[int]:
+    pair = _ints(data.get(key, default), f'"{key}"')
+    if len(pair) != 2:
+        raise UsageError(f'"{key}" must be a [min, max] pair')
+    return pair
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
-    k_range = data.get("k_range", [2, 4])
-    g_range = data.get("group_size_range", [4, 64])
-    s_range = data.get("set_size_range", [1, 8])
-    checks = tuple(data.get("checks", ["plgen"]))
+    if not isinstance(data, dict):
+        raise UsageError("sweep config must contain a JSON object")
+    k_range = _range(data, "k_range", [2, 4])
+    g_range = _range(data, "group_size_range", [4, 64])
+    s_range = _range(data, "set_size_range", [1, 8])
+    checks = data.get("checks", ["plgen"])
+    if not isinstance(checks, (list, tuple)):
+        raise UsageError('"checks" must be a list of check names')
     for c in checks:
         if c not in SWEEP_CHECKS:
             raise UsageError(f"unknown sweep check {c!r}; valid: {', '.join(SWEEP_CHECKS)}")
-    cfg = SweepConfig(seed=int(data.get("seed", 0)), count=int(data.get("count", 100)),
-                      k_min=int(k_range[0]), k_max=int(k_range[1]),
-                      l_rule=data.get("l_rule", "all"),
-                      group_min=int(g_range[0]), group_max=int(g_range[1]),
-                      set_min=int(s_range[0]), set_max=int(s_range[1]),
-                      checks=checks,
+    l_rule = data.get("l_rule", "all")
+    if l_rule != "all":
+        _int(l_rule, '"l_rule" (when not "all")')
+    cfg = SweepConfig(seed=_int(data.get("seed", 0), '"seed"'),
+                      count=_int(data.get("count", 100), '"count"'),
+                      k_min=k_range[0], k_max=k_range[1], l_rule=l_rule,
+                      group_min=g_range[0], group_max=g_range[1],
+                      set_min=s_range[0], set_max=s_range[1],
+                      checks=tuple(checks),
                       insert_identity=bool(data.get("insert_identity", True)))
     if cfg.count < 0 or cfg.k_min < 2 or cfg.k_max < cfg.k_min:
         raise UsageError("bad sweep config: need count >= 0 and 2 <= k_min <= k_max")
@@ -285,76 +342,37 @@ def generate_base(cfg: SweepConfig, index: int) -> Instance | None:
         else:
             elems = rng.sample(range(n), size)
         bs.append(group.set_of(elems))
-    if cfg.l_rule != "all" and int(cfg.l_rule) >= k:
-        return None
-    first_l = 1 if cfg.l_rule == "all" else int(cfg.l_rule)
-    return Instance(group, a, tuple(bs), first_l)
+    levels = _levels(cfg, k)
+    return Instance(group, a, tuple(bs), levels[0]) if levels else None
 
 
 def _levels(cfg: SweepConfig, k: int) -> list[int]:
     if cfg.l_rule == "all":
         return list(range(1, k))
-    return [int(cfg.l_rule)]
-
-
-def _check_rng(cfg: SweepConfig, index: int, salt: int) -> random.Random:
-    return random.Random(cfg.seed * (1 << 40) + index * (1 << 8) + salt)
-
-
-def _sweep_check_row(cfg: SweepConfig, index: int, inst: Instance,
-                     check: str) -> tuple[str, str, str, bool, str]:
-    """Returns (gamma, beta_base, beta_expo_den, holds, detail) or raises
-    TheoremViolationError with a replayable instance dump."""
-    dump = serialize_instance(inst)
-    if check == "plgen":
-        v = theorems.ensure_holds(theorems.check_plgen(inst), dump)
-        return _frac(v.lhs), _frac(v.rhs.base), str(v.rhs.expo_den), v.holds, ""
-    if check == "pldiff":
-        v = theorems.ensure_holds(theorems.check_pldiff(inst), dump)
-        return _frac(v.lhs), _frac(v.rhs.base), str(v.rhs.expo_den), v.holds, ""
-    if check == "single":
-        v = theorems.ensure_holds(
-            theorems.check_single_summand(inst.a, inst.bs[0], inst.l, inst.k), dump)
-        return _frac(v.lhs), _frac(v.rhs.base), str(v.rhs.expo_den), v.holds, ""
-    if check == "restricted":
-        bk = iterated_sumset(inst.bs, sorted(inst.key_set))
-        rng = _check_rng(cfg, index, 3)
-        members = list(bk)
-        size = rng.randint(1, len(members))
-        subset = inst.group.set_of(rng.sample(members, size))
-        v = theorems.ensure_holds(theorems.check_restricted_sum(inst, subset), dump)
-        return "", "", "", v.holds, f"s_size={size};lhs={v.lhs};rhs={v.rhs}"
-    if check == "power":
-        rep = multiplicativity_check(inst, 2)
-        if not rep.equal:
-            raise TheoremViolationError(
-                f"magnification ratio not multiplicative: {rep.gamma_power} != {rep.gamma_base}^2",
-                instance_dump=dump)
-        return (_frac(rep.gamma_base), "", "", rep.equal,
-                f"r=2;gamma_r={rep.gamma_power}")
-    if check == "plgen2":
-        emp = theorems.empirical_plgen2(inst, Fraction(1, 2), samples=128,
-                                        seed=cfg.seed * 1009 + index)
-        return ("", "", "", True,
-                f"epsilon=1/2;c_emp={_float_str(emp.c_emp.as_float())};x_size={len(emp.x)}")
-    raise UsageError(f"unknown sweep check {check!r}")
+    return [int(cfg.l_rule)] if int(cfg.l_rule) < k else []
 
 
 def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[list[str]]:
+    """CSV rows of instance #index; raises TheoremViolationError with a
+    replayable instance dump when a guaranteed check fails."""
     inst0 = generate_base(cfg, index)
     if inst0 is None:
         return []
     rows = []
     moduli = "x".join(str(n) for n in inst0.group.moduli)
     b_sizes = ";".join(str(len(b)) for b in inst0.bs)
+    opts = argparse.Namespace(s=None, all_subsets=False,
+                              subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
+                              epsilon=0.5, samples=128, seed=cfg.seed * 1009 + index)
     for level in _levels(cfg, inst0.k):
         inst = Instance(inst0.group, inst0.a, inst0.bs, level)
         for check in cfg.checks:
             start = time.perf_counter()
-            gamma, base, expo, holds, detail = _sweep_check_row(cfg, index, inst, check)
+            [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
+            theorems.ensure_holds(verdict, serialize_instance(inst))
             row = [str(index), moduli, str(inst.k), str(level), str(len(inst.a)),
                    b_sizes, check, gamma, base, expo,
-                   "true" if holds else "false", detail]
+                   "true" if verdict.holds else "false", detail]
             if timing:
                 row.append(_float_str((time.perf_counter() - start) * 1000.0))
             rows.append(row)
@@ -380,21 +398,11 @@ def run_sweep(cfg: SweepConfig, *, workers: int = 1, timing: bool = False) -> st
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_sweep_config(args.config)
-    if args.seed is not None:
-        cfg = SweepConfig(**{**cfg.__dict__, "seed": args.seed})
-    if args.count is not None:
-        cfg = SweepConfig(**{**cfg.__dict__, "count": args.count})
-    if args.allow_no_identity:
-        cfg = SweepConfig(**{**cfg.__dict__, "insert_identity": False})
-    try:
-        text = run_sweep(cfg, workers=args.workers, timing=args.timing)
-    except TheoremViolationError as exc:
-        print(f"VIOLATION: {exc}", file=sys.stderr)
-        if exc.instance_dump is not None:
-            json.dump(exc.instance_dump, sys.stderr)
-            print(file=sys.stderr)
-        return 1
+    overrides = {"seed": args.seed, "count": args.count,
+                 "insert_identity": False if args.allow_no_identity else None}
+    cfg = replace(load_sweep_config(args.config),
+                  **{key: value for key, value in overrides.items() if value is not None})
+    text = run_sweep(cfg, workers=args.workers, timing=args.timing)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -429,16 +437,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
         return 0
     if args.what == "power":
-        rep = constructions.power_experiment(inst, args.r)
-        for row in rep.rows:
-            print(f"r={row.r} gamma_r={row.gamma_r} equals gamma^r: "
-                  f"{'yes' if row.equals_power else 'NO'} "
-                  f"root={_float_str(row.root)} beta~{_float_str(rep.beta_approx)}")
-        print(f"all powers exact: {'yes' if rep.all_equal else 'NO'}")
-        return 0 if rep.all_equal else 1
+        if args.r < 1:
+            raise UsageError(f"r_max must be >= 1, got {args.r}")
+        beta = beta_value(alpha_table(inst), inst.key_set, inst.l)
+        all_equal = True
+        for r in range(1, args.r + 1):
+            rep = multiplicativity_check(inst, r)
+            all_equal = all_equal and rep.equal
+            root = math.exp(log_fraction(rep.gamma_power) / r)
+            print(f"r={r} gamma_r={rep.gamma_power} equals gamma^r: "
+                  f"{'yes' if rep.equal else 'NO'} "
+                  f"root={_float_str(root)} beta~{_float_str(beta.approx)}")
+        print(f"all powers exact: {'yes' if all_equal else 'NO'}")
+        return 0 if all_equal else 1
     if args.what == "pipeline":
-        bk = iterated_sumset(inst.bs, sorted(inst.key_set))
-        subset = s if s is not None else bk
+        subset = s if s is not None else inst.bk
         rep = theorems.restricted_pipeline(inst, subset, args.r)
         print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "
               f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
@@ -458,7 +471,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_find_x(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.instance)
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
+    bk = inst.bk
     res = gamma_flow(build_plun_graph(inst.a, bk))
     image = sumset(res.witness, bk)
     print(f"X = {sorted(res.witness)}")

@@ -6,10 +6,6 @@ orders n_i = alpha_(K minus i) * q to the group and replace each B_i by
 B_i x H_i.  All distinct-summand sums A + B'_(K minus i) then share the
 exact cardinality m * (beta*q)^l, while every repeated-summand term grows
 a factor of q slower, which is the point of the construction.
-
-The power experiment exhibits the constant-removal limit: gamma of the
-r-th direct power equals gamma^r exactly, so the r-th roots stay pinned
-under the root bound beta.
 """
 
 from __future__ import annotations
@@ -19,15 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .alphabeta import AlphaTable, alpha_table, beta_value
+from .alphabeta import AlphaTable, alpha_table
 from .errors import ResourceError, UsageError
-from .groups import (GSet, Group, Instance, direct_power, element_cap,
-                     iterated_sumset, make_abelian_group, sumset)
+from .groups import GSet, Group, Instance, element_cap, make_abelian_group, sumset
 from .magnification import build_plun_graph, gamma_flow
 
 
 def _leave_one_out_alphas(table: AlphaTable) -> list[Fraction]:
-    return [table.alphas[table.complement(i)] for i in range(1, table.k + 1)]
+    return [table.alphas[j] for j in table.leave_one_out()]
 
 
 def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6,
@@ -103,18 +98,14 @@ def build_extension(inst: Instance, q: int, *, cap: int | None = None) -> Lemma2
         n.append(int(ni))
     gprime = make_abelian_group(inst.group.moduli + tuple(n), cap=cap)
     h_order = math.prod(n)
-    strides = [1] * len(n)
-    for j in range(len(n) - 2, -1, -1):
-        strides[j] = strides[j + 1] * n[j + 1]
-
     aprime = gprime.set_of(x * h_order for x in inst.a)
     bi_prime = []
     for i, b in enumerate(inst.bs):
+        stride = math.prod(n[i + 1:])  # index step along H_i's axis
         bits = 0
         for x in b:
-            base = x * h_order
             for h in range(n[i]):
-                bits |= 1 << (base + h * strides[i])
+                bits |= 1 << (x * h_order + h * stride)
         bi_prime.append(GSet(gprime, bits))
     union = gprime.empty()
     for bp in bi_prime:
@@ -123,10 +114,10 @@ def build_extension(inst: Instance, q: int, *, cap: int | None = None) -> Lemma2
                         bprime=union, bi_prime=tuple(bi_prime))
 
 
-def _union_sum_size(setup: Lemma21Setup, folds: int) -> int:
-    acc = setup.aprime
-    for _ in range(folds):
-        acc = sumset(acc, setup.bprime)
+def _sum_size(acc: GSet, summands) -> int:
+    """|acc + s_1 + ... + s_n| over the summand sets in order."""
+    for s in summands:
+        acc = sumset(acc, s)
     return len(acc)
 
 
@@ -142,61 +133,38 @@ def lemma21_demo(inst: Instance, q: int, *, cap: int | None = None,
     table = alpha_table(inst)
     h_order = setup.h_order
 
-    # m * (beta*q)^l as an exact integer via the leave-one-out product
-    expected_fr = Fraction(m) * q ** inst.l
-    for a in _leave_one_out_alphas(table):
-        expected_fr *= a
-    if expected_fr.denominator != 1:
-        raise AssertionError("distinct-summand size must be integral for admissible q")
-    expected = int(expected_fr)
+    expected = _expected_at(table, m, inst.l, q)
 
-    distinct_sizes: dict[int, int] = {}
-    for i in range(1, k + 1):
-        others = [j for j in range(1, k + 1) if j != i]
-        acc = setup.aprime
-        for j in others:
-            acc = sumset(acc, setup.bi_prime[j - 1])
-        distinct_sizes[i] = len(acc)
+    distinct_sizes = {
+        i: _sum_size(setup.aprime, (b for j, b in enumerate(setup.bi_prime, 1) if j != i))
+        for i in range(1, k + 1)}
 
-    union_size = _union_sum_size(setup, k - 1)
+    union_size = _sum_size(setup.aprime, [setup.bprime] * (k - 1))
     union_rhs = 2 * k * expected
     union_holds = union_size <= union_rhs
 
+    # the first satisfying q is at most q when q satisfies the bound, above q otherwise
     first_q = None
-    if union_holds:
-        # walk the admissible list from the smallest q
-        for cand in admissible_q(table, inst.group.order, count=scan_limit, cap=cap):
-            if cand > q:
-                break
-            st = setup if cand == q else build_extension(inst, cand, cap=cap)
-            if _union_sum_size(st, k - 1) <= 2 * k * _expected_at(table, m, inst.l, cand):
-                first_q = cand
-                break
-    else:
-        for cand in admissible_q(table, inst.group.order, count=scan_limit, cap=cap):
-            if cand <= q:
-                continue
-            st = build_extension(inst, cand, cap=cap)
-            if _union_sum_size(st, k - 1) <= 2 * k * _expected_at(table, m, inst.l, cand):
-                first_q = cand
-                break
+    for cand in admissible_q(table, inst.group.order, count=scan_limit, cap=cap):
+        if (cand <= q) != union_holds:
+            continue
+        st = setup if cand == q else build_extension(inst, cand, cap=cap)
+        size = _sum_size(st.aprime, [st.bprime] * (k - 1))
+        if size <= 2 * k * _expected_at(table, m, inst.l, cand):
+            first_q = cand
+            break
 
     repeated_sizes: dict[tuple[int, ...], int] = {}
     for multiset in combinations_with_replacement(range(1, k + 1), k - 1):
         if len(set(multiset)) == k - 1:
             continue  # distinct-summand terms reported separately
-        acc = setup.aprime
-        for j in multiset:
-            acc = sumset(acc, setup.bi_prime[j - 1])
-        repeated_sizes[multiset] = len(acc)
+        repeated_sizes[multiset] = _sum_size(setup.aprime,
+                                             (setup.bi_prime[j - 1] for j in multiset))
 
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
+    bk = inst.bk
     witness = gamma_flow(build_plun_graph(inst.a, bk)).witness
     wprime = setup.gprime.set_of(x * h_order for x in witness)
-    acc = wprime
-    for bp in setup.bi_prime:
-        acc = sumset(acc, bp)
-    apex_lhs = len(acc)
+    apex_lhs = _sum_size(wprime, setup.bi_prime)
     apex_rhs = h_order * len(sumset(witness, bk))
 
     return Lemma21Report(setup=setup, expected_distinct=expected,
@@ -208,49 +176,10 @@ def lemma21_demo(inst: Instance, q: int, *, cap: int | None = None,
 
 
 def _expected_at(table: AlphaTable, m: int, l: int, q: int) -> int:
+    """m * (beta*q)^l as an exact integer via the leave-one-out product."""
     fr = Fraction(m) * q ** l
     for a in _leave_one_out_alphas(table):
         fr *= a
+    if fr.denominator != 1:
+        raise AssertionError("distinct-summand size must be integral for admissible q")
     return int(fr)
-
-
-@dataclass(frozen=True)
-class PowerExperimentRow:
-    r: int
-    gamma_r: Fraction
-    equals_power: bool
-    root: float
-
-
-@dataclass(frozen=True)
-class PowerExperimentReport:
-    rows: tuple[PowerExperimentRow, ...]
-    beta_approx: float
-    all_equal: bool
-
-    @property
-    def roots_bounded(self) -> bool:
-        return all(row.root <= self.beta_approx * (1 + 1e-9) for row in self.rows)
-
-
-def power_experiment(inst: Instance, r_max: int, *, cap: int | None = None) -> PowerExperimentReport:
-    """gamma of each direct power up to r_max, checked exactly against
-    gamma^r, with the float r-th roots listed next to beta."""
-    if r_max < 1:
-        raise UsageError(f"r_max must be >= 1, got {r_max}")
-    table = alpha_table(inst)
-    beta = beta_value(table, inst.key_set, inst.l)
-    key = sorted(inst.key_set)
-    base_gamma = None
-    rows = []
-    for r in range(1, r_max + 1):
-        powered = direct_power(inst, r, cap=cap)
-        bk_r = iterated_sumset(powered.bs, key)
-        g = gamma_flow(build_plun_graph(powered.a, bk_r)).gamma
-        if r == 1:
-            base_gamma = g
-        root = math.exp((math.log(g.numerator) - math.log(g.denominator)) / r)
-        rows.append(PowerExperimentRow(r=r, gamma_r=g,
-                                       equals_power=g == base_gamma ** r, root=root))
-    return PowerExperimentReport(rows=tuple(rows), beta_approx=beta.approx,
-                                 all_equal=all(row.equals_power for row in rows))

@@ -424,6 +424,11 @@ class Instance:
         """The full index set {1, ..., k}."""
         return frozenset(range(1, len(self.bs) + 1))
 
+    @property
+    def bk(self) -> GSet:
+        """The complete sum B_K = B_1 + ... + B_k."""
+        return iterated_sumset(self.bs, self.key_set)
+
 
 def power_group(group: Group, r: int, *, cap: int | None = None) -> Group:
     """The r-fold direct power, as the concatenated-moduli product group."""

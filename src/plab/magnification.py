@@ -14,30 +14,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UsageError
-from .groups import GSet, Group, Instance, direct_power, iterated_sumset
+from .groups import GSet, Group, Instance, direct_power
 
 EXHAUSTIVE_MAX = 22
 
 
 @dataclass(frozen=True)
 class PlunGraph:
-    """Left vertices A, right vertices A+B_K, edges a -> a+B_K."""
+    """Left vertices A, right vertices A+B_K, edges a -> a+B_K; adj_bits[a]
+    is the bitset of a+B_K."""
 
     group: Group = field(repr=False)
     left: tuple[int, ...]
     right: tuple[int, ...]
-    adjacency: dict[int, tuple[int, ...]] = field(repr=False)
     adj_bits: dict[int, int] = field(repr=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.adjacency[self.left[0]])
-
-    def image_bits(self, members: tuple[int, ...] | GSet) -> int:
-        out = 0
-        for a in members:
-            out |= self.adj_bits[a]
-        return out
 
 
 @dataclass(frozen=True)
@@ -65,9 +55,8 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
             bits = g._translate_left(bk.bits, x)
         adj_bits[x] = bits
         right_bits |= bits
-    adjacency = {x: tuple(GSet(g, bits)) for x, bits in adj_bits.items()}
     return PlunGraph(group=g, left=tuple(a), right=tuple(GSet(g, right_bits)),
-                     adjacency=adjacency, adj_bits=adj_bits)
+                     adj_bits=adj_bits)
 
 
 def _members_key(bits: int) -> tuple[int, ...]:
@@ -103,7 +92,8 @@ def gamma_exhaustive(graph: PlunGraph) -> MagResult:
         visit(i + 1, im | adj[i], members | elem_bit[i], count + 1)
 
     visit(0, 0, 0, 0)
-    assert best is not None
+    if best is None:
+        raise AssertionError("a nonempty A must yield a candidate subset")
     p, q, members = best
     return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members),
                      method="exhaustive", iterations=0)
@@ -241,9 +231,11 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 z_bits |= 1 << x
                 im_bits |= graph.adj_bits[x]
         nz = z_bits.bit_count()
-        assert nz > 0, "infeasible round must expose a nonempty subset"
+        if nz == 0:
+            raise AssertionError("infeasible round must expose a nonempty subset")
         nxt = Fraction(im_bits.bit_count(), nz)
-        assert nxt < t, "candidate ratios must strictly decrease"
+        if nxt >= t:
+            raise AssertionError("candidate ratios must strictly decrease")
         t = nxt
         witness_bits = z_bits
 
@@ -258,11 +250,8 @@ class MultiplicativityReport:
 
 def multiplicativity_check(inst: Instance, r: int) -> MultiplicativityReport:
     """Compare gamma of the r-th direct power against gamma ** r, exactly."""
-    key = sorted(inst.key_set)
-    bk = iterated_sumset(inst.bs, key)
-    g1 = gamma_flow(build_plun_graph(inst.a, bk))
+    g1 = gamma_flow(build_plun_graph(inst.a, inst.bk))
     powered = direct_power(inst, r)
-    bk_r = iterated_sumset(powered.bs, key)
-    gr = gamma_flow(build_plun_graph(powered.a, bk_r))
+    gr = gamma_flow(build_plun_graph(powered.a, powered.bk))
     return MultiplicativityReport(gamma_base=g1.gamma, gamma_power=gr.gamma, r=r,
                                   equal=gr.gamma == g1.gamma ** r)

@@ -1,32 +1,32 @@
 """Verdict operations: each inequality the library checks, with witnesses.
 
 Guaranteed inequalities (every commutative instance must satisfy them) are
-checked exactly; a False verdict from one of those means an implementation
-bug or a genuine counterexample and callers are expected to abort loudly
-via ensure_holds.  The two-sided-summand inequality over noncommutative
-groups is unproved territory: a failing search there is a reportable
-finding, never an assertion.
+checked exactly; a False verdict from one of those (is_fatal) means an
+implementation bug or a genuine counterexample and callers are expected to
+abort loudly via ensure_holds.  The two-sided-summand inequality over
+noncommutative groups is unproved territory: a failing search there is a
+reportable finding, never an assertion.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .alphabeta import (AlphaTable, GT, alpha_table, beta_value,
+from .alphabeta import (BetaValue, GT, LT, alpha_table, beta_value,
                         cmp_ratio_vs_beta, log_fraction)
 from .errors import TheoremViolationError, UsageError
 from .groups import GSet, Group, Instance, direct_power, iterated_sumset, power_set, sumset
-from .magnification import build_plun_graph, gamma_exhaustive, gamma_flow
+from .magnification import build_plun_graph, gamma_flow
 
 REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
 
 #: checks whose failure is fatal rather than reportable
-GUARANTEED = frozenset({"plgen", "pldiff", "single", "restricted", "large"})
+GUARANTEED = frozenset({"plgen", "pldiff", "single", "restricted", "large", "power"})
 
 
 @dataclass(frozen=True)
@@ -40,95 +40,66 @@ class TheoremVerdict:
     notes: str = ""
 
 
+def is_fatal(verdict: TheoremVerdict) -> bool:
+    """Whether the verdict is a failed guaranteed check."""
+    return not verdict.holds and verdict.theorem in GUARANTEED
+
+
 def ensure_holds(verdict: TheoremVerdict, instance_dump: dict | None = None) -> TheoremVerdict:
     """Raise for a failed guaranteed check; pass every other verdict through."""
-    if not verdict.holds and verdict.theorem in GUARANTEED:
+    if is_fatal(verdict):
         raise TheoremViolationError(
             f"guaranteed check {verdict.theorem!r} failed: lhs={verdict.lhs} rhs={verdict.rhs}",
             instance_dump=instance_dump)
     return verdict
 
 
-def _gamma(a: GSet, bk: GSet, method: str):
-    graph = build_plun_graph(a, bk)
-    if method == "exhaustive":
-        return gamma_exhaustive(graph)
-    return gamma_flow(graph)
-
-
-def check_plgen(inst: Instance, *, method: str = "flow") -> TheoremVerdict:
+def check_plgen(inst: Instance) -> TheoremVerdict:
     """Some nonempty X in A has |X+B_K| <= beta * |X|: verified by comparing
     the exact magnification ratio against beta."""
     table = alpha_table(inst)
     beta = beta_value(table, inst.key_set, inst.l)
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
-    mag = _gamma(inst.a, bk, method)
+    mag = gamma_flow(build_plun_graph(inst.a, inst.bk))
     holds = cmp_ratio_vs_beta(mag.gamma, beta) != GT
     return TheoremVerdict(theorem="plgen", holds=holds, lhs=mag.gamma, rhs=beta,
                           exact=True, witness=mag.witness)
 
 
-def check_single_summand(a: GSet, b: GSet, l: int, k: int, *,
-                         method: str = "flow") -> TheoremVerdict:
+def check_single_summand(a: GSet, b: GSet, l: int, k: int) -> TheoremVerdict:
     """Equal-summand case: some X has |X + kB| <= alpha^(k/l) |X| with
-    alpha = |A+lB|/|A|.  Reduces to the general check with B_i = B."""
-    if not 1 <= l < k:
-        raise UsageError(f"need 1 <= l < k, got l={l}, k={k}")
-    inst = Instance(a.group, a, tuple(b for _ in range(k)), l)
-    verdict = check_plgen(inst, method=method)
-    return TheoremVerdict(theorem="single", holds=verdict.holds, lhs=verdict.lhs,
-                          rhs=verdict.rhs, exact=True, witness=verdict.witness)
+    alpha = |A+lB|/|A|.  Reduces to the general check with B_i = B; the
+    instance itself rejects levels outside 1 <= l < k."""
+    return replace(check_plgen(Instance(a.group, a, tuple(b for _ in range(k)), l)),
+                   theorem="single")
 
 
-def check_pldiff(inst: Instance, *, method: str = "flow") -> TheoremVerdict:
+def check_pldiff(inst: Instance) -> TheoremVerdict:
     """Product-of-alphas case (level forced to 1): the bound is the plain
     rational alpha_1 * ... * alpha_k."""
     forced = inst if inst.l == 1 else Instance(inst.group, inst.a, inst.bs, 1)
-    verdict = check_plgen(forced, method=method)
-    return TheoremVerdict(theorem="pldiff", holds=verdict.holds, lhs=verdict.lhs,
-                          rhs=verdict.rhs, exact=True, witness=verdict.witness)
+    return replace(check_plgen(forced), theorem="pldiff")
 
 
 # -- empirical large-subset constant ------------------------------------------
 
 @dataclass(frozen=True)
-class RootRatio:
-    """The exact value ratio / base**(1/root), ordered by integer powers."""
-
-    ratio: Fraction
-    base: Fraction
-    root: int
-
-    def cmp(self, other: "RootRatio") -> int:
-        d = math.lcm(self.root, other.root)
-        lhs = self.ratio ** d / self.base ** (d // self.root)
-        rhs = other.ratio ** d / other.base ** (d // other.root)
-        if lhs < rhs:
-            return -1
-        if lhs > rhs:
-            return 1
-        return 0
-
-    def __lt__(self, other: "RootRatio") -> bool:
-        return self.cmp(other) < 0
-
-    def as_float(self) -> float:
-        return math.exp(log_fraction(self.ratio) - log_fraction(self.base) / self.root)
-
-    def equals_rational(self, value: Fraction) -> bool:
-        return self.ratio ** self.root == self.base * value ** self.root
-
-
-@dataclass(frozen=True)
 class EmpiricalConstant:
     """Smallest observed c with |X+B_J| <= c * beta_J * |X| for all J with
-    |J| >= l, over subsets X larger than (1-epsilon) * |A|."""
+    |J| >= l, over subsets X larger than (1-epsilon) * |A|.  The constant
+    is exactly ratio / beta, with ratio = |X+B_J| / |X| at the binding J."""
 
     epsilon: Fraction
-    c_emp: RootRatio
+    ratio: Fraction
+    beta: BetaValue
     x: GSet
     argmax_j: frozenset[int]
     exhaustive: bool
+
+    @property
+    def c_emp(self) -> float:
+        """The constant, as a float for display."""
+        return math.exp(log_fraction(self.ratio)
+                        - log_fraction(self.beta.base) / self.beta.expo_den)
 
 
 EXHAUSTIVE_M_MAX = 16
@@ -154,26 +125,24 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
     betas = {j: beta_value(table, j, inst.l) for j in j_sets}
     b_sets = {j: iterated_sumset(inst.bs, sorted(j)) for j in j_sets}
 
-    def c_of(x: GSet) -> tuple[RootRatio, frozenset[int]]:
-        best: tuple[RootRatio, frozenset[int]] | None = None
+    def c_of(x: GSet) -> tuple[Fraction, BetaValue, frozenset[int]]:
+        best: tuple[Fraction, BetaValue, frozenset[int]] | None = None
         for j in j_sets:
-            b = betas[j]
-            cand = RootRatio(Fraction(len(sumset(x, b_sets[j])), len(x)),
-                             b.base, b.expo_den)
-            if best is None or best[0] < cand:
-                best = (cand, j)
+            ratio = Fraction(len(sumset(x, b_sets[j])), len(x))
+            if best is None or cmp_ratio_vs_beta(best[0], best[1], ratio, betas[j]) == LT:
+                best = (ratio, betas[j], j)
         return best
 
     min_card_exclusive = (1 - eps) * m  # admissible: |X| > this
     members = list(inst.a)
     exhaustive = m <= EXHAUSTIVE_M_MAX
-    best: tuple[RootRatio, frozenset[int], GSet] | None = None
+    best: tuple[Fraction, BetaValue, frozenset[int], GSet] | None = None
 
     def consider(x: GSet) -> None:
         nonlocal best
-        c, j = c_of(x)
-        if best is None or c < best[0]:
-            best = (c, j, x)
+        ratio, beta, j = c_of(x)
+        if best is None or cmp_ratio_vs_beta(ratio, beta, best[0], best[1]) == LT:
+            best = (ratio, beta, j, x)
 
     consider(inst.a)
     if exhaustive:
@@ -190,8 +159,9 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
             size = rng.randint(lo, m)
             x = inst.group.set_of(rng.sample(members, size))
             consider(x)
-    c, j, x = best
-    return EmpiricalConstant(epsilon=eps, c_emp=c, x=x, argmax_j=j, exhaustive=exhaustive)
+    ratio, beta, j, x = best
+    return EmpiricalConstant(epsilon=eps, ratio=ratio, beta=beta, x=x, argmax_j=j,
+                             exhaustive=exhaustive)
 
 
 # -- constructive large subsets -------------------------------------------------
@@ -231,7 +201,7 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
 
     table = alpha_table(inst)
     beta = beta_value(table, inst.key_set, inst.l)
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
+    bk = inst.bk
     x = gamma_flow(build_plun_graph(inst.a, bk)).witness
     iterations = 1
     while needs_more(x):
@@ -255,33 +225,18 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
                              iterations=iterations, near_boundary=near)
 
 
-def large_subset_verdict(inst: Instance, mode: str, value) -> TheoremVerdict:
-    res = large_subset(inst, mode, value)
-    return TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
-                          rhs=res.bound, exact=False, witness=res.x,
-                          notes="near boundary" if res.near_boundary else "")
-
-
 # -- restricted sums ------------------------------------------------------------
-
-def _leave_one_out_product(table: AlphaTable) -> int:
-    out = 1
-    for i in range(1, table.k + 1):
-        out *= table.sizes[table.complement(i)]
-    return out
-
 
 def check_restricted_sum(inst: Instance, s: GSet) -> TheoremVerdict:
     """For S inside the complete sum B_K:
     |S+A|^k <= |S| * prod over i of |A + B_(K minus i)|, checked in integers."""
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
     if not s:
         raise UsageError("S must be nonempty")
-    if not s.issubset(bk):
+    if not s.issubset(inst.bk):
         raise UsageError("S must be a subset of the complete sum B_K")
     table = alpha_table(inst)
     lhs = len(sumset(s, inst.a)) ** inst.k
-    rhs = len(s) * _leave_one_out_product(table)
+    rhs = len(s) * math.prod(table.sizes[j] for j in table.leave_one_out())
     return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs,
                           exact=True)
 
@@ -321,15 +276,13 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     instance: branch on |S| against the threshold, evaluate every
     intermediate inequality, and confirm the tensor-power identity
     |S^r + A^r| = |S+A|^r for r up to r_max."""
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
-    if not s or not s.issubset(bk):
-        raise UsageError("S must be a nonempty subset of the complete sum B_K")
+    final = check_restricted_sum(inst, s)
+    bk = inst.bk
     k, m = inst.k, len(inst.a)
-    table = alpha_table(inst)
-    s_prod = _leave_one_out_product(table)
     sa = sumset(s, inst.a)
     sa_size = len(sa)
     s_size = len(s)
+    s_prod = final.rhs // s_size  # prod over i of |A + B_(K minus i)|
     steps: list[PipelineStep] = []
 
     def add(name: str, lhs: float, rhs: float, exact: bool) -> None:
@@ -343,7 +296,6 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     if small_branch:
         branch = "small"
         add("product_bound", sa_size, s_size * m, True)
-        add("kth_power_bound", sa_size ** k, s_size * s_prod, True)
     else:
         branch = "large"
         t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
@@ -363,7 +315,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
                     - (k - 1) * (s_prod / m) ** (1 / (k - 1)))
         add("combined_bound", sa_size, combined, False)
         add("relaxed_bound", sa_size, k * (s_prod * s_size) ** (1 / k), False)
-        add("kth_power_bound", sa_size ** k, s_size * s_prod, True)
+    add("kth_power_bound", final.lhs, final.rhs, True)
 
     power_rows: list[PowerRow] = []
     prev_bound = math.inf
@@ -408,14 +360,6 @@ def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVe
     members = list(a)
     singles = [sumset(sumset(b1, group.singleton(x)), b2).bits for x in members]
 
-    def mask_to_elems(mask: int) -> int:
-        elems = 0
-        while mask:
-            lsb = mask & -mask
-            elems |= 1 << members[lsb.bit_length() - 1]
-            mask ^= lsb
-        return elems
-
     or_bits = [0] * (1 << n)
     best: tuple[int, int, int] | None = None  # (p, q, subset mask)
     for mask in range(1, 1 << n):
@@ -427,11 +371,11 @@ def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVe
         if (best is None or p * best[1] < best[0] * q
                 or (p * best[1] == best[0] * q and q < best[1])):
             best = (p, q, mask)
-    p, q, elems = best[0], best[1], mask_to_elems(best[2])
+    p, q, mask = best
     ratio = Fraction(p, q)
     bound = Fraction(left_size * right_size, n * n)
     holds = p * n * n <= left_size * right_size * q
     return TheoremVerdict(
         theorem="noncomm", holds=holds, lhs=ratio, rhs=bound, exact=True,
-        witness=GSet(group, elems),
+        witness=group.set_of(members[i] for i in range(n) if (mask >> i) & 1),
         notes="" if holds else "candidate counterexample: no subset meets the bound")

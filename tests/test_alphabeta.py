@@ -75,7 +75,7 @@ def test_alpha_monotone(seed):
 
 def test_beta_z5_level1(z5):
     b = beta_value(alpha_table(z5), z5.key_set, 1)
-    assert b.base == 3 and b.expo_num == 1 and b.expo_den == 1
+    assert b.base == 3 and b.expo_den == 1
     assert b.approx == 3.0
 
 
@@ -125,25 +125,25 @@ def test_equal_summand_reduction():
 # -- exact comparisons --------------------------------------------------------------
 
 def test_cmp_plain_rational():
-    b = BetaValue(base=Fraction(3), expo_num=1, expo_den=1, approx=3.0)
+    b = BetaValue(base=Fraction(3), expo_den=1, approx=3.0)
     assert cmp_ratio_vs_beta(Fraction(5, 2), b) == LT
     assert cmp_ratio_vs_beta(Fraction(3), b) == EQ
     assert cmp_ratio_vs_beta(Fraction(7, 2), b) == GT
 
 
 def test_cmp_square_root():
-    b = BetaValue(base=Fraction(30), expo_num=1, expo_den=2, approx=math.sqrt(30))
+    b = BetaValue(base=Fraction(30), expo_den=2, approx=math.sqrt(30))
     assert cmp_ratio_vs_beta(Fraction(9, 2), b) == LT   # 81/4 < 30
     assert cmp_ratio_vs_beta(Fraction(6), b) == GT      # 36 > 30
 
 
 def test_cmp_identity_case():
-    b = BetaValue(base=Fraction(1), expo_num=1, expo_den=1, approx=1.0)
+    b = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
     assert cmp_ratio_vs_beta(Fraction(1), b) == EQ
 
 
 def test_cmp_requires_positive():
-    b = BetaValue(base=Fraction(1), expo_num=1, expo_den=1, approx=1.0)
+    b = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
     with pytest.raises(UsageError):
         cmp_ratio_vs_beta(Fraction(0), b)
 
@@ -152,7 +152,7 @@ def test_cmp_requires_positive():
        st.fractions(min_value="1/100", max_value="100"),
        st.integers(1, 6))
 def test_cmp_agrees_with_floats_off_boundary(ratio, base, root):
-    b = BetaValue(base=base, expo_num=1, expo_den=root,
+    b = BetaValue(base=base, expo_den=root,
                   approx=math.exp((math.log(base.numerator) - math.log(base.denominator)) / root))
     gap = abs(float(ratio) - b.approx)
     if gap > 1e-6 * max(b.approx, 1.0):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ from plab.cli import (SweepConfig, load_sweep_config, main, parse_instance,
                       run_sweep, serialize_instance, sweep_config_from_dict)
 from plab.theorems import TheoremVerdict
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def write_json(tmp_path, name, data):
@@ -50,6 +54,22 @@ def test_parse_rejects_bad_shapes():
         parse_instance({"group": [5], "A": [0], "B": "nope", "l": 1})
 
 
+@pytest.mark.parametrize("command, patch", [
+    ("verify", {"l": "x"}), ("verify", {"A": [0.5]}), ("verify", {"A": "01"}),
+    ("verify", {"cayley": "xx"}), ("verify", {"S": "x"}),
+    ("sweep", {"k_range": "x"}), ("sweep", {"checks": "plgen"}),
+], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str"])
+def test_malformed_input_exits_2(tmp_path, command, patch):
+    base = json.loads((FIXTURES / "z5.json").read_text()) if command == "verify" else BASE_CFG
+    path = write_json(tmp_path, "input.json", {**base, **patch})
+    proc = subprocess.run([sys.executable, "-m", "plab.cli", command, path],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f'"{next(iter(patch))}"' in proc.stderr
+
+
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_z5_plgen(capsys):
@@ -70,6 +90,9 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["verify", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_verify_missing_file():
@@ -152,6 +175,15 @@ def test_find_x(capsys):
     assert "ratio = 5/2" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_fixture_report_matches_golden(flags):
+    proc = subprocess.run([sys.executable, *flags, str(ROOT / "scripts" / "fixture_report.py")],
+                          capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines(keepends=True)
+    report = "".join(line for line in lines if not line.startswith("$ plab "))
+    assert report == (ROOT / "tests" / "golden" / "fixture_report.txt").read_text()
+
+
 # -- demo --------------------------------------------------------------------------
 
 def test_demo_lemma21(capsys):
@@ -173,6 +205,7 @@ def test_demo_power(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "gamma_r=25/4" in out and "all powers exact: yes" in out
+    assert main(["demo", "power", str(FIXTURES / "z5.json"), "-r", "0"]) == 2
 
 
 def test_demo_pipeline_complete_sum(capsys):
@@ -273,3 +306,21 @@ def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
     assert main(["sweep", cfg_path]) == 1
     err = capsys.readouterr().err
     assert "VIOLATION" in err and '"A":' in err
+
+
+def test_sweep_power_violation_exit(tmp_path, monkeypatch, capsys):
+    import plab.cli as cli_mod
+    from plab.magnification import MultiplicativityReport
+
+    real = cli_mod.multiplicativity_check
+
+    def fake_check(inst, r):
+        rep = real(inst, r)
+        return MultiplicativityReport(gamma_base=rep.gamma_base, gamma_power=rep.gamma_power + 1,
+                                      r=r, equal=False)
+
+    monkeypatch.setattr(cli_mod, "multiplicativity_check", fake_check)
+    cfg_path = write_json(tmp_path, "cfg.json", {**BASE_CFG, "count": 3, "checks": ["power"]})
+    assert main(["sweep", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "guaranteed check 'power' failed" in err and '"A":' in err

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from plab import (Instance, ResourceError, UsageError, admissible_q, alpha_table,
-                  build_extension, check_plgen, lemma21_demo, make_abelian_group,
-                  power_experiment)
+from plab import (GT, Instance, ResourceError, UsageError, admissible_q, alpha_table,
+                  beta_value, build_extension, check_plgen, cmp_ratio_vs_beta,
+                  lemma21_demo, make_abelian_group, multiplicativity_check)
 
 from oracles import naive_sumset
 
@@ -100,26 +100,31 @@ def test_demo_identity_summands():
     assert rep.apex_equal
 
 
+def roots_bounded(inst, rep):
+    """gamma_r^(1/r) <= beta, exactly: with gamma_r = gamma^r the root is gamma."""
+    beta = beta_value(alpha_table(inst), inst.key_set, inst.l)
+    return rep.equal and cmp_ratio_vs_beta(rep.gamma_base, beta) != GT
+
+
 def test_power_experiment_z5(z5):
-    rep = power_experiment(z5, 2)
-    assert [row.gamma_r for row in rep.rows] == [Fraction(5, 2), Fraction(25, 4)]
-    assert rep.all_equal
-    assert rep.rows[1].root == pytest.approx(2.5, rel=1e-12)
-    assert rep.roots_bounded
+    rep = multiplicativity_check(z5, 2)
+    assert (rep.gamma_base, rep.gamma_power) == (Fraction(5, 2), Fraction(25, 4))
+    assert rep.equal
+    assert roots_bounded(z5, rep)
 
 
 def test_power_experiment_r1_matches_plgen(z9):
-    rep = power_experiment(z9, 1)
-    assert rep.rows[0].gamma_r == check_plgen(z9).lhs
-    assert rep.roots_bounded
+    rep = multiplicativity_check(z9, 1)
+    assert rep.gamma_power == check_plgen(z9).lhs
+    assert roots_bounded(z9, rep)
 
 
 def test_power_experiment_z9(z9):
-    rep = power_experiment(z9, 2)
-    assert rep.rows[1].gamma_r == Fraction(81, 4)
-    assert rep.all_equal
+    rep = multiplicativity_check(z9, 2)
+    assert rep.gamma_power == Fraction(81, 4)
+    assert rep.equal
 
 
 def test_power_experiment_bad_r(z5):
     with pytest.raises(UsageError):
-        power_experiment(z5, 0)
+        multiplicativity_check(z5, 0)

@@ -24,21 +24,21 @@ def test_graph_z5(z5):
     g, _ = graph_of(z5)
     assert len(g.left) == 2
     assert len(g.right) == 5
-    assert g.degree == 4
+    assert all(bits.bit_count() == 4 for bits in g.adj_bits.values())
 
 
 def test_graph_z9(z9):
     g, _ = graph_of(z9)
     assert len(g.left) == 2
     assert len(g.right) == 9
-    assert g.degree == 8
+    assert all(bits.bit_count() == 8 for bits in g.adj_bits.values())
 
 
 def test_graph_singleton():
     g = make_abelian_group([4])
     graph = build_plun_graph(g.set_of([0]), g.set_of([0]))
     assert graph.left == (0,)
-    assert graph.adjacency[0] == (0,)
+    assert graph.adj_bits == {0: 0b1}
 
 
 def test_graph_errors():
@@ -56,11 +56,14 @@ def test_degree_and_image_invariants(seed):
                          a_range=(1, 6), b_range=(1, 4))
     graph, bk = graph_of(inst)
     for x in graph.left:
-        assert len(graph.adjacency[x]) == len(bk)
+        assert graph.adj_bits[x].bit_count() == len(bk)
     rng = random.Random(seed + 1)
     members = list(inst.a)
     z = inst.group.set_of(rng.sample(members, rng.randint(1, len(members))))
-    assert graph.image_bits(z) == sumset(z, bk).bits
+    image = 0
+    for x in z:
+        image |= graph.adj_bits[x]
+    assert image == sumset(z, bk).bits
 
 
 # -- exhaustive minimum ------------------------------------------------------------

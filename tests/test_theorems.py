@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plab import (EQ, LT, Instance, TheoremViolationError, UsageError,
-                  alpha_table, beta_value, check_noncommutative, check_pldiff,
-                  check_plgen, check_restricted_sum, check_single_summand,
-                  cmp_ratio_vs_beta, empirical_plgen2, ensure_holds,
+from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageError,
+                  alpha_table, beta_value, build_plun_graph, check_noncommutative,
+                  check_pldiff, check_plgen, check_restricted_sum, check_single_summand,
+                  cmp_ratio_vs_beta, empirical_plgen2, ensure_holds, gamma_exhaustive,
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
-from plab.theorems import RootRatio, TheoremVerdict
+from plab.theorems import TheoremVerdict
 from plab.cayley import cyclic_table, symmetric_table
 
 from gen import rand_instance, rand_subset
@@ -52,7 +52,7 @@ def test_plgen_identity_equality():
 
 
 def test_exhaustive_method_agrees(z5):
-    assert check_plgen(z5, method="exhaustive").lhs == check_plgen(z5).lhs
+    assert gamma_exhaustive(build_plun_graph(z5.a, z5.bk)).gamma == check_plgen(z5).lhs
 
 
 @given(st.integers(0, 100_000))
@@ -144,13 +144,13 @@ def test_pldiff_agrees_with_plgen_at_level_one(seed):
 
 def test_empirical_identity_sets():
     emp = empirical_plgen2(identity_instance(), Fraction(1, 2))
-    assert emp.c_emp.equals_rational(Fraction(1))
+    assert cmp_ratio_vs_beta(emp.ratio, emp.beta) == EQ
     assert emp.exhaustive
 
 
 def test_empirical_epsilon_near_one(z5):
     emp = empirical_plgen2(z5, Fraction(99, 100))
-    assert emp.c_emp.as_float() <= 4 / 3 + 1e-12
+    assert emp.c_emp <= 4 / 3 + 1e-12
 
 
 def test_empirical_z5_admits_all_nonempty(z5):
@@ -158,7 +158,7 @@ def test_empirical_z5_admits_all_nonempty(z5):
     # where the binding J is a singleton with ratio exactly beta_J
     emp = empirical_plgen2(z5, Fraction(6, 10))
     assert emp.x == z5.a
-    assert emp.c_emp.equals_rational(Fraction(1))
+    assert cmp_ratio_vs_beta(emp.ratio, emp.beta) == EQ
 
 
 def test_empirical_epsilon_range(z5):
@@ -176,7 +176,7 @@ def test_empirical_sampled_path():
     emp = empirical_plgen2(Instance(g, a, bs, 1), Fraction(1, 2), samples=50, seed=9)
     assert not emp.exhaustive
     assert len(emp.x) > 9
-    assert emp.c_emp.as_float() > 0
+    assert emp.c_emp > 0
 
 
 @given(st.integers(0, 10_000))
@@ -187,21 +187,23 @@ def test_empirical_always_finite_with_admissible_witness(seed):
     eps = Fraction(rng.randint(1, 9), 10)
     emp = empirical_plgen2(inst, eps)
     assert len(emp.x) > (1 - eps) * len(inst.a)
-    assert emp.c_emp.as_float() < math.inf
+    assert emp.c_emp < math.inf
     # the witness X reproduces the claimed constant at the binding J
     b = beta_value(alpha_table(inst), emp.argmax_j, inst.l)
     lhs = Fraction(len(sumset(emp.x, iterated_sumset(inst.bs, sorted(emp.argmax_j)))),
                    len(emp.x))
-    assert RootRatio(lhs, b.base, b.expo_den).cmp(emp.c_emp) == 0
+    assert cmp_ratio_vs_beta(lhs, b, emp.ratio, emp.beta) == EQ
 
 
 def test_root_ratio_ordering():
-    # 2/sqrt(2) = sqrt(2) < 3/2
-    a = RootRatio(Fraction(2), Fraction(2), 2)
-    b = RootRatio(Fraction(3, 2), Fraction(1), 1)
-    assert a < b
-    assert a.cmp(a) == 0
-    assert a.as_float() == pytest.approx(math.sqrt(2), rel=1e-12)
+    # 2/sqrt(2) = sqrt(2) < 3/2, and 3/sqrt(4) = 3/2 exactly
+    root2 = BetaValue(base=Fraction(2), expo_den=2, approx=math.sqrt(2))
+    one = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
+    four = BetaValue(base=Fraction(4), expo_den=2, approx=2.0)
+    assert cmp_ratio_vs_beta(Fraction(2), root2, Fraction(3, 2), one) == LT
+    assert cmp_ratio_vs_beta(Fraction(3, 2), one, Fraction(2), root2) == GT
+    assert cmp_ratio_vs_beta(Fraction(2), root2, Fraction(2), root2) == EQ
+    assert cmp_ratio_vs_beta(Fraction(3), four, Fraction(3, 2), one) == EQ
 
 
 # -- constructive large subsets -----------------------------------------------------------
