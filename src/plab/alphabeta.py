@@ -77,6 +77,11 @@ def alpha_table(inst: Instance) -> AlphaTable:
     return AlphaTable(k=k, m=m, sizes=sizes, alphas=alphas)
 
 
+def instance_table(inst: Instance) -> AlphaTable:
+    """The instance's alpha table, built once per instance."""
+    return inst.cached("alpha", alpha_table)
+
+
 def log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 

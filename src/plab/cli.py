@@ -21,18 +21,17 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import constructions, theorems
-from .alphabeta import alpha_table, beta_value, log_fraction
+from .alphabeta import beta_value, instance_table, log_fraction
 from .errors import (ResourceError, TheoremViolationError, UsageError,
                      ValidationError)
 from .groups import (GSet, Instance, embed_integer_sets, make_abelian_group,
                      make_cayley_group, sumset)
-from .magnification import build_plun_graph, gamma_flow, multiplicativity_check
+from .magnification import instance_gamma, multiplicativity_check
 
 CSV_COLUMNS = ("index", "group", "k", "l", "m", "b_sizes", "check",
                "gamma", "beta_base", "beta_expo_den", "holds", "detail")
@@ -174,7 +173,7 @@ def _restricted(inst: Instance, opts):
 
 
 def _power(inst: Instance, opts):
-    rep = multiplicativity_check(inst, 2)
+    rep = inst.cached(("power", 2), lambda i: multiplicativity_check(i, 2))
     v = theorems.TheoremVerdict(theorem="power", holds=rep.equal, lhs=rep.gamma_power,
                                 rhs=rep.gamma_base ** 2, exact=True)
     return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
@@ -281,8 +280,8 @@ class SweepConfig:
     insert_identity: bool = True
 
 
-def load_sweep_config(path: str) -> SweepConfig:
-    return sweep_config_from_dict(_load_json(path))
+def load_sweep_config(path: str, **overrides) -> SweepConfig:
+    return sweep_config_from_dict(_load_json(path), **overrides)
 
 
 def _range(data: dict, key: str, default: list[int]) -> list[int]:
@@ -292,9 +291,13 @@ def _range(data: dict, key: str, default: list[int]) -> list[int]:
     return pair
 
 
-def sweep_config_from_dict(data: dict) -> SweepConfig:
+def sweep_config_from_dict(data: dict, **overrides) -> SweepConfig:
+    """Parse and validate a sweep config.  overrides, keyed like the file's
+    fields, replace them before anything is checked, so a value from the
+    command line is held to the same rules as the same value in the file."""
     if not isinstance(data, dict):
         raise UsageError("sweep config must contain a JSON object")
+    data = {**data, **overrides}
     k_range = _range(data, "k_range", [2, 4])
     g_range = _range(data, "group_size_range", [4, 64])
     s_range = _range(data, "set_size_range", [1, 8])
@@ -307,17 +310,24 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     l_rule = data.get("l_rule", "all")
     if l_rule != "all":
         _int(l_rule, '"l_rule" (when not "all")')
+    insert_identity = data.get("insert_identity", True)
+    if type(insert_identity) is not bool:
+        raise UsageError('"insert_identity" must be true or false')
     cfg = SweepConfig(seed=_int(data.get("seed", 0), '"seed"'),
                       count=_int(data.get("count", 100), '"count"'),
                       k_min=k_range[0], k_max=k_range[1], l_rule=l_rule,
                       group_min=g_range[0], group_max=g_range[1],
                       set_min=s_range[0], set_max=s_range[1],
                       checks=tuple(checks),
-                      insert_identity=bool(data.get("insert_identity", True)))
+                      insert_identity=insert_identity)
     if cfg.count < 0 or cfg.k_min < 2 or cfg.k_max < cfg.k_min:
         raise UsageError("bad sweep config: need count >= 0 and 2 <= k_min <= k_max")
-    if cfg.group_min < 1 or cfg.group_max < cfg.group_min or cfg.set_min < 1:
-        raise UsageError("bad sweep config: group and set ranges must be positive")
+    if (cfg.group_min < 1 or cfg.group_max < cfg.group_min
+            or cfg.set_min < 1 or cfg.set_max < cfg.set_min):
+        raise UsageError('bad sweep config: "group_size_range" and "set_size_range" '
+                         "need 1 <= min <= max")
+    if l_rule != "all" and l_rule < 1:
+        raise UsageError(f'bad sweep config: "l_rule" must be "all" or >= 1, got {l_rule}')
     return cfg
 
 
@@ -325,18 +335,19 @@ def generate_base(cfg: SweepConfig, index: int) -> Instance | None:
     """Deterministic random instance #index; None when l_rule makes it empty.
 
     Draw order is fixed: k, then N, then A's size and elements, then each
-    B_i's size and elements.  The identity is inserted into every B_i
-    unless insert_identity is off.
+    B_i's size and elements.  Set sizes are drawn from the set range
+    clipped to N.  The identity is inserted into every B_i unless
+    insert_identity is off.
     """
     rng = random.Random(cfg.seed * (1 << 32) + index)
     k = rng.randint(cfg.k_min, cfg.k_max)
     n = rng.randint(cfg.group_min, cfg.group_max)
     group = make_abelian_group([n])
-    size_a = rng.randint(cfg.set_min, min(cfg.set_max, n))
-    a = group.set_of(rng.sample(range(n), size_a))
+    size_lo, size_hi = min(cfg.set_min, n), min(cfg.set_max, n)
+    a = group.set_of(rng.sample(range(n), rng.randint(size_lo, size_hi)))
     bs = []
     for _ in range(k):
-        size = rng.randint(cfg.set_min, min(cfg.set_max, n))
+        size = rng.randint(size_lo, size_hi)
         if cfg.insert_identity:
             elems = [0] + rng.sample(range(1, n), size - 1) if size > 1 else [0]
         else:
@@ -365,7 +376,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
                               subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
                               epsilon=0.5, samples=128, seed=cfg.seed * 1009 + index)
     for level in _levels(cfg, inst0.k):
-        inst = Instance(inst0.group, inst0.a, inst0.bs, level)
+        inst = replace(inst0, l=level)
         for check in cfg.checks:
             start = time.perf_counter()
             [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
@@ -390,6 +401,9 @@ def run_sweep(cfg: SweepConfig, *, workers: int = 1, timing: bool = False) -> st
         for index in range(cfg.count):
             writer.writerows(sweep_rows_for_index(cfg, index, timing))
     else:
+        # imported here: the executor, threading and logging modules cost a
+        # single-worker run about 0.5 MB of resident memory
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for rows in pool.map(lambda i: sweep_rows_for_index(cfg, i, timing),
                                  range(cfg.count)):
@@ -400,8 +414,8 @@ def run_sweep(cfg: SweepConfig, *, workers: int = 1, timing: bool = False) -> st
 def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = {"seed": args.seed, "count": args.count,
                  "insert_identity": False if args.allow_no_identity else None}
-    cfg = replace(load_sweep_config(args.config),
-                  **{key: value for key, value in overrides.items() if value is not None})
+    cfg = load_sweep_config(args.config, **{key: value for key, value in overrides.items()
+                                            if value is not None})
     text = run_sweep(cfg, workers=args.workers, timing=args.timing)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -439,7 +453,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if args.what == "power":
         if args.r < 1:
             raise UsageError(f"r_max must be >= 1, got {args.r}")
-        beta = beta_value(alpha_table(inst), inst.key_set, inst.l)
+        beta = beta_value(instance_table(inst), inst.key_set, inst.l)
         all_equal = True
         for r in range(1, args.r + 1):
             rep = multiplicativity_check(inst, r)
@@ -471,9 +485,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_find_x(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.instance)
-    bk = inst.bk
-    res = gamma_flow(build_plun_graph(inst.a, bk))
-    image = sumset(res.witness, bk)
+    res = instance_gamma(inst)
+    image = sumset(res.witness, inst.bk)
     print(f"X = {sorted(res.witness)}")
     print(f"|X| = {len(res.witness)}  |X+B_K| = {len(image)}  ratio = {res.gamma}")
     return 0

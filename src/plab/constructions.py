@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .alphabeta import AlphaTable, alpha_table
+from .alphabeta import AlphaTable, instance_table
 from .errors import ResourceError, UsageError
 from .groups import GSet, Group, Instance, element_cap, make_abelian_group, sumset
-from .magnification import build_plun_graph, gamma_flow
+from .magnification import instance_gamma
 
 
 def _leave_one_out_alphas(table: AlphaTable) -> list[Fraction]:
@@ -88,7 +88,7 @@ def build_extension(inst: Instance, q: int, *, cap: int | None = None) -> Lemma2
         raise UsageError("the extension construction needs an abelian product group")
     if inst.l != inst.k - 1:
         raise UsageError(f"construction requires k = l+1, got k={inst.k}, l={inst.l}")
-    table = alpha_table(inst)
+    table = instance_table(inst)
     alphas = _leave_one_out_alphas(table)
     n = []
     for a in alphas:
@@ -130,7 +130,7 @@ def lemma21_demo(inst: Instance, q: int, *, cap: int | None = None,
     diagnostics and the apex identity |X + (B_K x H)| = |H| * |X + B_K|."""
     setup = build_extension(inst, q, cap=cap)
     k, m = inst.k, len(inst.a)
-    table = alpha_table(inst)
+    table = instance_table(inst)
     h_order = setup.h_order
 
     expected = _expected_at(table, m, inst.l, q)
@@ -162,7 +162,7 @@ def lemma21_demo(inst: Instance, q: int, *, cap: int | None = None,
                                              (setup.bi_prime[j - 1] for j in multiset))
 
     bk = inst.bk
-    witness = gamma_flow(build_plun_graph(inst.a, bk)).witness
+    witness = instance_gamma(inst).witness
     wprime = setup.gprime.set_of(x * h_order for x in witness)
     apex_lhs = _sum_size(wprime, setup.bi_prime)
     apex_rhs = h_order * len(sumset(witness, bk))

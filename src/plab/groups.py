@@ -16,15 +16,17 @@ axis by axis, so it costs O(d * N / wordsize) rather than |S|*|T| pairs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceError, UsageError, ValidationError
 
 DEFAULT_ELEMENT_CAP = 1 << 26
 CAP_ENV_VAR = "PLAB_MEM_CAP"
 CAYLEY_MAX_ORDER = 64
+
+T = TypeVar("T")
 
 
 def element_cap() -> int:
@@ -394,12 +396,20 @@ def iterated_sumset(bs: Sequence[GSet], idxs: Iterable[int]) -> GSet:
 
 @dataclass(frozen=True)
 class Instance:
-    """A base set A, summand sets B_1..B_k, and a level l with 1 <= l < k."""
+    """A base set A, summand sets B_1..B_k, and a level l with 1 <= l < k.
+
+    memo holds values that depend on (A, B_1..B_k) only, filled on first use
+    through cached(); it takes no part in equality, hashing or repr, and
+    dataclasses.replace(inst, l=...) shares it, so every level of one
+    instance computes B_K, its alpha table and gamma once.  A copy whose
+    group or sets differ starts an empty memo of its own.
+    """
 
     group: Group
     a: GSet
     bs: tuple[GSet, ...]
     l: int
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bs", tuple(self.bs))
@@ -414,6 +424,9 @@ class Instance:
         for gs in (self.a, *self.bs):
             if gs.group != self.group:
                 raise UsageError("all sets must live in the instance's group")
+        sets = (self.group, self.a, self.bs)
+        if self.memo.setdefault("sets", sets) != sets:
+            object.__setattr__(self, "memo", {"sets": sets})
 
     @property
     def k(self) -> int:
@@ -427,7 +440,15 @@ class Instance:
     @property
     def bk(self) -> GSet:
         """The complete sum B_K = B_1 + ... + B_k."""
-        return iterated_sumset(self.bs, self.key_set)
+        return self.cached("bk", lambda inst: iterated_sumset(inst.bs, inst.key_set))
+
+    def cached(self, key: Hashable, compute: Callable[["Instance"], T]) -> T:
+        """compute(self), stored under key on first use.  Only for values
+        that do not depend on the level l, since every level shares memo."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
 
 def power_group(group: Group, r: int, *, cap: int | None = None) -> Group:

@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .alphabeta import (BetaValue, GT, LT, alpha_table, beta_value,
-                        cmp_ratio_vs_beta, log_fraction)
+from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
+                        instance_table, log_fraction)
 from .errors import TheoremViolationError, UsageError
 from .groups import GSet, Group, Instance, direct_power, iterated_sumset, power_set, sumset
-from .magnification import build_plun_graph, gamma_flow
+from .magnification import build_plun_graph, gamma_flow, instance_gamma
 
 REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
@@ -57,9 +57,8 @@ def ensure_holds(verdict: TheoremVerdict, instance_dump: dict | None = None) -> 
 def check_plgen(inst: Instance) -> TheoremVerdict:
     """Some nonempty X in A has |X+B_K| <= beta * |X|: verified by comparing
     the exact magnification ratio against beta."""
-    table = alpha_table(inst)
-    beta = beta_value(table, inst.key_set, inst.l)
-    mag = gamma_flow(build_plun_graph(inst.a, inst.bk))
+    beta = beta_value(instance_table(inst), inst.key_set, inst.l)
+    mag = instance_gamma(inst)
     holds = cmp_ratio_vs_beta(mag.gamma, beta) != GT
     return TheoremVerdict(theorem="plgen", holds=holds, lhs=mag.gamma, rhs=beta,
                           exact=True, witness=mag.witness)
@@ -76,8 +75,7 @@ def check_single_summand(a: GSet, b: GSet, l: int, k: int) -> TheoremVerdict:
 def check_pldiff(inst: Instance) -> TheoremVerdict:
     """Product-of-alphas case (level forced to 1): the bound is the plain
     rational alpha_1 * ... * alpha_k."""
-    forced = inst if inst.l == 1 else Instance(inst.group, inst.a, inst.bs, 1)
-    return replace(check_plgen(forced), theorem="pldiff")
+    return replace(check_plgen(replace(inst, l=1)), theorem="pldiff")
 
 
 # -- empirical large-subset constant ------------------------------------------
@@ -118,7 +116,7 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
     if not 0 < eps < 1:
         raise UsageError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
     m = len(inst.a)
-    table = alpha_table(inst)
+    table = instance_table(inst)
     j_sets = [frozenset(c)
               for size in range(inst.l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
@@ -199,10 +197,9 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
     else:
         raise UsageError(f"mode must be 'a' or 't', got {mode!r}")
 
-    table = alpha_table(inst)
-    beta = beta_value(table, inst.key_set, inst.l)
+    beta = beta_value(instance_table(inst), inst.key_set, inst.l)
     bk = inst.bk
-    x = gamma_flow(build_plun_graph(inst.a, bk)).witness
+    x = instance_gamma(inst).witness
     iterations = 1
     while needs_more(x):
         remaining = inst.a - x
@@ -234,7 +231,7 @@ def check_restricted_sum(inst: Instance, s: GSet) -> TheoremVerdict:
         raise UsageError("S must be nonempty")
     if not s.issubset(inst.bk):
         raise UsageError("S must be a subset of the complete sum B_K")
-    table = alpha_table(inst)
+    table = instance_table(inst)
     lhs = len(sumset(s, inst.a)) ** inst.k
     rhs = len(s) * math.prod(table.sizes[j] for j in table.leave_one_out())
     return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs,
@@ -299,9 +296,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     else:
         branch = "large"
         t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
-        level = k - 1
-        shifted = inst if inst.l == level else Instance(inst.group, inst.a, inst.bs, level)
-        res = large_subset(shifted, "t", t)
+        res = large_subset(replace(inst, l=k - 1), "t", t)
         x = res.x
         r_x = len(x)
         sx = len(sumset(s, x))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from plab.alphabeta import alpha_table, beta_value
 from plab.cli import (SweepConfig, load_sweep_config, main, parse_instance,
                       run_sweep, serialize_instance, sweep_config_from_dict)
 from plab.theorems import TheoremVerdict
@@ -58,7 +59,10 @@ def test_parse_rejects_bad_shapes():
     ("verify", {"l": "x"}), ("verify", {"A": [0.5]}), ("verify", {"A": "01"}),
     ("verify", {"cayley": "xx"}), ("verify", {"S": "x"}),
     ("sweep", {"k_range": "x"}), ("sweep", {"checks": "plgen"}),
-], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str"])
+    ("sweep", {"insert_identity": "no"}), ("sweep", {"set_size_range": [5, 3]}),
+    ("sweep", {"l_rule": 0, "count": 0}),
+], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
+        "insert_identity-str", "set_size_range-reversed", "l_rule-zero"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
     base = json.loads((FIXTURES / "z5.json").read_text()) if command == "verify" else BASE_CFG
     path = write_json(tmp_path, "input.json", {**base, **patch})
@@ -153,8 +157,7 @@ def test_verify_violation_exit_code(monkeypatch, capsys):
 
     def fake_check(inst, **kwargs):
         return TheoremVerdict(theorem="plgen", holds=False, lhs=2,
-                              rhs=theorems_mod.beta_value(
-                                  theorems_mod.alpha_table(inst), inst.key_set, inst.l),
+                              rhs=beta_value(alpha_table(inst), inst.key_set, inst.l),
                               exact=True, witness=inst.a)
 
     monkeypatch.setattr(theorems_mod, "check_plgen", fake_check)
@@ -285,6 +288,26 @@ def test_sweep_allow_no_identity_changes_rows(tmp_path):
     assert main(["sweep", cfg_path, "--out", str(out1)]) == 0
     assert main(["sweep", cfg_path, "--out", str(out2), "--allow-no-identity"]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_sweep_command_line_overrides_are_validated(tmp_path, capsys):
+    cfg_path = write_json(tmp_path, "cfg.json", BASE_CFG)
+    assert main(["sweep", cfg_path, "--count", "-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "count >= 0" in captured.err
+    negative_in_file = write_json(tmp_path, "neg.json", {**BASE_CFG, "count": -4})
+    assert main(["sweep", negative_in_file]) == 2
+    assert "count >= 0" in capsys.readouterr().err
+
+
+def test_sweep_set_sizes_clipped_to_group_order(tmp_path):
+    cfg = sweep_config_from_dict({**BASE_CFG, "group_size_range": [2, 4],
+                                  "set_size_range": [5, 8], "count": 6})
+    rows = [line.split(",") for line in run_sweep(cfg).splitlines()[1:]]
+    assert rows
+    for row in rows:
+        n = int(row[1])
+        assert int(row[4]) == n and all(int(b) == n for b in row[5].split(";"))
 
 
 def test_sweep_rejects_unknown_check(tmp_path):

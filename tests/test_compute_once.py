@@ -1,0 +1,95 @@
+"""Level-independent values are computed once per instance.
+
+B_K, the alpha table, gamma and the power report depend on (A, B_1..B_k)
+only; every level of an instance, made with dataclasses.replace, reads them
+from the instance's memo.
+"""
+
+import random
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import plab.alphabeta as alphabeta
+import plab.magnification as magnification
+from plab import (Instance, check_pldiff, check_plgen, check_restricted_sum,
+                  empirical_plgen2, large_subset)
+from plab.cli import generate_base, main, run_sweep, sweep_config_from_dict
+
+from gen import rand_instance
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of gamma_flow calls per group order and of alpha_table calls."""
+    counts = Counter()
+    real_flow, real_alpha = magnification.gamma_flow, alphabeta.alpha_table
+
+    def gamma_flow(graph):
+        counts["gamma_flow", graph.group.order] += 1
+        return real_flow(graph)
+
+    def alpha_table(inst):
+        counts["alpha_table"] += 1
+        return real_alpha(inst)
+
+    monkeypatch.setattr(magnification, "gamma_flow", gamma_flow)
+    monkeypatch.setattr(alphabeta, "alpha_table", alpha_table)
+    return counts
+
+
+def test_memo_is_not_part_of_the_value(z9):
+    fresh = Instance(z9.group, z9.a, z9.bs, z9.l)
+    check_plgen(z9)
+    assert "gamma" in z9.memo and "gamma" not in fresh.memo
+    assert z9 == fresh and hash(z9) == hash(fresh)
+    assert "memo" not in repr(z9)
+    assert replace(z9, l=1).memo is z9.memo
+    other = replace(z9, a=z9.group.set_of([0, 3]))
+    assert other.memo is not z9.memo
+    assert check_plgen(other) == check_plgen(Instance(z9.group, other.a, z9.bs, z9.l))
+
+
+def test_sweep_runs_one_base_gamma_per_instance(calls):
+    cfg = sweep_config_from_dict({
+        "seed": 3, "count": 1, "k_range": [4, 4], "l_rule": "all",
+        "group_size_range": [12, 12], "set_size_range": [2, 3],
+        "checks": ["plgen", "pldiff", "restricted", "power", "plgen2"]})
+    base = generate_base(cfg, 0)
+    rows = run_sweep(cfg).splitlines()[1:]
+    assert len(rows) == 3 * 5  # three levels, five checks
+    # one gamma of the base instance and one of its square, for all 15 rows
+    assert calls == Counter({("gamma_flow", base.group.order): 1,
+                             ("gamma_flow", base.group.order ** 2): 1,
+                             "alpha_table": 1})
+
+
+def test_restricted_all_subsets_builds_one_alpha_table(calls, capsys):
+    assert main(["verify", str(FIXTURES / "z5.json"), "--check", "restricted",
+                 "--all-subsets"]) == 0
+    assert "15/15 subset checks HOLD" in capsys.readouterr().out
+    assert calls["alpha_table"] == 1
+
+
+@given(st.integers(0, 10_000))
+def test_levels_made_by_replace_match_fresh_instances(seed):
+    inst = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(3, 4),
+                         a_range=(1, 8), b_range=(1, 4), l=1)
+    s = inst.bk
+    check_plgen(inst)  # fill the memo before the other levels read it
+    for level in range(1, inst.k):
+        shared, fresh = replace(inst, l=level), Instance(inst.group, inst.a, inst.bs, level)
+        assert shared.memo is inst.memo and "gamma" not in fresh.memo
+        assert check_plgen(shared) == check_plgen(fresh)
+        assert check_pldiff(shared) == check_pldiff(fresh)
+        assert check_restricted_sum(shared, s) == check_restricted_sum(fresh, s)
+        assert (empirical_plgen2(shared, Fraction(1, 2), samples=16)
+                == empirical_plgen2(fresh, Fraction(1, 2), samples=16))
+        assert large_subset(shared, "a", len(inst.a)) == large_subset(fresh, "a", len(inst.a))

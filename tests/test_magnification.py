@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -194,3 +195,71 @@ def test_multiplicativity_z9(z9):
     rep = multiplicativity_check(z9, 2)
     assert rep.gamma_power == Fraction(81, 4)
     assert rep.equal
+
+
+# -- translates that coincide: the shortcut -----------------------------------------
+
+def _no_network():
+    return mock.patch("plab.magnification._Dinic",
+                      side_effect=AssertionError("the shortcut must not build a flow network"))
+
+
+@given(st.integers(0, 10_000))
+def test_flow_shortcut_full_bk(seed):
+    rng = random.Random(seed)
+    g = make_abelian_group(rng.choice([[rng.randint(1, 16)], [2, rng.randint(1, 8)]]))
+    a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 10))))
+    graph = build_plun_graph(a, g.full())
+    with _no_network():
+        fl = gamma_flow(graph)
+    ex = gamma_exhaustive(graph)
+    assert (fl.gamma, fl.witness, fl.iterations) == (ex.gamma, ex.witness, 1)
+    assert fl.gamma == Fraction(g.order, len(a))
+
+
+@given(st.integers(0, 10_000))
+def test_flow_shortcut_a_in_one_coset_of_the_stabilizer(seed):
+    # H = <d> in Z_(d*h); B_K is a union of cosets of H, so H stabilizes it,
+    # and A inside one coset x+H makes every a+B_K the same set
+    rng = random.Random(seed)
+    d, h = rng.randint(1, 6), rng.randint(2, 6)
+    g = make_abelian_group([d * h])
+    coset_reps = rng.sample(range(d), rng.randint(1, d))
+    bk = g.set_of(c + d * j for c in coset_reps for j in range(h))
+    x = rng.randrange(d)
+    a = g.set_of(x + d * j for j in rng.sample(range(h), rng.randint(1, h)))
+    graph = build_plun_graph(a, bk)
+    with _no_network():
+        fl = gamma_flow(graph)
+    ex = gamma_exhaustive(graph)
+    assert (fl.gamma, fl.witness, fl.iterations) == (ex.gamma, ex.witness, 1)
+    assert naive_gamma(g, list(a), list(bk)) == fl.gamma
+
+
+def test_flow_shortcut_subgroup_bk():
+    g = make_abelian_group([4, 6])
+    h = g.set_of(g.index((0, j)) for j in range(0, 6, 2))  # the subgroup 0 x 2Z_6
+    a = g.set_of([g.index((1, 0)), g.index((1, 4))])      # inside (1, 0) + H
+    graph = build_plun_graph(a, h)
+    with _no_network():
+        res = gamma_flow(graph)
+    assert res.gamma == Fraction(3, 2) and res.witness == a
+    assert gamma_exhaustive(graph).witness == a
+
+
+# -- Petridis: a minimizing witness controls every further sum ----------------------
+
+@given(st.integers(0, 100_000))
+def test_flow_witness_satisfies_petridis(seed):
+    # if X minimizes |X+B|/|X| = K over the subsets of A, then
+    # |X+B+C| <= K |X+C| for every C (Petridis, arXiv:1101.3507)
+    rng = random.Random(seed)
+    inst = rand_instance(rng, n_range=(2, 64), k_range=(2, 3), a_range=(1, 30),
+                         b_range=(1, 5), identity=rng.random() < 0.5)
+    graph, bk = graph_of(inst)
+    x = gamma_flow(graph).witness
+    x_bk = sumset(x, bk)
+    for _ in range(5):
+        n = inst.group.order
+        c = inst.group.set_of(rng.sample(range(n), rng.randint(1, min(n, 8))))
+        assert len(sumset(x_bk, c)) * len(x) <= len(x_bk) * len(sumset(x, c))
