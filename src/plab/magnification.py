@@ -21,13 +21,21 @@ EXHAUSTIVE_MAX = 22
 
 @dataclass(frozen=True)
 class PlunGraph:
-    """Left vertices A, right vertices A+B_K, edges a -> a+B_K; adj_bits[a]
-    is the bitset of a+B_K."""
+    """Left vertices x, each joined to its image, the bitset adj_bits[x]; in
+    the Plünnecke graph x runs over A and the image of a is a+B_K."""
 
     group: Group = field(repr=False)
     left: tuple[int, ...]
     right: tuple[int, ...]
     adj_bits: dict[int, int] = field(repr=False)
+
+    @classmethod
+    def of(cls, group: Group, adj_bits: dict[int, int]) -> "PlunGraph":
+        """The graph with left vertices adj_bits' keys, in order."""
+        right_bits = 0
+        for bits in adj_bits.values():
+            right_bits |= bits
+        return cls(group, tuple(adj_bits), tuple(GSet(group, right_bits)), adj_bits)
 
 
 @dataclass(frozen=True)
@@ -46,17 +54,8 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     if a.group != bk.group:
         raise UsageError("A and B_K must live in the same group")
     g = a.group
-    adj_bits: dict[int, int] = {}
-    right_bits = 0
-    for x in a:
-        if g.kind == "abelian":
-            bits = g.translate_bits(bk.bits, x)
-        else:
-            bits = g._translate_left(bk.bits, x)
-        adj_bits[x] = bits
-        right_bits |= bits
-    return PlunGraph(group=g, left=tuple(a), right=tuple(GSet(g, right_bits)),
-                     adj_bits=adj_bits)
+    translate = g.translate_bits if g.kind == "abelian" else g._translate_left
+    return PlunGraph.of(g, {x: translate(bk.bits, x) for x in a})
 
 
 def _members_key(bits: int) -> tuple[int, ...]:
@@ -111,7 +110,7 @@ def _candidate_improves(p: int, q: int, members: int,
 
 
 class _Dinic:
-    """Integer max-flow with min-cut extraction."""
+    """Integer max-flow; the final BFS gives the source side of a min cut."""
 
     __slots__ = ("n", "to", "cap", "adj")
 
@@ -129,7 +128,7 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int) -> list[int]:
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
@@ -140,7 +139,7 @@ class _Dinic:
                 if self.cap[eid] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _push(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
         if u == t:
@@ -157,31 +156,20 @@ class _Dinic:
             it[u] += 1
         return 0
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The flow value and the level array of the final, failed BFS, in
+        which level[v] >= 0 exactly when the residual network reaches v from s."""
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
+            level = self._levels(s)
+            if level[t] < 0:
+                return flow, level
             it = [0] * self.n
             while True:
                 pushed = self._push(s, t, 1 << 62, level, it)
                 if not pushed:
                     break
                 flow += pushed
-
-    def reachable(self, s: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
 
 
 def gamma_flow(graph: PlunGraph) -> MagResult:
@@ -202,9 +190,7 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     nl = len(lefts)
     rights = graph.right
 
-    witness_bits = 0
-    for x in lefts:
-        witness_bits |= 1 << x
+    witness_bits = sum(1 << x for x in lefts)
     t = Fraction(len(rights), nl)
     right_bits = graph.adj_bits[lefts[0]]
     if all(graph.adj_bits[x] == right_bits for x in lefts):
@@ -228,15 +214,13 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 bits ^= lsb
         for j in range(len(rights)):
             net.add_edge(1 + nl + j, sink, q)
-        flow = net.max_flow(source, sink)
+        flow, level = net.max_flow(source, sink)
         if flow == p * nl:
             return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),
                              method="flow", iterations=iterations)
-        seen = net.reachable(source)
-        z_bits = 0
-        im_bits = 0
+        z_bits = im_bits = 0
         for i, x in enumerate(lefts):
-            if seen[1 + i]:
+            if level[1 + i] >= 0:
                 z_bits |= 1 << x
                 im_bits |= graph.adj_bits[x]
         nz = z_bits.bit_count()

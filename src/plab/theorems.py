@@ -4,7 +4,7 @@ Guaranteed inequalities (every commutative instance must satisfy them) are
 checked exactly; a False verdict from one of those (is_fatal) means an
 implementation bug or a genuine counterexample and callers are expected to
 abort loudly via ensure_holds.  The two-sided-summand inequality over
-noncommutative groups is unproved territory: a failing search there is a
+noncommutative groups is unproved territory: a failing check there is a
 reportable finding, never an assertion.
 """
 
@@ -20,7 +20,7 @@ from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction)
 from .errors import TheoremViolationError, UsageError
 from .groups import GSet, Group, Instance, direct_power, iterated_sumset, power_set, sumset
-from .magnification import build_plun_graph, gamma_flow, instance_gamma
+from .magnification import PlunGraph, build_plun_graph, gamma_flow, instance_gamma
 
 REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
@@ -185,9 +185,9 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
     """
     m = len(inst.a)
     if mode == "a":
-        a_target = int(value)
+        a_target = int(value) if float(value).is_integer() else 0
         if not 1 <= a_target <= m:
-            raise UsageError(f"mode 'a' needs 1 <= a <= {m}, got {value}")
+            raise UsageError(f"mode 'a' needs an integer 1 <= a <= {m}, got {value}")
         needs_more = lambda x: len(x) < a_target
     elif mode == "t":
         t_target = float(value)
@@ -334,43 +334,21 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
 
 # -- noncommutative two-sided search --------------------------------------------
 
-NONCOMM_MAX_A = 20
-
-
 def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVerdict:
-    """Search all nonempty X in A for |B1 * X * B2| <= alpha1 * alpha2 * |X|
-    with alpha1 = |B1*A|/|A| (left) and alpha2 = |A*B2|/|A| (right).
-
-    This inequality is unproved for noncommutative groups: a failed search
-    is reported as a candidate counterexample, not raised as an error.
+    """Whether some nonempty X in A has |B1 * X * B2| <= alpha1 * alpha2 * |X|,
+    with alpha1 = |B1*A|/|A| (left) and alpha2 = |A*B2|/|A| (right).  Since
+    B1 * X * B2 is the union of B1 * x * B2 over x in X, the least ratio is
+    gamma_flow's on the graph x -> B1 * x * B2.  The inequality is unproved
+    for noncommutative groups: a failed check is reported as a candidate
+    counterexample, not raised as an error.
     """
     for gs in (a, b1, b2):
         if gs.group != group or not gs:
             raise UsageError("A, B1, B2 must be nonempty sets in the given group")
-    n = len(a)
-    if n > NONCOMM_MAX_A:
-        raise UsageError(f"|A| = {n} exceeds the exhaustive search cap {NONCOMM_MAX_A}")
-    left_size = len(sumset(b1, a))
-    right_size = len(sumset(a, b2))
-    members = list(a)
-    singles = [sumset(sumset(b1, group.singleton(x)), b2).bits for x in members]
-
-    or_bits = [0] * (1 << n)
-    best: tuple[int, int, int] | None = None  # (p, q, subset mask)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        bits = or_bits[mask ^ low] | singles[low.bit_length() - 1]
-        or_bits[mask] = bits
-        p = bits.bit_count()
-        q = mask.bit_count()
-        if (best is None or p * best[1] < best[0] * q
-                or (p * best[1] == best[0] * q and q < best[1])):
-            best = (p, q, mask)
-    p, q, mask = best
-    ratio = Fraction(p, q)
-    bound = Fraction(left_size * right_size, n * n)
-    holds = p * n * n <= left_size * right_size * q
+    mag = gamma_flow(PlunGraph.of(
+        group, {x: sumset(sumset(b1, group.singleton(x)), b2).bits for x in a}))
+    bound = Fraction(len(sumset(b1, a)) * len(sumset(a, b2)), len(a) ** 2)
+    holds = mag.gamma <= bound
     return TheoremVerdict(
-        theorem="noncomm", holds=holds, lhs=ratio, rhs=bound, exact=True,
-        witness=group.set_of(members[i] for i in range(n) if (mask >> i) & 1),
+        theorem="noncomm", holds=holds, lhs=mag.gamma, rhs=bound, exact=True, witness=mag.witness,
         notes="" if holds else "candidate counterexample: no subset meets the bound")

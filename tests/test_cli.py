@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from plab.alphabeta import alpha_table, beta_value
-from plab.cli import (SweepConfig, load_sweep_config, main, parse_instance,
-                      run_sweep, serialize_instance, sweep_config_from_dict)
-from plab.theorems import TheoremVerdict
+from plab.cli import (SweepConfig, generate_base, load_sweep_config, main, parse_instance,
+                      run_sweep, serialize_instance, sweep_config_from_dict,
+                      sweep_rows_for_index)
+from plab.theorems import TheoremVerdict, ensure_holds
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -61,17 +62,25 @@ def test_parse_rejects_bad_shapes():
     ("sweep", {"k_range": "x"}), ("sweep", {"checks": "plgen"}),
     ("sweep", {"insert_identity": "no"}), ("sweep", {"set_size_range": [5, 3]}),
     ("sweep", {"l_rule": 0, "count": 0}),
+    ("verify", ["--check", "plgen2", "--epsilon", "nan"]),
+    ("verify", ["--check", "plgen2", "--epsilon", "inf"]),
+    ("verify", ["--check", "large", "--mode", "a", "--value", "1.7"]),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
-        "insert_identity-str", "set_size_range-reversed", "l_rule-zero"])
+        "insert_identity-str", "set_size_range-reversed", "l_rule-zero",
+        "epsilon-nan", "epsilon-inf", "value-fractional-a"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
+    """patch is either file fields to replace or command-line flags to add;
+    the one-line error names the field or echoes the flag's value."""
     base = json.loads((FIXTURES / "z5.json").read_text()) if command == "verify" else BASE_CFG
-    path = write_json(tmp_path, "input.json", {**base, **patch})
-    proc = subprocess.run([sys.executable, "-m", "plab.cli", command, path],
+    flags = patch if isinstance(patch, list) else []
+    path = write_json(tmp_path, "input.json", {**base, **(patch if not flags else {})})
+    proc = subprocess.run([sys.executable, "-m", "plab.cli", command, path, *flags],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f'"{next(iter(patch))}"' in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert (flags[-1] if flags else f'"{next(iter(patch))}"') in proc.stderr
 
 
 # -- verify ------------------------------------------------------------------------
@@ -329,6 +338,28 @@ def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
     assert main(["sweep", cfg_path]) == 1
     err = capsys.readouterr().err
     assert "VIOLATION" in err and '"A":' in err
+
+
+def violating_rows(cfg, index, timing):
+    """sweep_rows_for_index as if plgen failed from index 3 on; defined at
+    module level so that a worker process can load it."""
+    if index < 3:
+        return sweep_rows_for_index(cfg, index, timing)
+    verdict = TheoremVerdict(theorem="plgen", holds=False, lhs=1, rhs=0, exact=True)
+    ensure_holds(verdict, serialize_instance(generate_base(cfg, index)))
+
+
+def test_sweep_worker_violation_exit(tmp_path, monkeypatch, capsys):
+    """A failure raised in a worker process reaches main with its instance
+    dump, and it is the lowest failing index's, as in a serial run."""
+    import plab.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "sweep_rows_for_index", violating_rows)
+    cfg_path = write_json(tmp_path, "cfg.json", BASE_CFG)
+    assert main(["sweep", cfg_path, "--workers", "2"]) == 1
+    worker_err = capsys.readouterr().err
+    assert "VIOLATION" in worker_err and '"A":' in worker_err
+    assert main(["sweep", cfg_path]) == 1
+    assert capsys.readouterr().err == worker_err
 
 
 def test_sweep_power_violation_exit(tmp_path, monkeypatch, capsys):

@@ -71,6 +71,16 @@ def test_sweep_runs_one_base_gamma_per_instance(calls):
                              "alpha_table": 1})
 
 
+def test_sweep_single_runs_one_gamma_per_instance(calls):
+    cfg = sweep_config_from_dict({
+        "seed": 5, "count": 4, "k_range": [4, 4], "l_rule": "all",
+        "group_size_range": [12, 12], "set_size_range": [2, 3], "checks": ["single"]})
+    rows = run_sweep(cfg).splitlines()[1:]
+    assert len(rows) == 4 * 3  # four instances, three levels
+    # the equal-summand instance is built once per instance, not per level
+    assert calls == Counter({("gamma_flow", 12): 4, "alpha_table": 4})
+
+
 def test_restricted_all_subsets_builds_one_alpha_table(calls, capsys):
     assert main(["verify", str(FIXTURES / "z5.json"), "--check", "restricted",
                  "--all-subsets"]) == 0

@@ -13,7 +13,7 @@ from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageE
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
 from plab.theorems import TheoremVerdict
-from plab.cayley import cyclic_table, symmetric_table
+from plab.cayley import bundled_tables, cyclic_table, symmetric_table
 
 from gen import rand_instance, rand_subset
 from oracles import naive_sumset, nonempty_subsets
@@ -384,7 +384,33 @@ def test_noncomm_abelian_cross_check():
 
 
 def test_noncomm_size_cap():
+    # |A| has no cap below the group order.  In C24, A = {0..20} and
+    # B1 = B2 = {0, 1}: every X in A has |X + {0, 1, 2}| >= |X| + 2 (no
+    # wrap-around), so the least ratio is 23/21, attained only by X = A.
     g = make_cayley_group(cyclic_table(24))
-    a = g.set_of(range(21))
-    with pytest.raises(UsageError):
-        check_noncommutative(g, a, g.identity_set(), g.identity_set())
+    a, b = g.set_of(range(21)), g.set_of([0, 1])
+    v = check_noncommutative(g, a, b, b)
+    assert v.lhs == Fraction(23, 21) and v.witness == a
+    assert v.rhs == Fraction(22 * 22, 21 * 21) and v.holds
+
+
+BUNDLED = [make_cayley_group(table) for _, table in bundled_tables(12)]
+
+
+@given(st.integers(0, len(BUNDLED) - 1), st.integers(0, 10_000))
+def test_noncomm_matches_bruteforce_on_bundled_tables(which, seed):
+    g = BUNDLED[which]
+    rng = random.Random(seed)
+    n = g.order
+    a, b1, b2 = (g.set_of(rng.sample(range(n), rng.randint(1, min(n, cap))))
+                 for cap in (10, n, n))
+    v = check_noncommutative(g, a, b1, b2)
+
+    def ratio(z):
+        return Fraction(len(naive_sumset(g, naive_sumset(g, list(b1), z), list(b2))), len(z))
+
+    best = min(ratio(z) for z in nonempty_subsets(a))
+    assert v.lhs == best
+    assert v.holds == (best <= v.rhs)
+    assert v.witness and v.witness.issubset(a)
+    assert ratio(list(v.witness)) == v.lhs
