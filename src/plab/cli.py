@@ -22,6 +22,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -37,6 +38,7 @@ from .magnification import instance_gamma, multiplicativity_check
 CSV_COLUMNS = ("index", "group", "k", "l", "m", "b_sizes", "check",
                "gamma", "beta_base", "beta_expo_den", "holds", "detail")
 ALL_SUBSETS_MAX = 12
+EPSILON_MAX_DIGITS = 30
 
 
 # -- instance files -------------------------------------------------------------
@@ -180,10 +182,22 @@ def _power(inst: Instance, opts):
     return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
 
 
+def _epsilon(text: str) -> Fraction:
+    """--epsilon exactly as typed, a decimal strictly between 0 and 1."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise UsageError(f"epsilon must be a decimal number, got {text}") from None
+    if not (value.is_finite() and 0 < value < 1):
+        raise UsageError(f"epsilon must lie strictly between 0 and 1, got {text}")
+    if value.as_tuple().exponent < -EPSILON_MAX_DIGITS:
+        raise UsageError(f"epsilon must have at most {EPSILON_MAX_DIGITS} digits "
+                         f"after the decimal point, got {text}")
+    return Fraction(value)
+
+
 def _plgen2(inst: Instance, opts):
-    if not math.isfinite(opts.epsilon):
-        raise UsageError(f"epsilon must be a finite number, got {opts.epsilon}")
-    emp = theorems.empirical_plgen2(inst, Fraction(opts.epsilon).limit_denominator(10**6),
+    emp = theorems.empirical_plgen2(inst, _epsilon(opts.epsilon),
                                     samples=opts.samples, seed=opts.seed)
     v = theorems.TheoremVerdict(theorem="plgen2", holds=True, lhs=emp.ratio, rhs=emp.beta,
                                 exact=True, witness=emp.x)
@@ -382,7 +396,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
     b_sizes = ";".join(str(len(b)) for b in inst0.bs)
     opts = argparse.Namespace(s=None, all_subsets=False,
                               subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
-                              epsilon=0.5, samples=128, seed=cfg.seed * 1009 + index)
+                              epsilon="0.5", samples=128, seed=cfg.seed * 1009 + index)
     for level in _levels(cfg, inst0.k):
         inst = replace(inst0, l=level)
         for check in cfg.checks:
@@ -520,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", help="write a JSON report to this path")
     p_verify.add_argument("--all-subsets", action="store_true",
                           help="restricted check over every nonempty S in B_K")
-    p_verify.add_argument("--epsilon", type=float, default=0.5,
+    p_verify.add_argument("--epsilon", default="0.5",
                           help="admissible-size parameter for plgen2")
     p_verify.add_argument("--mode", choices=("a", "t"), default="t",
                           help="target kind for the large check")

@@ -5,6 +5,12 @@ methods: full subset enumeration (the oracle, capped at |A| <= 22) and a
 discrete-Newton loop that tests each candidate ratio p/q with an integer
 max-flow and reads the better subset off the min cut.  Both return the
 reduced fraction together with a witness subset attaining it.
+
+The flow network does not keep one node per element of A+B_K.  Right
+vertices with the same set of left neighbours are merged into one node
+whose sink capacity counts them all, which leaves every cut value, and so
+the answer and its witness, unchanged.  When all of A+B_K is one such
+class (every a+B_K is the same set) no network is built at all.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ EXHAUSTIVE_MAX = 22
 @dataclass(frozen=True)
 class PlunGraph:
     """Left vertices x, each joined to its image, the bitset adj_bits[x]; in
-    the Plünnecke graph x runs over A and the image of a is a+B_K."""
+    the Plünnecke graph x runs over A and the image of a is a+B_K.  The
+    right vertices are right_bits, the union of the images."""
 
     group: Group = field(repr=False)
     left: tuple[int, ...]
-    right: tuple[int, ...]
+    right_bits: int
     adj_bits: dict[int, int] = field(repr=False)
 
     @classmethod
@@ -35,7 +42,7 @@ class PlunGraph:
         right_bits = 0
         for bits in adj_bits.values():
             right_bits |= bits
-        return cls(group, tuple(adj_bits), tuple(GSet(group, right_bits)), adj_bits)
+        return cls(group, tuple(adj_bits), right_bits, adj_bits)
 
 
 @dataclass(frozen=True)
@@ -181,39 +188,54 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     becomes the next candidate.  Candidates strictly decrease inside a
     finite set, so the loop terminates at the true minimum.
 
-    When every a+B_K is the same set (B_K = G, or A inside one coset of the
-    stabilizer of B_K), every nonempty Z has |Z+B_K| = |A+B_K|, so the
-    first candidate |A+B_K|/|A| with witness A is the answer; it is
-    returned as that first round would return it, without a network.
+    Right vertices with the same left neighbours are one node of the
+    network, with sink capacity q times their number.  A set Z of left
+    vertices then cuts p*|A - Z| + q*|N(Z)| as before, so the min cut and
+    the source side its final BFS reaches are those of the unmerged
+    network.  The classes come from partition refinement of the union of
+    the images by each adj_bits[a].  A single class means every a+B_K is
+    the same set (B_K = G, or A inside one coset of the stabilizer of
+    B_K), so every nonempty Z has |Z+B_K| = |A+B_K| and the first
+    candidate |A+B_K|/|A| with witness A is returned as that first round
+    would return it, without a network.
     """
     lefts = graph.left
     nl = len(lefts)
-    rights = graph.right
-
     witness_bits = sum(1 << x for x in lefts)
-    t = Fraction(len(rights), nl)
-    right_bits = graph.adj_bits[lefts[0]]
-    if all(graph.adj_bits[x] == right_bits for x in lefts):
+    t = Fraction(graph.right_bits.bit_count(), nl)
+    # classes[j] is a set of right vertices and owners[j] the mask of the
+    # indices i whose image contains all of it; every other image misses it
+    classes, owners = [graph.right_bits], [0]
+    for i, x in enumerate(lefts):
+        adj = graph.adj_bits[x]
+        for j in range(len(classes)):
+            inside = classes[j] & adj
+            if not inside:
+                continue
+            if inside != classes[j]:
+                classes.append(classes[j] ^ inside)
+                owners.append(owners[j])
+                classes[j] = inside
+            owners[j] |= 1 << i
+    if len(classes) == 1 and owners[0] == (1 << nl) - 1:
         return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),
                          method="flow", iterations=1)
-    right_id = {w: i for i, w in enumerate(rights)}
+    middle = [(1 + i, 1 + nl + j) for j, mask in enumerate(owners)
+              for i in range(nl) if mask >> i & 1]
     iterations = 0
     while True:
         iterations += 1
         p, q = t.numerator, t.denominator
         source = 0
-        sink = 1 + nl + len(rights)
+        sink = 1 + nl + len(classes)
         net = _Dinic(sink + 1)
         inf_cap = p * nl + 1  # strictly above any useful cut through the middle
-        for i, x in enumerate(lefts):
+        for i in range(nl):
             net.add_edge(source, 1 + i, p)
-            bits = graph.adj_bits[x]
-            while bits:
-                lsb = bits & -bits
-                net.add_edge(1 + i, 1 + nl + right_id[lsb.bit_length() - 1], inf_cap)
-                bits ^= lsb
-        for j in range(len(rights)):
-            net.add_edge(1 + nl + j, sink, q)
+        for u, v in middle:
+            net.add_edge(u, v, inf_cap)
+        for j, bits in enumerate(classes):
+            net.add_edge(1 + nl + j, sink, q * bits.bit_count())
         flow, level = net.max_flow(source, sink)
         if flow == p * nl:
             return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),

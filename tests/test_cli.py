@@ -64,10 +64,14 @@ def test_parse_rejects_bad_shapes():
     ("sweep", {"l_rule": 0, "count": 0}),
     ("verify", ["--check", "plgen2", "--epsilon", "nan"]),
     ("verify", ["--check", "plgen2", "--epsilon", "inf"]),
+    ("verify", ["--check", "plgen2", "--epsilon", "0"]),
+    ("verify", ["--check", "plgen2", "--epsilon", "1"]),
+    ("verify", ["--check", "plgen2", "--epsilon", "1e-999999999"]),
     ("verify", ["--check", "large", "--mode", "a", "--value", "1.7"]),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
         "insert_identity-str", "set_size_range-reversed", "l_rule-zero",
-        "epsilon-nan", "epsilon-inf", "value-fractional-a"])
+        "epsilon-nan", "epsilon-inf", "epsilon-zero", "epsilon-one", "epsilon-too-fine",
+        "value-fractional-a"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
     """patch is either file fields to replace or command-line flags to add;
     the one-line error names the field or echoes the flag's value."""
@@ -135,6 +139,15 @@ def test_verify_large_and_plgen2(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "large:" in out and "plgen2:" in out
+
+
+@pytest.mark.parametrize("typed, exact", [("1e-9", "1/1000000000"),
+                                           ("0.9999999", "9999999/10000000")])
+def test_verify_plgen2_takes_epsilon_as_typed(capsys, typed, exact):
+    # values this close to 0 or 1 must not be rounded onto the boundary
+    code = main(["verify", str(FIXTURES / "z9.json"), "--check", "plgen2", "--epsilon", typed])
+    assert code == 0
+    assert f"plgen2: epsilon={exact} " in capsys.readouterr().out
 
 
 def test_verify_noncomm_s3(capsys):

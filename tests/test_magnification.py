@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plab import (UsageError, build_plun_graph, gamma_exhaustive,
+from plab import (PlunGraph, UsageError, build_plun_graph, gamma_exhaustive,
                   gamma_flow, iterated_sumset, make_abelian_group,
                   multiplicativity_check, sumset)
+from plab import magnification
 
 from gen import rand_instance
 from oracles import naive_gamma
@@ -24,14 +25,14 @@ def graph_of(inst):
 def test_graph_z5(z5):
     g, _ = graph_of(z5)
     assert len(g.left) == 2
-    assert len(g.right) == 5
+    assert g.right_bits.bit_count() == 5
     assert all(bits.bit_count() == 4 for bits in g.adj_bits.values())
 
 
 def test_graph_z9(z9):
     g, _ = graph_of(z9)
     assert len(g.left) == 2
-    assert len(g.right) == 9
+    assert g.right_bits.bit_count() == 9
     assert all(bits.bit_count() == 8 for bits in g.adj_bits.values())
 
 
@@ -167,6 +168,58 @@ def test_flow_equals_exhaustive(seed):
         assert len(image) * res.gamma.denominator == len(res.witness) * res.gamma.numerator
 
 
+@given(st.integers(0, 100_000))
+def test_flow_equals_exhaustive_on_arbitrary_adjacency(seed):
+    # images that are not translates of one set: unions of a few random
+    # blocks, so right vertices fall into many classes of uneven sizes
+    rng = random.Random(seed)
+    g = make_abelian_group([rng.randint(2, 60)])
+    blocks = [rng.getrandbits(g.order) for _ in range(rng.randint(1, 5))]
+    adj = {}
+    for x in rng.sample(range(g.order), rng.randint(1, min(g.order, 10))):
+        bits = rng.getrandbits(g.order) & rng.getrandbits(g.order) if rng.random() < 0.3 else 0
+        for block in blocks:
+            if rng.random() < 0.5:
+                bits |= block
+        adj[x] = bits
+    graph = PlunGraph.of(g, adj)
+    fl = gamma_flow(graph)
+    assert fl.gamma == gamma_exhaustive(graph).gamma
+    assert fl.witness and fl.witness.issubset(g.set_of(graph.left))
+    image = 0
+    for x in fl.witness:
+        image |= adj[x]
+    assert image.bit_count() * fl.gamma.denominator == len(fl.witness) * fl.gamma.numerator
+
+
+def test_flow_network_merges_right_vertices_by_neighbourhood():
+    # 0+B_K = {0..9} and 1+B_K = {1..10}: the right vertices fall into the
+    # classes {0} (seen by 0 only), {1..9} (by both) and {10} (by 1 only)
+    built = []
+
+    class Recording(magnification._Dinic):
+        def __init__(self, n):
+            super().__init__(n)
+            self.edges = []
+            built.append(self)
+
+        def add_edge(self, u, v, c):
+            self.edges.append((u, v, c))
+            super().add_edge(u, v, c)
+
+    g = make_abelian_group([100])
+    a = g.set_of([0, 1])
+    with mock.patch("plab.magnification._Dinic", Recording):
+        res = gamma_flow(build_plun_graph(a, g.set_of(range(10))))
+    assert res.gamma == Fraction(11, 2) and res.witness == a
+    [net] = built
+    sink = net.n - 1
+    assert net.n == 1 + 2 + 3 + 1
+    assert len([e for e in net.edges if e[0] != 0 and e[1] != sink]) == 4
+    # each class's sink edge carries q = 2 per vertex it merges
+    assert sorted(c for _, v, c in net.edges if v == sink) == [2, 2, 18]
+
+
 @given(st.integers(0, 10_000))
 def test_gamma_upper_bounds(seed):
     inst = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 3),
@@ -174,7 +227,7 @@ def test_gamma_upper_bounds(seed):
     graph, bk = graph_of(inst)
     gamma = gamma_flow(graph).gamma
     assert 1 <= gamma <= len(bk)
-    assert gamma <= Fraction(len(graph.right), len(graph.left))
+    assert gamma <= Fraction(graph.right_bits.bit_count(), len(graph.left))
 
 
 # -- multiplicativity ---------------------------------------------------------------
