@@ -9,7 +9,7 @@ from .groups import (GSet, Group, Instance, direct_power, element_cap,
                      embed_integer_sets, iterated_sumset, make_abelian_group,
                      make_cayley_group, power_group, power_set, sumset)
 from .magnification import (MagResult, PlunGraph, build_plun_graph,
-                            gamma_exhaustive, gamma_flow, multiplicativity_check)
+                            gamma_flow, multiplicativity_check)
 from .theorems import (EmpiricalConstant, LargeSubsetResult, TheoremVerdict,
                        check_noncommutative, check_pldiff, check_plgen,
                        check_restricted_sum, check_single_summand,
@@ -27,7 +27,7 @@ __all__ = [
     "build_extension", "build_plun_graph", "check_noncommutative", "check_pldiff",
     "check_plgen", "check_restricted_sum", "check_single_summand",
     "cmp_ratio_vs_beta", "direct_power", "element_cap", "embed_integer_sets",
-    "empirical_plgen2", "ensure_holds", "gamma_exhaustive", "gamma_flow",
+    "empirical_plgen2", "ensure_holds", "gamma_flow",
     "iterated_sumset", "large_subset", "lemma21_demo", "make_abelian_group",
     "make_cayley_group", "multiplicativity_check", "power_group", "power_set",
     "restricted_pipeline", "sumset", "synthetic_alpha_table",

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ from .magnification import instance_gamma, multiplicativity_check
 CSV_COLUMNS = ("index", "group", "k", "l", "m", "b_sizes", "check",
                "gamma", "beta_base", "beta_expo_den", "holds", "detail")
 ALL_SUBSETS_MAX = 12
-EPSILON_MAX_DIGITS = 30
+DECIMAL_MAX_DIGITS = 30
 
 
 # -- instance files -------------------------------------------------------------
@@ -152,27 +153,23 @@ def _bound(name: str, check):
 
 def _restricted(inst: Instance, opts):
     bk = inst.bk
-    members = list(bk)
     if opts.all_subsets:
         if len(bk) > ALL_SUBSETS_MAX:
             raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(bk)}")
-        subsets = [inst.group.set_of(members[i] for i in range(len(members)) if (mask >> i) & 1)
-                   for mask in range(1, 1 << len(members))]
-    elif opts.subset_seed is not None:  # the sweep's seeded random S
-        rng = random.Random(opts.subset_seed)
-        subsets = [inst.group.set_of(rng.sample(members, rng.randint(1, len(members))))]
-    else:
-        subsets = [bk if opts.s is None else opts.s]
-    results = []
-    for subset in subsets:
-        v = theorems.check_restricted_sum(inst, subset)
-        results.append((v, {"S": list(subset), "lhs": v.lhs, "rhs": v.rhs},
-                        ("", "", "", f"s_size={len(subset)};lhs={v.lhs};rhs={v.rhs}")))
-    if opts.all_subsets:
+        results = [(v, {"S": members, "lhs": v.lhs, "rhs": v.rhs}, None)
+                   for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)
         return results, f"restricted: {held}/{len(results)} subset checks HOLD"
-    # otherwise there is exactly one S, the loop's last subset and verdict
-    return results, f"restricted: |S|={len(subset)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}"
+    if opts.subset_seed is not None:  # the sweep's seeded random S
+        rng = random.Random(opts.subset_seed)
+        members = list(bk)
+        s = inst.group.set_of(rng.sample(members, rng.randint(1, len(members))))
+    else:
+        s = bk if opts.s is None else opts.s
+    v = theorems.check_restricted_sum(inst, s)
+    return ([(v, {"S": list(s), "lhs": v.lhs, "rhs": v.rhs},
+              ("", "", "", f"s_size={len(s)};lhs={v.lhs};rhs={v.rhs}"))],
+            f"restricted: |S|={len(s)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}")
 
 
 def _power(inst: Instance, opts):
@@ -190,10 +187,25 @@ def _epsilon(text: str) -> Fraction:
         raise UsageError(f"epsilon must be a decimal number, got {text}") from None
     if not (value.is_finite() and 0 < value < 1):
         raise UsageError(f"epsilon must lie strictly between 0 and 1, got {text}")
-    if value.as_tuple().exponent < -EPSILON_MAX_DIGITS:
-        raise UsageError(f"epsilon must have at most {EPSILON_MAX_DIGITS} digits "
+    if value.as_tuple().exponent < -DECIMAL_MAX_DIGITS:
+        raise UsageError(f"epsilon must have at most {DECIMAL_MAX_DIGITS} digits "
                          f"after the decimal point, got {text}")
     return Fraction(value)
+
+
+def _value(text: str) -> Decimal:
+    """--value exactly as typed, a finite decimal with at most
+    DECIMAL_MAX_DIGITS digits on either side of the point."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise UsageError(f"value must be a decimal number, got {text}") from None
+    if not value.is_finite():
+        raise UsageError(f"value must be finite, got {text}")
+    if value.as_tuple().exponent < -DECIMAL_MAX_DIGITS or value.adjusted() >= DECIMAL_MAX_DIGITS:
+        raise UsageError(f"value must have at most {DECIMAL_MAX_DIGITS} digits before and "
+                         f"after the decimal point, got {text}")
+    return value
 
 
 def _plgen2(inst: Instance, opts):
@@ -210,14 +222,18 @@ def _plgen2(inst: Instance, opts):
 
 
 def _large(inst: Instance, opts):
-    res = theorems.large_subset(inst, opts.mode, opts.value)
+    value = _value(opts.value)
+    if Decimal(float(value)) == value:  # then shown, as before, as that float
+        value = float(value)
+    res = theorems.large_subset(inst, opts.mode, value)
+    shown = value if type(value) is float else str(value)
     v = theorems.TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
                                 rhs=res.bound, exact=False, witness=res.x)
     bound = _float_str(res.bound)
-    fields = {"mode": opts.mode, "value": opts.value, "lhs": res.lhs, "bound": bound,
+    fields = {"mode": opts.mode, "value": shown, "lhs": res.lhs, "bound": bound,
               "X": list(res.x), "iterations": res.iterations,
               "near_boundary": res.near_boundary}
-    return [(v, fields, None)], (f"large: mode={opts.mode} value={opts.value} "
+    return [(v, fields, None)], (f"large: mode={opts.mode} value={shown} "
                                  f"|X|={len(res.x)} lhs={res.lhs} bound={bound} {_holds(v)}")
 
 
@@ -521,8 +537,23 @@ def cmd_find_x(args: argparse.Namespace) -> int:
 
 # -- entry point --------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the program's error format, one 'error: ...' line and
+    exit 2, in every subcommand.  An argument that reads as a signed number,
+    such as -1, -.5, -1e400 or -inf, is a flag's value and not an unknown
+    flag, so --epsilon -inf reaches the check that rejects it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse tells negative numbers from flags with this attribute
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan|snan)", re.IGNORECASE)
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plab",
         description="Exact sumset-inequality checks over finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -538,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="admissible-size parameter for plgen2")
     p_verify.add_argument("--mode", choices=("a", "t"), default="t",
                           help="target kind for the large check")
-    p_verify.add_argument("--value", type=float, default=0.0,
-                          help="target value for the large check")
+    p_verify.add_argument("--value", default="0",
+                          help="target value for the large check, read exactly as typed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="seeded random instance sweep to CSV")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from math import prod
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceError, UsageError, ValidationError
@@ -375,6 +376,44 @@ def sumset(s: GSet, t: GSet) -> GSet:
         for b in t:
             out |= g._translate_right(s.bits, b)
     return GSet(g, out)
+
+
+def subset_sumsets(ground: GSet, bases: Sequence[GSet],
+                   min_size: int = 1) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The sumsets X*T of every subset X of ground with at least min_size
+    members, against every T in bases, as (mask, unions) in increasing mask
+    order: bit i of mask selects the i-th smallest member of ground, and
+    unions[j] is the bitset of X*bases[j].
+
+    X*T is the union of the translates x*T over x in X, so each translate
+    is computed once and each subset costs one OR per base.  The walk is
+    depth first: a subset extends its parent, the subset without its
+    smallest member, and only the unions on the current path are kept, at
+    most |ground| per base.  Branches that cannot reach min_size members
+    are not entered.
+    """
+    group = ground.group
+    for t in bases:
+        _require_same_group(ground, t)
+    translate = group.translate_bits if group.kind == "abelian" else group._translate_left
+    steps = [tuple(translate(t.bits, x) for t in bases) for x in ground]
+    # frame: mask, size and unions of a path node, then the next member
+    # index to add below its smallest and the end of that range
+    frames = [[0, 0, (0,) * len(bases), max(min_size - 1, 0), len(steps)]]
+    while frames:
+        frame = frames[-1]
+        mask, size, unions, i, stop = frame
+        if i == stop:
+            frames.pop()
+            continue
+        frame[3] = i + 1
+        mask |= 1 << i
+        size += 1
+        unions = tuple(map(or_, unions, steps[i]))
+        if size >= min_size:
+            yield mask, unions
+        if i:
+            frames.append([mask, size, unions, max(min_size - size - 1, 0), i])
 
 
 def iterated_sumset(bs: Sequence[GSet], idxs: Iterable[int]) -> GSet:

@@ -1,10 +1,9 @@
 """Magnification ratio of the A -> A+B_K bipartite graph.
 
-gamma = min over nonempty Z subset of A of |Z + B_K| / |Z|.  Two exact
-methods: full subset enumeration (the oracle, capped at |A| <= 22) and a
-discrete-Newton loop that tests each candidate ratio p/q with an integer
-max-flow and reads the better subset off the min cut.  Both return the
-reduced fraction together with a witness subset attaining it.
+gamma = min over nonempty Z subset of A of |Z + B_K| / |Z|, computed
+exactly by a discrete-Newton loop that tests each candidate ratio p/q with
+an integer max-flow and reads the better subset off the min cut.  It
+returns the reduced fraction together with a witness subset attaining it.
 
 The flow network does not keep one node per element of A+B_K.  Right
 vertices with the same set of left neighbours are merged into one node
@@ -21,9 +20,6 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .groups import GSet, Group, Instance, direct_power
-
-EXHAUSTIVE_MAX = 22
-
 
 @dataclass(frozen=True)
 class PlunGraph:
@@ -51,7 +47,6 @@ class MagResult:
 
     gamma: Fraction
     witness: GSet
-    method: str
     iterations: int = 0
 
 
@@ -63,57 +58,6 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     g = a.group
     translate = g.translate_bits if g.kind == "abelian" else g._translate_left
     return PlunGraph.of(g, {x: translate(bk.bits, x) for x in a})
-
-
-def _members_key(bits: int) -> tuple[int, ...]:
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
-    return tuple(out)
-
-
-def gamma_exhaustive(graph: PlunGraph) -> MagResult:
-    """Minimum over all nonempty subsets; deterministic tie-breaking by
-    smallest |Z|, then smallest sorted member tuple."""
-    n = len(graph.left)
-    if n > EXHAUSTIVE_MAX:
-        raise UsageError(
-            f"|A| = {n} exceeds the exhaustive cap {EXHAUSTIVE_MAX}; use gamma_flow")
-    adj = [graph.adj_bits[x] for x in graph.left]
-    elem_bit = [1 << x for x in graph.left]
-    best: tuple[int, int, int] | None = None
-
-    def visit(i: int, im: int, members: int, count: int) -> None:
-        nonlocal best
-        if i == n:
-            if count == 0:
-                return
-            p = im.bit_count()
-            if best is None or _candidate_improves(p, count, members, best):
-                best = (p, count, members)
-            return
-        visit(i + 1, im, members, count)
-        visit(i + 1, im | adj[i], members | elem_bit[i], count + 1)
-
-    visit(0, 0, 0, 0)
-    if best is None:
-        raise AssertionError("a nonempty A must yield a candidate subset")
-    p, q, members = best
-    return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members),
-                     method="exhaustive", iterations=0)
-
-
-def _candidate_improves(p: int, q: int, members: int,
-                        best: tuple[int, int, int]) -> bool:
-    bp, bq, bmembers = best
-    lhs, rhs = p * bq, bp * q
-    if lhs != rhs:
-        return lhs < rhs
-    if q != bq:
-        return q < bq
-    return _members_key(members) < _members_key(bmembers)
 
 
 class _Dinic:
@@ -218,8 +162,7 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 classes[j] = inside
             owners[j] |= 1 << i
     if len(classes) == 1 and owners[0] == (1 << nl) - 1:
-        return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),
-                         method="flow", iterations=1)
+        return MagResult(gamma=t, witness=GSet(graph.group, witness_bits), iterations=1)
     middle = [(1 + i, 1 + nl + j) for j, mask in enumerate(owners)
               for i in range(nl) if mask >> i & 1]
     iterations = 0
@@ -239,7 +182,7 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
         flow, level = net.max_flow(source, sink)
         if flow == p * nl:
             return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),
-                             method="flow", iterations=iterations)
+                             iterations=iterations)
         z_bits = im_bits = 0
         for i, x in enumerate(lefts):
             if level[1 + i] >= 0:

@@ -19,7 +19,8 @@ from itertools import combinations
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction)
 from .errors import TheoremViolationError, UsageError
-from .groups import GSet, Group, Instance, direct_power, iterated_sumset, power_set, sumset
+from .groups import (GSet, Group, Instance, direct_power, iterated_sumset, power_set,
+                     subset_sumsets, sumset)
 from .magnification import PlunGraph, build_plun_graph, gamma_flow, instance_gamma
 
 REL_TOL = 1e-9        # float bound checks
@@ -120,44 +121,45 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
     j_sets = [frozenset(c)
               for size in range(inst.l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
-    betas = {j: beta_value(table, j, inst.l) for j in j_sets}
-    b_sets = {j: iterated_sumset(inst.bs, sorted(j)) for j in j_sets}
+    betas = [beta_value(table, j, inst.l) for j in j_sets]
+    b_sets = [iterated_sumset(inst.bs, sorted(j)) for j in j_sets]
 
-    def c_of(x: GSet) -> tuple[Fraction, BetaValue, frozenset[int]]:
-        best: tuple[Fraction, BetaValue, frozenset[int]] | None = None
-        for j in j_sets:
-            ratio = Fraction(len(sumset(x, b_sets[j])), len(x))
-            if best is None or cmp_ratio_vs_beta(best[0], best[1], ratio, betas[j]) == LT:
-                best = (ratio, betas[j], j)
-        return best
+    def c_of(size: int, image_sizes: list[int]) -> tuple[Fraction, BetaValue, frozenset[int]]:
+        """The max over J of |X+B_J| / (beta_J |X|), from |X| and each |X+B_J|
+        in j_sets order; among equal maxima the first J wins."""
+        top = None
+        for j, beta, image_size in zip(j_sets, betas, image_sizes):
+            ratio = Fraction(image_size, size)
+            if top is None or cmp_ratio_vs_beta(top[0], top[1], ratio, beta) == LT:
+                top = (ratio, beta, j)
+        return top
 
-    min_card_exclusive = (1 - eps) * m  # admissible: |X| > this
+    def improves(c, best) -> bool:
+        return cmp_ratio_vs_beta(c[0], c[1], best[0], best[1]) == LT
+
+    # X = A first; a later X replaces the best only when strictly smaller
+    x = inst.a
+    best = c_of(m, [len(sumset(x, b)) for b in b_sets])
+    min_size = math.floor((1 - eps) * m) + 1  # admissible: |X| > (1 - epsilon) |A|
     members = list(inst.a)
     exhaustive = m <= EXHAUSTIVE_M_MAX
-    best: tuple[Fraction, BetaValue, frozenset[int], GSet] | None = None
-
-    def consider(x: GSet) -> None:
-        nonlocal best
-        ratio, beta, j = c_of(x)
-        if best is None or cmp_ratio_vs_beta(ratio, beta, best[0], best[1]) == LT:
-            best = (ratio, beta, j, x)
-
-    consider(inst.a)
     if exhaustive:
-        for mask in range(1, 1 << m):
-            if mask.bit_count() <= min_card_exclusive:
-                continue
-            x = inst.group.set_of(members[i] for i in range(m) if (mask >> i) & 1)
-            if len(x) < m:  # A itself already considered
-                consider(x)
+        full = best_mask = (1 << m) - 1
+        for mask, unions in subset_sumsets(inst.a, b_sets, min_size):
+            if mask != full:
+                c = c_of(mask.bit_count(), [u.bit_count() for u in unions])
+                if improves(c, best):
+                    best, best_mask = c, mask
+        if best_mask != full:
+            x = inst.group.set_of(members[i] for i in range(m) if best_mask >> i & 1)
     else:
         rng = random.Random(seed)
-        lo = math.floor(min_card_exclusive) + 1
         for _ in range(samples):
-            size = rng.randint(lo, m)
-            x = inst.group.set_of(rng.sample(members, size))
-            consider(x)
-    ratio, beta, j, x = best
+            sample = inst.group.set_of(rng.sample(members, rng.randint(min_size, m)))
+            c = c_of(len(sample), [len(sumset(sample, b)) for b in b_sets])
+            if improves(c, best):
+                best, x = c, sample
+    ratio, beta, j = best
     return EmpiricalConstant(epsilon=eps, ratio=ratio, beta=beta, x=x, argmax_j=j,
                              exhaustive=exhaustive)
 
@@ -180,22 +182,27 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
 
     mode "a": integer target 1 <= a <= |A|, result has |X| >= a.
     mode "t": real target 0 <= t < |A|, result has |X| > t.
-    The bound is evaluated in floats (the inner powers are irrational) and
-    checked at 1e-9 relative tolerance, with a near-boundary flag at 1e-6.
+    The value may be any exact real (int, Fraction, Decimal or float); the
+    target and size tests compare it exactly.  The bound is evaluated in
+    floats (the inner powers are irrational) and checked at 1e-9 relative
+    tolerance, with a near-boundary flag at 1e-6.
     """
     m = len(inst.a)
-    if mode == "a":
-        a_target = int(value) if float(value).is_integer() else 0
-        if not 1 <= a_target <= m:
-            raise UsageError(f"mode 'a' needs an integer 1 <= a <= {m}, got {value}")
-        needs_more = lambda x: len(x) < a_target
-    elif mode == "t":
-        t_target = float(value)
-        if not 0 <= t_target < m:
-            raise UsageError(f"mode 't' needs 0 <= t < {m}, got {value}")
-        needs_more = lambda x: len(x) <= t_target
-    else:
+    if mode not in ("a", "t"):
         raise UsageError(f"mode must be 'a' or 't', got {mode!r}")
+    try:
+        target = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"value must be a finite number, got {value}") from None
+    if mode == "a":
+        if not (target.denominator == 1 and 1 <= target <= m):
+            raise UsageError(f"mode 'a' needs an integer 1 <= a <= {m}, got {value}")
+        a_target = int(target)
+        needs_more = lambda x: len(x) < a_target
+    else:
+        if not 0 <= target < m:
+            raise UsageError(f"mode 't' needs 0 <= t < {m}, got {value}")
+        needs_more = lambda x: len(x) <= target
 
     beta = beta_value(instance_table(inst), inst.key_set, inst.l)
     bk = inst.bk
@@ -212,9 +219,9 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
         total = sum((m / (m - i)) ** kl for i in range(a_target))
         total += (len(x) - a_target) * (m / (m - a_target + 1)) ** kl
     else:
-        head = m ** kl * (inst.l / (inst.k - inst.l)) * (
-            (m - t_target) ** (1 - kl) - m ** (1 - kl))
-        total = head + (len(x) - t_target) * (m / (m - t_target)) ** kl
+        gap = float(m - target)  # rounded once, so positive even for t next to |A|
+        head = m ** kl * (inst.l / (inst.k - inst.l)) * (gap ** (1 - kl) - m ** (1 - kl))
+        total = head + float(len(x) - target) * (m / gap) ** kl
     bound = beta.approx * total
     holds = lhs <= bound * (1 + REL_TOL)
     near = abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0)
@@ -224,18 +231,34 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
 
 # -- restricted sums ------------------------------------------------------------
 
-def check_restricted_sum(inst: Instance, s: GSet) -> TheoremVerdict:
+def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
+                         ) -> TheoremVerdict | list[tuple[list[int], TheoremVerdict]]:
     """For S inside the complete sum B_K:
-    |S+A|^k <= |S| * prod over i of |A + B_(K minus i)|, checked in integers."""
+    |S+A|^k <= |S| * prod over i of |A + B_(K minus i)|, checked in integers.
+
+    Returns the verdict for S.  With every_subset, returns instead a
+    (members of T, verdict) pair for every nonempty subset T of S, in
+    increasing order of T's mask over the sorted members of S; each |T+A|
+    comes from subset_sumsets, so each s+A is translated once.
+    """
     if not s:
         raise UsageError("S must be nonempty")
     if not s.issubset(inst.bk):
         raise UsageError("S must be a subset of the complete sum B_K")
     table = instance_table(inst)
-    lhs = len(sumset(s, inst.a)) ** inst.k
-    rhs = len(s) * math.prod(table.sizes[j] for j in table.leave_one_out())
-    return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs,
-                          exact=True)
+    s_prod = math.prod(table.sizes[j] for j in table.leave_one_out())
+
+    def verdict(s_size: int, sa_size: int) -> TheoremVerdict:
+        lhs, rhs = sa_size ** inst.k, s_size * s_prod
+        return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs,
+                              exact=True)
+
+    if not every_subset:
+        return verdict(len(s), len(sumset(s, inst.a)))
+    members = list(s)
+    return [([e for i, e in enumerate(members) if mask >> i & 1],
+             verdict(mask.bit_count(), union.bit_count()))
+            for mask, (union,) in subset_sumsets(s, [inst.a])]
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,19 @@
 Everything here works on plain Python sets of element indices (or plain
 integers) and touches the library only through Group.op, so the oracles
 stay independent of the bitset, translation, and flow code paths they
-check.
+check.  The one exception is gamma_exhaustive, which enumerates the
+subsets of a PlunGraph's left side to check the flow engine on the same
+graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations, product
+
+from plab import GSet, MagResult, UsageError
+
+EXHAUSTIVE_MAX = 22
 
 
 def naive_sumset(group, s_elems, t_elems) -> set[int]:
@@ -55,3 +61,40 @@ def naive_power_index_set(base_order, elems, r) -> set[int]:
     for _ in range(r):
         out = {p * base_order + e for p in out for e in elems}
     return out
+
+
+def gamma_exhaustive(graph) -> MagResult:
+    """gamma of a PlunGraph by enumerating every nonempty subset Z of its
+    left vertices; ties go to the smallest |Z|, then to the smallest sorted
+    member tuple."""
+    n = len(graph.left)
+    if n > EXHAUSTIVE_MAX:
+        raise UsageError(
+            f"|A| = {n} exceeds the exhaustive cap {EXHAUSTIVE_MAX}; use gamma_flow")
+    adj = [graph.adj_bits[x] for x in graph.left]
+    elem_bit = [1 << x for x in graph.left]
+    best = None  # (|N(Z)|, |Z|, Z as a bitset)
+
+    def members_key(bits: int) -> list[int]:
+        return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+    def improves(p: int, q: int, members: int) -> bool:
+        bp, bq, bmembers = best
+        if p * bq != bp * q:
+            return p * bq < bp * q
+        if q != bq:
+            return q < bq
+        return members_key(members) < members_key(bmembers)
+
+    def visit(i: int, im: int, members: int, count: int) -> None:
+        nonlocal best
+        if i == n:
+            if count and (best is None or improves(im.bit_count(), count, members)):
+                best = (im.bit_count(), count, members)
+            return
+        visit(i + 1, im, members, count)
+        visit(i + 1, im | adj[i], members | elem_bit[i], count + 1)
+
+    visit(0, 0, 0, 0)
+    p, q, members = best
+    return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members), iterations=0)

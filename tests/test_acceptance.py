@@ -11,7 +11,7 @@ from fractions import Fraction
 from plab import (alpha_table, beta_identity_holds, beta_value,
                   build_plun_graph, check_noncommutative, check_plgen,
                   check_restricted_sum, cmp_ratio_vs_beta, direct_power,
-                  gamma_exhaustive, gamma_flow, iterated_sumset, large_subset,
+                  gamma_flow, iterated_sumset, large_subset,
                   lemma21_demo, make_cayley_group,
                   multiplicativity_check, power_set, sumset,
                   synthetic_alpha_table)
@@ -20,7 +20,7 @@ from plab.cayley import bundled_tables
 from plab.cli import run_sweep, sweep_config_from_dict
 
 from gen import rand_instance, rand_subset
-from oracles import nonempty_subsets
+from oracles import gamma_exhaustive, nonempty_subsets
 
 REL_TOL = 1e-9
 

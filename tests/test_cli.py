@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -68,10 +70,20 @@ def test_parse_rejects_bad_shapes():
     ("verify", ["--check", "plgen2", "--epsilon", "1"]),
     ("verify", ["--check", "plgen2", "--epsilon", "1e-999999999"]),
     ("verify", ["--check", "large", "--mode", "a", "--value", "1.7"]),
+    ("verify", ["--check", "large", "--mode", "t", "--value", "1e400"]),
+    ("verify", ["--check", "large", "--mode", "t", "--value", "nan"]),
+    ("verify", ["--check", "large", "--mode", "a", "--value", "1.99999999999999999999"]),
+    ("verify", ["--check", "plgen2", "--epsilon", "-inf"]),
+    ("verify", ["--check", "large", "--mode", "x"]),
+    ("verify", ["--check", "large", "--value"]),
+    ("verify", ["--bogus"]),
+    ("sweep", ["--count", "x"]),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
         "insert_identity-str", "set_size_range-reversed", "l_rule-zero",
         "epsilon-nan", "epsilon-inf", "epsilon-zero", "epsilon-one", "epsilon-too-fine",
-        "value-fractional-a"])
+        "value-fractional-a", "value-1e400", "value-nan", "value-rounds-to-integer",
+        "epsilon-minus-inf", "mode-bad-choice", "value-missing", "unknown-flag",
+        "count-not-int"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
     """patch is either file fields to replace or command-line flags to add;
     the one-line error names the field or echoes the flag's value."""
@@ -148,6 +160,37 @@ def test_verify_plgen2_takes_epsilon_as_typed(capsys, typed, exact):
     code = main(["verify", str(FIXTURES / "z9.json"), "--check", "plgen2", "--epsilon", typed])
     assert code == 0
     assert f"plgen2: epsilon={exact} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode, typed, shown, json_value", [
+    ("a", "2", "2.0", 2.0), ("t", "0.5", "0.5", 0.5),
+    # a float reads this as 2.0, which mode t rejects for |A| = 2
+    ("t", "1.99999999999999999999", "1.99999999999999999999", "1.99999999999999999999")])
+def test_verify_large_takes_value_as_typed(tmp_path, capsys, mode, typed, shown, json_value):
+    report = tmp_path / "report.json"
+    code = main(["verify", str(FIXTURES / "z5.json"), "--check", "large", "--mode", mode,
+                 "--value", typed, "--json", str(report)])
+    assert code == 0
+    assert f"large: mode={mode} value={shown} " in capsys.readouterr().out
+    assert json.loads(report.read_text())["checks"][0]["value"] == json_value
+
+
+def test_all_subsets_memory_stays_small(tmp_path, capsys):
+    # |B_K| = 12 in Z_256^2 gives 4,095 subsets; keeping a union for each
+    # would take 4,095 * 8 KB, about 33 MB, where the walk keeps at most 12
+    rng = random.Random(12)
+    path = write_json(tmp_path, "inst.json", {
+        "group": [256, 256], "A": sorted(rng.sample(range(1 << 16), 1000)),
+        "B": [[0, 1, 2], [0, 256, 512, 768]], "l": 1})
+    tracemalloc.start()
+    try:
+        code = main(["verify", path, "--check", "restricted", "--all-subsets"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "4095/4095 subset checks HOLD" in capsys.readouterr().out
+    assert peak < 8_000_000
 
 
 def test_verify_noncomm_s3(capsys):
@@ -238,6 +281,19 @@ def test_demo_pipeline_complete_sum(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "branch=" in out and "ALL HOLD" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["--bogus"], ["demo"], ["find-x"],
+                                  ["demo", "nope", str(FIXTURES / "z5.json")]])
+def test_argparse_errors_are_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: plab verify")
 
 
 def test_bad_subcommand_flags():

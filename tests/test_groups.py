@@ -9,6 +9,7 @@ from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   make_abelian_group, make_cayley_group, power_group, power_set,
                   sumset)
 from plab.cayley import cyclic_table, symmetric_table
+from plab.groups import subset_sumsets
 
 from oracles import (integer_iterated, naive_iterated, naive_sumset,
                      naive_translate)
@@ -178,6 +179,26 @@ def test_translate_matches_oracle(g, data):
     a = data.draw(st.integers(0, g.order - 1))
     got = GSet(g, g.translate_bits(g.set_of(elems).bits, a))
     assert sorted(got) == sorted(naive_translate(g, elems, a))
+
+
+@given(st.booleans(), st.data())
+def test_subset_sumsets_match_oracle(cayley, data):
+    # every subset X of the ground set with >= min_size members, in
+    # increasing mask order, with X*T for each base T; S3 makes the left
+    # translates x*T differ from the right ones
+    g = make_cayley_group(symmetric_table(3)) if cayley else data.draw(abelian_groups())
+    elems = st.sets(st.integers(0, g.order - 1), min_size=1, max_size=7)
+    ground = sorted(data.draw(elems))
+    bases = [sorted(data.draw(elems)) for _ in range(data.draw(st.integers(1, 3)))]
+    min_size = data.draw(st.integers(0, len(ground) + 1))
+    got = list(subset_sumsets(g.set_of(ground), [g.set_of(b) for b in bases], min_size))
+    expected = []
+    for mask in range(1, 1 << len(ground)):
+        x = [e for i, e in enumerate(ground) if mask >> i & 1]
+        if len(x) >= min_size:
+            expected.append((mask, tuple(sorted(naive_sumset(g, x, b)) for b in bases)))
+    assert [(mask, tuple(sorted(GSet(g, u)) for u in unions))
+            for mask, unions in got] == expected
 
 
 # -- iterated sumsets -----------------------------------------------------------------

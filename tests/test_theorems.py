@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageError,
                   alpha_table, beta_value, build_plun_graph, check_noncommutative,
                   check_pldiff, check_plgen, check_restricted_sum, check_single_summand,
-                  cmp_ratio_vs_beta, empirical_plgen2, ensure_holds, gamma_exhaustive,
+                  cmp_ratio_vs_beta, empirical_plgen2, ensure_holds,
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
 from plab.theorems import TheoremVerdict
 from plab.cayley import bundled_tables, cyclic_table, symmetric_table
 
 from gen import rand_instance, rand_subset
-from oracles import naive_sumset, nonempty_subsets
+from oracles import gamma_exhaustive, naive_iterated, naive_sumset, nonempty_subsets
 
 
 def identity_instance(k=2):
@@ -414,3 +415,83 @@ def test_noncomm_matches_bruteforce_on_bundled_tables(which, seed):
     assert v.holds == (best <= v.rhs)
     assert v.witness and v.witness.issubset(a)
     assert ratio(list(v.witness)) == v.lhs
+
+
+# -- sumsets over subset lattices -----------------------------------------------------------
+
+def _small_instance(rng):
+    """Tiny sets in Z_n (n <= 12) or in a bundled Cayley table, so that
+    ratios often tie and operand order matters."""
+    g = rng.choice(BUNDLED) if rng.random() < 0.5 else make_abelian_group([rng.randint(2, 12)])
+    k = rng.randint(2, 3)
+    a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 7))))
+    bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 3))))
+               for _ in range(k))
+    return Instance(g, a, bs, rng.randint(1, k - 1))
+
+
+def _plgen2_by_enumeration(inst, eps):
+    """empirical_plgen2's exhaustive answer from one naive sumset per X and J:
+    X = A first, then the admissible X in increasing mask order, each
+    replacing the best only when strictly smaller; within one X the first J
+    wins among equal maxima."""
+    g, m, members = inst.group, len(inst.a), list(inst.a)
+    table = alpha_table(inst)
+    b_lists = [list(b) for b in inst.bs]
+    j_sets = [frozenset(c) for size in range(inst.l, inst.k + 1)
+              for c in combinations(range(1, inst.k + 1), size)]
+    candidates = [members] + [[e for i, e in enumerate(members) if mask >> i & 1]
+                              for mask in range(1, (1 << m) - 1)
+                              if mask.bit_count() > (1 - eps) * m]
+    best = None
+    for x in candidates:
+        top = None
+        for j in j_sets:
+            ratio = Fraction(len(naive_sumset(g, x, naive_iterated(g, b_lists, j))), len(x))
+            beta = beta_value(table, j, inst.l)
+            if top is None or cmp_ratio_vs_beta(top[0], top[1], ratio, beta) == LT:
+                top = (ratio, beta, j)
+        if best is None or cmp_ratio_vs_beta(top[0], top[1], best[0], best[1]) == LT:
+            best = (*top, x)
+    return best
+
+
+@given(st.integers(0, 100_000))
+def test_subset_lattice_matches_per_subset_sumsets(seed):
+    rng = random.Random(seed)
+    inst = _small_instance(rng)
+    g, a = inst.group, list(inst.a)
+    # restricted over every nonempty S in B_K, in increasing mask order; the
+    # product of the |A+B_(K-i)| comes from the alpha table, which the
+    # lattice does not compute
+    table = alpha_table(inst)
+    s_prod = math.prod(table.sizes[j] for j in table.leave_one_out())
+    bk = sorted(naive_iterated(g, [list(b) for b in inst.bs], inst.key_set))
+    expected = []
+    for mask in range(1, 1 << len(bk)):
+        s = [e for i, e in enumerate(bk) if mask >> i & 1]
+        lhs, rhs = len(naive_sumset(g, s, a)) ** inst.k, len(s) * s_prod
+        expected.append((s, lhs, rhs, lhs <= rhs))
+    got = check_restricted_sum(inst, inst.bk, every_subset=True)
+    assert [(s, v.lhs, v.rhs, v.holds) for s, v in got] == expected
+    # plgen2, exhaustive
+    eps = Fraction(rng.randint(1, 9), 10)
+    emp = empirical_plgen2(inst, eps)
+    assert emp.exhaustive
+    assert (emp.ratio, emp.beta, emp.argmax_j, list(emp.x)) == _plgen2_by_enumeration(inst, eps)
+
+
+def test_plgen2_ties_go_to_the_lowest_mask():
+    # B_1 = B_2 = {0, 1} and |X| >= 3: X = {0, 1, 4} and X = {0, 1, 8} both
+    # reach |X+B_1| / (beta_1 |X|) = (5/3) / (7/4) = 20/21, below A's 1;
+    # {0, 1, 4} has the lower mask over A's sorted members (0b0111 < 0b1011)
+    g = make_abelian_group([12])
+    b = g.set_of([0, 1])
+    inst = Instance(g, g.set_of([0, 1, 4, 8]), (b, b), 1)
+    emp = empirical_plgen2(inst, Fraction(1, 2))
+    assert (emp.ratio, emp.argmax_j, list(emp.x)) == (Fraction(5, 3), frozenset({1}), [0, 1, 4])
+    assert cmp_ratio_vs_beta(emp.ratio, emp.beta, Fraction(20, 21), BetaValue(Fraction(1), 1, 1.0)) == EQ
+    # B_i = {0}: every X ties with A, which is examined first and stays
+    one = g.set_of([0])
+    inst = Instance(g, g.set_of([1, 4, 9]), (one, one), 1)
+    assert empirical_plgen2(inst, Fraction(1, 2)).x == inst.a
