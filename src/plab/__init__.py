@@ -3,8 +3,8 @@
 from .alphabeta import (EQ, GT, LT, AlphaTable, BetaValue, alpha_table,
                         beta_identity_holds, beta_value, cmp_ratio_vs_beta,
                         synthetic_alpha_table)
-from .errors import (PlabError, ResourceError, TheoremViolationError, UsageError,
-                     ValidationError)
+from .errors import (CertificateError, PlabError, ResourceError,
+                     TheoremViolationError, UsageError, ValidationError)
 from .groups import (GSet, Group, Instance, direct_power, element_cap,
                      embed_integer_sets, iterated_sumset, make_abelian_group,
                      make_cayley_group, power_group, power_set, sumset)
@@ -19,7 +19,7 @@ from .constructions import (Lemma21Report, Lemma21Setup, admissible_q,
                             build_extension, lemma21_demo)
 
 __all__ = [
-    "AlphaTable", "BetaValue", "EQ", "EmpiricalConstant", "GSet", "GT", "Group",
+    "AlphaTable", "BetaValue", "CertificateError", "EQ", "EmpiricalConstant", "GSet", "GT", "Group",
     "Instance", "LT", "LargeSubsetResult", "Lemma21Report", "Lemma21Setup",
     "MagResult", "PlabError", "PlunGraph", "ResourceError",
     "TheoremViolationError", "TheoremVerdict", "UsageError", "ValidationError",

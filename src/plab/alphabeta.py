@@ -56,8 +56,9 @@ class BetaValue:
 
 
 def alpha_table(inst: Instance) -> AlphaTable:
-    """All 2^k sumset sizes, each A+B_I built from A+B_(I minus its smallest
-    index) with one extra sumset."""
+    """All 2^k sumset sizes, each A+B_I built from A+B_(I minus its largest
+    index) with one extra sumset, so that in a noncommutative group it is
+    A*B_i1*...*B_ij in increasing index order, as iterated_sumset takes it."""
     k = inst.k
     if k > MAX_K:
         raise UsageError(f"alpha tables are capped at k <= {MAX_K}, got k={k}")
@@ -69,8 +70,8 @@ def alpha_table(inst: Instance) -> AlphaTable:
     for size in range(1, k + 1):
         for combo in combinations(indices, size):
             key = frozenset(combo)
-            prev = key - {combo[0]}
-            cur = sumset(sets[prev], inst.bs[combo[0] - 1])
+            prev = key - {combo[-1]}
+            cur = sumset(sets[prev], inst.bs[combo[-1] - 1])
             sets[key] = cur
             sizes[key] = len(cur)
             alphas[key] = Fraction(len(cur), m)

@@ -8,7 +8,9 @@ column order (see README) and is byte-identical across runs of the same
 config and seed.
 
 Exit codes: 0 all requested checks hold, 1 a guaranteed inequality failed
-(the instance is dumped to stderr for replay), 2 usage or parse error.
+(the instance is dumped to stderr for replay) or an internal error (a
+rejected gamma certificate, dumped to stderr likewise), 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Sequence
 
 from . import constructions, theorems
 from .alphabeta import beta_value, instance_table, log_fraction
-from .errors import (ResourceError, TheoremViolationError, UsageError,
-                     ValidationError)
+from .errors import (CertificateError, ResourceError, TheoremViolationError,
+                     UsageError, ValidationError)
 from .groups import (GSet, Instance, embed_integer_sets, make_abelian_group,
                      make_cayley_group, sumset)
 from .magnification import instance_gamma, multiplicativity_check
@@ -136,11 +138,16 @@ def _holds(v: theorems.TheoremVerdict) -> str:
     return "HOLDS" if v.holds else "FAILS"
 
 
+def _require_commutative(name: str, inst: Instance) -> None:
+    """The guaranteed inequalities are proved for commutative groups only."""
+    if not inst.group.is_abelian:
+        raise UsageError(f"check {name!r} requires a commutative group")
+
+
 def _bound(name: str, check):
     """plgen, pldiff and single: the magnification ratio against beta."""
     def run(inst: Instance, opts):
-        if not inst.group.is_abelian:
-            raise UsageError(f"check {name!r} requires a commutative group")
+        _require_commutative(name, inst)
         v = check(inst)
         gamma, base, expo = str(v.lhs), str(v.rhs.base), v.rhs.expo_den
         beta = base if expo == 1 else f"{base}^(1/{expo})"
@@ -152,6 +159,7 @@ def _bound(name: str, check):
 
 
 def _restricted(inst: Instance, opts):
+    _require_commutative("restricted", inst)
     bk = inst.bk
     if opts.all_subsets:
         if len(bk) > ALL_SUBSETS_MAX:
@@ -418,7 +426,8 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
         for check in cfg.checks:
             start = time.perf_counter()
             [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
-            theorems.ensure_holds(verdict, serialize_instance(inst))
+            if theorems.is_fatal(verdict):
+                theorems.ensure_holds(verdict, serialize_instance(inst))
             row = [str(index), moduli, str(inst.k), str(level), str(len(inst.a)),
                    b_sizes, check, gamma, base, expo,
                    "true" if verdict.holds else "false", detail]
@@ -613,6 +622,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if exc.instance_dump is not None:
             json.dump(exc.instance_dump, sys.stderr)
             print(file=sys.stderr)
+        return 1
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        json.dump(exc.dump, sys.stderr)
+        print(file=sys.stderr)
         return 1
     except (UsageError, ValidationError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,3 +26,12 @@ class TheoremViolationError(PlabError):
     def __init__(self, message: str, instance_dump: dict | None = None):
         super().__init__(message)
         self.instance_dump = instance_dump
+
+
+class CertificateError(PlabError):
+    """gamma's certificate was rejected: a bug in the flow engine, never a
+    verdict.  dump holds the graph and the certificate for replay."""
+
+    def __init__(self, message: str, dump: dict | None = None):
+        super().__init__(message)
+        self.dump = dump

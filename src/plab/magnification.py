@@ -3,21 +3,28 @@
 gamma = min over nonempty Z subset of A of |Z + B_K| / |Z|, computed
 exactly by a discrete-Newton loop that tests each candidate ratio p/q with
 an integer max-flow and reads the better subset off the min cut.  It
-returns the reduced fraction together with a witness subset attaining it.
+returns the reduced fraction together with a witness subset attaining it
+and a flow that proves no subset does better.
 
 The flow network does not keep one node per element of A+B_K.  Right
-vertices with the same set of left neighbours are merged into one node
+vertices with the same set of left neighbours are merged into one class
 whose sink capacity counts them all, which leaves every cut value, and so
 the answer and its witness, unchanged.  When all of A+B_K is one such
 class (every a+B_K is the same set) no network is built at all.
+
+The network is bipartite, source -(p)-> a -(inf)-> class -(q*|class|)->
+sink, so max-flow is a greedy fill followed by short augmenting paths
+(_Transport).  Every gamma is returned only after
+certificate.check_certificate, which shares no code with the solver, has
+accepted its witness and flow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .certificate import check_certificate
 from .errors import UsageError
 from .groups import GSet, Group, Instance, direct_power
 
@@ -43,11 +50,17 @@ class PlunGraph:
 
 @dataclass(frozen=True)
 class MagResult:
-    """An exact magnification ratio with a subset that attains it."""
+    """An exact magnification ratio with a subset that attains it.  classes
+    (bitsets of right vertices) and flow ((left vertex, class index, amount)
+    triples, positive amounts only) are the final round's flow, which sends
+    gamma.numerator from every left vertex within the sink capacities
+    gamma.denominator * |class|."""
 
     gamma: Fraction
     witness: GSet
     iterations: int = 0
+    classes: tuple[int, ...] = field(default=(), repr=False)
+    flow: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
 
 
 def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
@@ -60,71 +73,97 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     return PlunGraph.of(g, {x: translate(bk.bits, x) for x in a})
 
 
-class _Dinic:
-    """Integer max-flow; the final BFS gives the source side of a min cut."""
+class _Transport:
+    """Max-flow on source -(p)-> left i -(inf)-> class j -(q*sizes[j])-> sink,
+    where out_of[i] lists the classes inside left vertex i's image.  gets[j]
+    maps each left vertex sending flow into class j to its positive amount."""
 
-    __slots__ = ("n", "to", "cap", "adj")
+    __slots__ = ("out_of", "sizes", "gets")
 
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+    def __init__(self, out_of: list[list[int]], sizes: list[int]):
+        self.out_of = out_of
+        self.sizes = sizes
+        self.gets: list[dict[int, int]] = []
 
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    def max_flow(self, p: int, q: int) -> list[int]:
+        """Leave a maximum flow in gets and return the left vertices that the
+        residual network reaches from the source, empty when every left
+        vertex sends p.
 
-    def _levels(self, s: int) -> list[int]:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _push(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            eid = self.adj[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, self.cap[eid]), level, it)
-                if pushed:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
-        """The flow value and the level array of the final, failed BFS, in
-        which level[v] >= 0 exactly when the residual network reaches v from s."""
-        flow = 0
-        while True:
-            level = self._levels(s)
-            if level[t] < 0:
-                return flow, level
-            it = [0] * self.n
-            while True:
-                pushed = self._push(s, t, 1 << 62, level, it)
-                if not pushed:
+        A breadth-first search from a left vertex that still has need, which
+        finds no class with room, has reached a set with no residual edge
+        leaving it: later paths cannot enter and leave it, so its flow stays
+        put and it is closed for good.  The closed sets together are the
+        vertices reachable from the source, the source side of the least min
+        cut, which is the same for every maximum flow."""
+        out_of = self.out_of
+        room = [q * size for size in self.sizes]
+        gets: list[dict[int, int]] = [{} for _ in room]
+        self.gets = gets
+        need = []
+        for i, classes in enumerate(out_of):
+            left = p
+            for j in classes:
+                if not left:
                     break
-                flow += pushed
+                r = room[j]
+                if r:
+                    take = r if r < left else left
+                    room[j] = r - take
+                    gets[j][i] = take
+                    left -= take
+            need.append(left)
+        closed = [False] * len(out_of)
+        reached = []
+        for i, left in enumerate(need):
+            while left and not closed[i]:
+                via_left = {}          # class -> the left vertex it was reached from
+                via_class = {i: -1}    # left vertex -> the class it was reached from
+                queue = [i]
+                found = -1
+                for u in queue:
+                    for j in out_of[u]:
+                        if j in via_left:
+                            continue
+                        via_left[j] = u
+                        if room[j]:
+                            found = j
+                            break
+                        for v in gets[j]:
+                            if v not in via_class and not closed[v]:
+                                via_class[v] = j
+                                queue.append(v)
+                    if found >= 0:
+                        break
+                if found < 0:
+                    for v in queue:
+                        closed[v] = True
+                    reached.extend(queue)
+                    break
+                amount = min(left, room[found])
+                j = found
+                while (u := via_left[j]) != i:
+                    j = via_class[u]
+                    amount = min(amount, gets[j][u])
+                room[found] -= amount
+                left -= amount
+                j = found
+                while True:
+                    u = via_left[j]
+                    gets[j][u] = gets[j].get(u, 0) + amount
+                    if u == i:
+                        break
+                    j = via_class[u]
+                    rest = gets[j][u] - amount
+                    if rest:
+                        gets[j][u] = rest
+                    else:
+                        del gets[j][u]
+        return reached
 
 
 def gamma_flow(graph: PlunGraph) -> MagResult:
-    """Exact minimum ratio by repeated feasibility tests.
+    """Exact minimum ratio by repeated feasibility tests, with a certificate.
 
     A candidate t = p/q is feasible iff the flow network
     source -(p)-> a -(inf)-> w -(q)-> sink saturates p*|A|; an infeasible
@@ -135,13 +174,25 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     Right vertices with the same left neighbours are one node of the
     network, with sink capacity q times their number.  A set Z of left
     vertices then cuts p*|A - Z| + q*|N(Z)| as before, so the min cut and
-    the source side its final BFS reaches are those of the unmerged
+    the source side its residual network reaches are those of the unmerged
     network.  The classes come from partition refinement of the union of
     the images by each adj_bits[a].  A single class means every a+B_K is
     the same set (B_K = G, or A inside one coset of the stabilizer of
     B_K), so every nonempty Z has |Z+B_K| = |A+B_K| and the first
     candidate |A+B_K|/|A| with witness A is returned as that first round
-    would return it, without a network.
+    would return it, without a network, with the flow p from every left
+    vertex into the one class.
+
+    Each round resets only the capacities and flow of one _Transport built
+    per call.  Its greedy fill offers each left vertex's classes fewest
+    owners first, so that a class few left vertices reach is not taken by
+    one that has other choices; the short augmenting paths that follow
+    then have little left to move.  The source side it reaches is the least
+    min cut's whichever maximum flow it finds, so witnesses and rounds do
+    not depend on that order.
+
+    The final round's flow and the witness go to check_certificate before
+    the result is returned; a rejected certificate raises CertificateError.
     """
     lefts = graph.left
     nl = len(lefts)
@@ -162,40 +213,41 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 classes[j] = inside
             owners[j] |= 1 << i
     if len(classes) == 1 and owners[0] == (1 << nl) - 1:
-        return MagResult(gamma=t, witness=GSet(graph.group, witness_bits), iterations=1)
-    middle = [(1 + i, 1 + nl + j) for j, mask in enumerate(owners)
-              for i in range(nl) if mask >> i & 1]
+        return _certified(graph, t, witness_bits, 1, classes,
+                          [(x, 0, t.numerator) for x in lefts])
+    out_of: list[list[int]] = [[] for _ in lefts]
+    for j in sorted(range(len(classes)), key=lambda j: owners[j].bit_count()):
+        mask = owners[j]
+        while mask:
+            low = mask & -mask
+            out_of[low.bit_length() - 1].append(j)
+            mask ^= low
+    net = _Transport(out_of, [bits.bit_count() for bits in classes])
     iterations = 0
     while True:
         iterations += 1
-        p, q = t.numerator, t.denominator
-        source = 0
-        sink = 1 + nl + len(classes)
-        net = _Dinic(sink + 1)
-        inf_cap = p * nl + 1  # strictly above any useful cut through the middle
-        for i in range(nl):
-            net.add_edge(source, 1 + i, p)
-        for u, v in middle:
-            net.add_edge(u, v, inf_cap)
-        for j, bits in enumerate(classes):
-            net.add_edge(1 + nl + j, sink, q * bits.bit_count())
-        flow, level = net.max_flow(source, sink)
-        if flow == p * nl:
-            return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),
-                             iterations=iterations)
+        reached = net.max_flow(t.numerator, t.denominator)
+        if not reached:
+            return _certified(graph, t, witness_bits, iterations, classes,
+                              [(lefts[i], j, amount) for j, gets in enumerate(net.gets)
+                               for i, amount in gets.items()])
         z_bits = im_bits = 0
-        for i, x in enumerate(lefts):
-            if level[1 + i] >= 0:
-                z_bits |= 1 << x
-                im_bits |= graph.adj_bits[x]
-        nz = z_bits.bit_count()
-        if nz == 0:
-            raise AssertionError("infeasible round must expose a nonempty subset")
-        nxt = Fraction(im_bits.bit_count(), nz)
+        for i in reached:
+            z_bits |= 1 << lefts[i]
+            im_bits |= graph.adj_bits[lefts[i]]
+        nxt = Fraction(im_bits.bit_count(), z_bits.bit_count())
         if nxt >= t:
             raise AssertionError("candidate ratios must strictly decrease")
         t = nxt
         witness_bits = z_bits
+
+
+def _certified(graph: PlunGraph, gamma: Fraction, witness_bits: int, iterations: int,
+               classes: list[int], flow: list[tuple[int, int, int]]) -> MagResult:
+    classes, flow = tuple(classes), tuple(flow)
+    check_certificate(graph.adj_bits, gamma, witness_bits, classes, flow)
+    return MagResult(gamma=gamma, witness=GSet(graph.group, witness_bits),
+                     iterations=iterations, classes=classes, flow=flow)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from plab import (EQ, GT, LT, Instance, UsageError, alpha_table,
                   beta_identity_holds, beta_value, cmp_ratio_vs_beta,
-                  make_abelian_group, synthetic_alpha_table)
+                  iterated_sumset, make_abelian_group, make_cayley_group,
+                  sumset, synthetic_alpha_table)
 from plab.alphabeta import BetaValue
+from plab.cayley import bundled_tables
 
 from gen import rand_instance
 from oracles import naive_iterated, naive_sumset
@@ -69,6 +71,29 @@ def test_alpha_monotone(seed):
     for key, alpha in t.alphas.items():
         for extra in range(1, inst.k + 1):
             assert alpha <= t.alphas[key | {extra}]
+
+
+NONCOMM = [make_cayley_group(table) for _, table in bundled_tables(12)
+           if not make_cayley_group(table).is_abelian]
+
+
+def test_alpha_table_multiplies_in_index_order_d3():
+    # A*B1*B2 has 4 elements; A*B2*B1, the order the table once used, has 6
+    g = make_cayley_group(dict(bundled_tables(12))["D3"])
+    inst = Instance(g, g.set_of([0, 1, 4]), (g.set_of([0, 4]), g.set_of([2, 5])), 1)
+    assert alpha_table(inst).sizes[frozenset({1, 2})] == 4
+
+
+@given(st.integers(0, len(NONCOMM) - 1), st.integers(0, 10_000))
+def test_alpha_table_matches_iterated_sumsets_in_noncommutative_groups(which, seed):
+    g = NONCOMM[which]
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    a = g.set_of(rng.sample(range(g.order), rng.randint(1, 6)))
+    bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, 3))) for _ in range(k))
+    t = alpha_table(Instance(g, a, bs, 1))
+    for key, size in t.sizes.items():
+        assert size == len(sumset(a, iterated_sumset(bs, key)))
 
 
 # -- beta values -----------------------------------------------------------------

@@ -139,6 +139,17 @@ def test_verify_restricted_all_subsets(capsys):
     assert "15/15 subset checks HOLD" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [(), ("--all-subsets",)])
+def test_verify_restricted_on_noncommutative_group_rejected(tmp_path, capsys, flags):
+    # on D3 two of the three subsets S of B1*B2 break the commutative bound
+    from plab.cayley import bundled_tables
+    path = write_json(tmp_path, "d3.json", {"cayley": dict(bundled_tables(12))["D3"],
+                                            "A": [0, 1, 4], "B": [[0, 4], [2, 5]], "l": 1})
+    assert main(["verify", path, "--check", "restricted", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: check 'restricted' requires a commutative group\n"
+
+
 def test_verify_restricted_uses_s_field(capsys):
     code = main(["verify", str(FIXTURES / "z5.json"), "--check", "restricted"])
     assert code == 0

@@ -195,27 +195,26 @@ def test_flow_network_merges_right_vertices_by_neighbourhood():
     # classes {0} (seen by 0 only), {1..9} (by both) and {10} (by 1 only)
     built = []
 
-    class Recording(magnification._Dinic):
-        def __init__(self, n):
-            super().__init__(n)
-            self.edges = []
+    class Recording(magnification._Transport):
+        def __init__(self, out_of, sizes):
+            super().__init__(out_of, sizes)
+            self.sink_caps = []
             built.append(self)
 
-        def add_edge(self, u, v, c):
-            self.edges.append((u, v, c))
-            super().add_edge(u, v, c)
+        def max_flow(self, p, q):
+            self.sink_caps.append(sorted(q * size for size in self.sizes))
+            return super().max_flow(p, q)
 
     g = make_abelian_group([100])
     a = g.set_of([0, 1])
-    with mock.patch("plab.magnification._Dinic", Recording):
+    with mock.patch("plab.magnification._Transport", Recording):
         res = gamma_flow(build_plun_graph(a, g.set_of(range(10))))
     assert res.gamma == Fraction(11, 2) and res.witness == a
     [net] = built
-    sink = net.n - 1
-    assert net.n == 1 + 2 + 3 + 1
-    assert len([e for e in net.edges if e[0] != 0 and e[1] != sink]) == 4
+    assert len(net.out_of) == 2 and len(net.sizes) == 3
+    assert sum(len(classes) for classes in net.out_of) == 4
     # each class's sink edge carries q = 2 per vertex it merges
-    assert sorted(c for _, v, c in net.edges if v == sink) == [2, 2, 18]
+    assert net.sink_caps == [[2, 2, 18]]
 
 
 @given(st.integers(0, 10_000))
@@ -251,7 +250,7 @@ def test_multiplicativity_z9(z9):
 # -- translates that coincide: the shortcut -----------------------------------------
 
 def _no_network():
-    return mock.patch("plab.magnification._Dinic",
+    return mock.patch("plab.magnification._Transport",
                       side_effect=AssertionError("the shortcut must not build a flow network"))
 
 
