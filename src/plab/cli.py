@@ -138,16 +138,9 @@ def _holds(v: theorems.TheoremVerdict) -> str:
     return "HOLDS" if v.holds else "FAILS"
 
 
-def _require_commutative(name: str, inst: Instance) -> None:
-    """The guaranteed inequalities are proved for commutative groups only."""
-    if not inst.group.is_abelian:
-        raise UsageError(f"check {name!r} requires a commutative group")
-
-
 def _bound(name: str, check):
     """plgen, pldiff and single: the magnification ratio against beta."""
     def run(inst: Instance, opts):
-        _require_commutative(name, inst)
         v = check(inst)
         gamma, base, expo = str(v.lhs), str(v.rhs.base), v.rhs.expo_den
         beta = base if expo == 1 else f"{base}^(1/{expo})"
@@ -159,7 +152,6 @@ def _bound(name: str, check):
 
 
 def _restricted(inst: Instance, opts):
-    _require_commutative("restricted", inst)
     bk = inst.bk
     if opts.all_subsets:
         if len(bk) > ALL_SUBSETS_MAX:
@@ -183,7 +175,7 @@ def _restricted(inst: Instance, opts):
 def _power(inst: Instance, opts):
     rep = inst.cached(("power", 2), lambda i: multiplicativity_check(i, 2))
     v = theorems.TheoremVerdict(theorem="power", holds=rep.equal, lhs=rep.gamma_power,
-                                rhs=rep.gamma_base ** 2, exact=True)
+                                rhs=rep.gamma_base ** 2)
     return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
 
 
@@ -220,7 +212,7 @@ def _plgen2(inst: Instance, opts):
     emp = theorems.empirical_plgen2(inst, _epsilon(opts.epsilon),
                                     samples=opts.samples, seed=opts.seed)
     v = theorems.TheoremVerdict(theorem="plgen2", holds=True, lhs=emp.ratio, rhs=emp.beta,
-                                exact=True, witness=emp.x)
+                                witness=emp.x)
     c_emp, argmax_j = _float_str(emp.c_emp), sorted(emp.argmax_j)
     fields = {"epsilon": str(emp.epsilon), "c_emp": c_emp, "argmax_j": argmax_j,
               "X": list(emp.x), "exhaustive": emp.exhaustive}
@@ -236,7 +228,7 @@ def _large(inst: Instance, opts):
     res = theorems.large_subset(inst, opts.mode, value)
     shown = value if type(value) is float else str(value)
     v = theorems.TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
-                                rhs=res.bound, exact=False, witness=res.x)
+                                rhs=res.bound, witness=res.x)
     bound = _float_str(res.bound)
     fields = {"mode": opts.mode, "value": shown, "lhs": res.lhs, "bound": bound,
               "X": list(res.x), "iterations": res.iterations,
@@ -255,17 +247,11 @@ def _noncomm(inst: Instance, opts):
     return [(v, fields, None)], f"noncomm: ratio={v.lhs} bound={v.rhs} {_holds(v)}{tail}"
 
 
-def _single(inst: Instance) -> theorems.TheoremVerdict:
-    """single on B_1; its equal-summand instance is memoized like B_K."""
-    equal = inst.cached("single", lambda i: Instance(i.group, i.a, (i.bs[0],) * i.k, i.l))
-    return replace(theorems.check_plgen(replace(equal, l=inst.l)), theorem="single")
-
-
 # name -> (run, offered by verify, offered by sweep)
 CHECKS = {
     "plgen": (_bound("plgen", lambda inst: theorems.check_plgen(inst)), True, True),
     "pldiff": (_bound("pldiff", lambda inst: theorems.check_pldiff(inst)), True, True),
-    "single": (_bound("single", _single), True, True),
+    "single": (_bound("single", lambda inst: theorems.check_single_summand(inst)), True, True),
     "restricted": (_restricted, True, True),
     "power": (_power, False, True),
     "plgen2": (_plgen2, True, True),
@@ -285,11 +271,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = []
     for chunk in args.check or ["plgen"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
+    for check in checks:  # every usage error before any output
+        if check not in VERIFY_CHECKS:
+            raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
+        # the guaranteed inequalities are proved for commutative groups only
+        if check in theorems.GUARANTEED and not inst.group.is_abelian:
+            raise UsageError(f"check {check!r} requires a commutative group")
     results: list[dict] = []
     violated = False
     for check in checks:
-        if check not in VERIFY_CHECKS:
-            raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
         batch, line = CHECKS[check][0](inst, opts)
         print(line)
         violated = violated or any(theorems.is_fatal(v) for v, _, _ in batch)
@@ -506,14 +496,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
         if args.r < 1:
             raise UsageError(f"r_max must be >= 1, got {args.r}")
         beta = beta_value(instance_table(inst), inst.key_set, inst.l)
-        all_equal = True
-        for r in range(1, args.r + 1):
-            rep = multiplicativity_check(inst, r)
-            all_equal = all_equal and rep.equal
+        reps = [multiplicativity_check(inst, r) for r in range(1, args.r + 1)]
+        for r, rep in enumerate(reps, 1):
             root = math.exp(log_fraction(rep.gamma_power) / r)
             print(f"r={r} gamma_r={rep.gamma_power} equals gamma^r: "
                   f"{'yes' if rep.equal else 'NO'} "
                   f"root={_float_str(root)} beta~{_float_str(beta.approx)}")
+        all_equal = all(rep.equal for rep in reps)
         print(f"all powers exact: {'yes' if all_equal else 'NO'}")
         return 0 if all_equal else 1
     if args.what == "pipeline":

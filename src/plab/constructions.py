@@ -25,13 +25,12 @@ def _leave_one_out_alphas(table: AlphaTable) -> list[Fraction]:
     return [table.alphas[j] for j in table.leave_one_out()]
 
 
-def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6,
-                 cap: int | None = None) -> list[int]:
+def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6) -> list[int]:
     """First few q making every n_i = alpha_(K minus i) * q an integer,
     filtered by the element cap on the extended group."""
     alphas = _leave_one_out_alphas(table)
     step = math.lcm(*(a.denominator for a in alphas))
-    limit = element_cap() if cap is None else cap
+    limit = element_cap()
     out: list[int] = []
     q = step
     while len(out) < count:
@@ -82,7 +81,7 @@ class Lemma21Report:
                         sum(self.distinct_sizes.values()))
 
 
-def build_extension(inst: Instance, q: int, *, cap: int | None = None) -> Lemma21Setup:
+def build_extension(inst: Instance, q: int) -> Lemma21Setup:
     """Extend the instance's group by the cyclic paddings for a given q."""
     if inst.group.kind != "abelian":
         raise UsageError("the extension construction needs an abelian product group")
@@ -96,7 +95,7 @@ def build_extension(inst: Instance, q: int, *, cap: int | None = None) -> Lemma2
         if ni.denominator != 1:
             raise UsageError(f"q={q} is not admissible: alpha*q = {ni} is not integral")
         n.append(int(ni))
-    gprime = make_abelian_group(inst.group.moduli + tuple(n), cap=cap)
+    gprime = make_abelian_group(inst.group.moduli + tuple(n))
     h_order = math.prod(n)
     aprime = gprime.set_of(x * h_order for x in inst.a)
     bi_prime = []
@@ -121,14 +120,14 @@ def _sum_size(acc: GSet, summands) -> int:
     return len(acc)
 
 
-def lemma21_demo(inst: Instance, q: int, *, cap: int | None = None,
-                 scan_limit: int = 8) -> Lemma21Report:
+def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
     """Measure the construction at q: the k distinct-summand sums must all
     equal m*(beta*q)^l exactly; the (k-1)-fold sum of the union B' is
-    compared against twice their total, and the first admissible q
-    satisfying that bound is reported alongside the repeated-summand
-    diagnostics and the apex identity |X + (B_K x H)| = |H| * |X + B_K|."""
-    setup = build_extension(inst, q, cap=cap)
+    compared against twice their total, and the first of the first eight
+    admissible q satisfying that bound is reported alongside the
+    repeated-summand diagnostics and the apex identity
+    |X + (B_K x H)| = |H| * |X + B_K|."""
+    setup = build_extension(inst, q)
     k, m = inst.k, len(inst.a)
     table = instance_table(inst)
     h_order = setup.h_order
@@ -145,10 +144,10 @@ def lemma21_demo(inst: Instance, q: int, *, cap: int | None = None,
 
     # the first satisfying q is at most q when q satisfies the bound, above q otherwise
     first_q = None
-    for cand in admissible_q(table, inst.group.order, count=scan_limit, cap=cap):
+    for cand in admissible_q(table, inst.group.order, count=8):
         if (cand <= q) != union_holds:
             continue
-        st = setup if cand == q else build_extension(inst, cand, cap=cap)
+        st = setup if cand == q else build_extension(inst, cand)
         size = _sum_size(st.aprime, [st.bprime] * (k - 1))
         if size <= 2 * k * _expected_at(table, m, inst.l, cand):
             first_q = cand

@@ -7,10 +7,12 @@ described by an explicit multiplication table, validated for the group
 axioms at construction.
 
 A GSet is an immutable subset of one group, stored as a bitset in a single
-Python int (bit i set <=> element i is a member).  Sumsets OR together
-translated copies of the larger operand, one translate per member of the
-smaller operand; an abelian translate is a handful of big-int shifts done
-axis by axis, so it costs O(d * N / wordsize) rather than |S|*|T| pairs.
+Python int (bit i set <=> element i is a member).  The sumset S*T is the
+union of the left translates s*T over the members s of S; in a commutative
+group the operands are first swapped so that the smaller one supplies the
+translates.  A product-group translate is a handful of big-int shifts done
+axis by axis, so it costs O(d * N / wordsize) rather than |S|*|T| pairs; a
+table translate sends each member through one row of the table.
 """
 
 from __future__ import annotations
@@ -133,9 +135,18 @@ class Group:
         return cached
 
     def translate_bits(self, bits: int, a: int) -> int:
-        """Bitset of {a + x : x in bits} (abelian; translation by a)."""
-        if a == 0 or bits == 0:
+        """Bitset of the left translate {a * x : x in bits}: shifts axis by
+        axis in a product group, row a of the table in a cayley group."""
+        if a == self.identity or bits == 0:
             return bits
+        if self.table is not None:
+            row = self.table[a]
+            out = 0
+            while bits:
+                lsb = bits & -bits
+                out |= 1 << row[lsb.bit_length() - 1]
+                bits ^= lsb
+            return out
         for axis, c in enumerate(self.coords(a)):
             if c == 0:
                 continue
@@ -146,26 +157,6 @@ class Group:
             low, high = self._axis_masks(axis, c)
             bits = ((bits & low) << shift) | ((bits >> keep) & high)
         return bits
-
-    def _translate_left(self, bits: int, a: int) -> int:
-        """Bitset of {a * x : x in bits} via the multiplication table."""
-        row = self.table[a]
-        out = 0
-        while bits:
-            lsb = bits & -bits
-            out |= 1 << row[lsb.bit_length() - 1]
-            bits ^= lsb
-        return out
-
-    def _translate_right(self, bits: int, a: int) -> int:
-        """Bitset of {x * a : x in bits} via the multiplication table."""
-        table = self.table
-        out = 0
-        while bits:
-            lsb = bits & -bits
-            out |= 1 << table[lsb.bit_length() - 1][a]
-            bits ^= lsb
-        return out
 
     # -- set constructors ----------------------------------------------------
 
@@ -278,7 +269,7 @@ def _require_same_group(s: GSet, t: GSet) -> None:
 
 # -- public constructors ----------------------------------------------------
 
-def make_abelian_group(moduli: Sequence[int], *, cap: int | None = None) -> Group:
+def make_abelian_group(moduli: Sequence[int]) -> Group:
     """Product of cyclic groups Z_{n_1} x ... x Z_{n_d}; index 0 is identity."""
     mods = tuple(int(n) for n in moduli)
     if not mods:
@@ -286,13 +277,13 @@ def make_abelian_group(moduli: Sequence[int], *, cap: int | None = None) -> Grou
     if any(n < 1 for n in mods):
         raise UsageError(f"cyclic orders must be >= 1, got {mods}")
     order = prod(mods)
-    limit = element_cap() if cap is None else cap
+    limit = element_cap()
     if order > limit:
         raise ResourceError(f"group order {order} exceeds element cap {limit}")
     return Group("abelian", moduli=mods)
 
 
-def make_cayley_group(table: Sequence[Sequence[int]], *, max_order: int = CAYLEY_MAX_ORDER) -> Group:
+def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
     """Group from an explicit N x N multiplication table (N <= 64).
 
     The table is checked for well-formedness, cancellativity (rows and
@@ -303,8 +294,8 @@ def make_cayley_group(table: Sequence[Sequence[int]], *, max_order: int = CAYLEY
     n = len(rows)
     if n == 0:
         raise ValidationError("empty multiplication table")
-    if n > max_order:
-        raise UsageError(f"table order {n} exceeds the cayley limit {max_order}")
+    if n > CAYLEY_MAX_ORDER:
+        raise UsageError(f"table order {n} exceeds the cayley limit {CAYLEY_MAX_ORDER}")
     full = frozenset(range(n))
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -337,8 +328,8 @@ def make_cayley_group(table: Sequence[Sequence[int]], *, max_order: int = CAYLEY
     return Group("cayley", table=rows, identity=identity, is_abelian=abelian)
 
 
-def embed_integer_sets(a: Iterable[int], bs: Sequence[Iterable[int]],
-                       *, cap: int | None = None) -> tuple[Group, GSet, list[GSet]]:
+def embed_integer_sets(a: Iterable[int],
+                       bs: Sequence[Iterable[int]]) -> tuple[Group, GSet, list[GSet]]:
     """Map nonnegative-integer sets into Z_N so that no sum ever wraps.
 
     N = 1 + max(A) + sum_i max(B_i) strictly exceeds the largest reachable
@@ -352,29 +343,22 @@ def embed_integer_sets(a: Iterable[int], bs: Sequence[Iterable[int]],
     if a_elems[0] < 0 or any(b[0] < 0 for b in b_elems):
         raise UsageError("integer elements must be nonnegative; translate first")
     n = 1 + a_elems[-1] + sum(b[-1] for b in b_elems)
-    group = make_abelian_group([n], cap=cap)
+    group = make_abelian_group([n])
     return group, group.set_of(a_elems), [group.set_of(b) for b in b_elems]
 
 
 # -- sumsets ------------------------------------------------------------------
 
 def sumset(s: GSet, t: GSet) -> GSet:
-    """{x * y : x in S, y in T}; operand order matters in cayley groups."""
+    """{x * y : x in S, y in T}, the union of the left translates x * T;
+    operand order matters in noncommutative groups."""
     _require_same_group(s, t)
     g = s.group
-    if not s.bits or not t.bits:
-        return GSet(g, 0)
+    if g.is_abelian and len(s) > len(t):
+        s, t = t, s
     out = 0
-    if g.kind == "abelian":
-        small, large = (s, t) if len(s) <= len(t) else (t, s)
-        for a in small:
-            out |= g.translate_bits(large.bits, a)
-    elif len(s) <= len(t):
-        for a in s:
-            out |= g._translate_left(t.bits, a)
-    else:
-        for b in t:
-            out |= g._translate_right(s.bits, b)
+    for a in s:
+        out |= g.translate_bits(t.bits, a)
     return GSet(g, out)
 
 
@@ -395,8 +379,7 @@ def subset_sumsets(ground: GSet, bases: Sequence[GSet],
     group = ground.group
     for t in bases:
         _require_same_group(ground, t)
-    translate = group.translate_bits if group.kind == "abelian" else group._translate_left
-    steps = [tuple(translate(t.bits, x) for t in bases) for x in ground]
+    steps = [tuple(group.translate_bits(t.bits, x) for t in bases) for x in ground]
     # frame: mask, size and unions of a path node, then the next member
     # index to add below its smallest and the end of that range
     frames = [[0, 0, (0,) * len(bases), max(min_size - 1, 0), len(steps)]]
@@ -490,16 +473,16 @@ class Instance:
         return memo[key]
 
 
-def power_group(group: Group, r: int, *, cap: int | None = None) -> Group:
+def power_group(group: Group, r: int) -> Group:
     """The r-fold direct power, as the concatenated-moduli product group."""
     if group.kind != "abelian":
         raise UsageError("direct powers are only supported for abelian product groups")
     if r < 1:
         raise UsageError(f"power must be >= 1, got {r}")
-    limit = element_cap() if cap is None else cap
+    limit = element_cap()
     if group.order ** r > limit:
         raise ResourceError(f"group order {group.order}^{r} exceeds element cap {limit}")
-    return make_abelian_group(group.moduli * r, cap=cap)
+    return make_abelian_group(group.moduli * r)
 
 
 def power_set(powered: Group, s: GSet, r: int) -> GSet:
@@ -515,10 +498,10 @@ def power_set(powered: Group, s: GSet, r: int) -> GSet:
     return GSet(powered, bits)
 
 
-def direct_power(inst: Instance, r: int, *, cap: int | None = None) -> Instance:
+def direct_power(inst: Instance, r: int) -> Instance:
     """Instance over G^r with A^r and B_i^r; r=1 returns the instance itself."""
     if r == 1:
         return inst
-    gp = power_group(inst.group, r, cap=cap)
+    gp = power_group(inst.group, r)
     return Instance(gp, power_set(gp, inst.a, r),
                     tuple(power_set(gp, b, r) for b in inst.bs), inst.l)

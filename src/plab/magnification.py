@@ -69,8 +69,7 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     if a.group != bk.group:
         raise UsageError("A and B_K must live in the same group")
     g = a.group
-    translate = g.translate_bits if g.kind == "abelian" else g._translate_left
-    return PlunGraph.of(g, {x: translate(bk.bits, x) for x in a})
+    return PlunGraph.of(g, {x: g.translate_bits(bk.bits, x) for x in a})
 
 
 class _Transport:

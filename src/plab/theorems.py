@@ -36,7 +36,6 @@ class TheoremVerdict:
     holds: bool
     lhs: object
     rhs: object
-    exact: bool
     witness: GSet | None = None
     notes: str = ""
 
@@ -62,15 +61,16 @@ def check_plgen(inst: Instance) -> TheoremVerdict:
     mag = instance_gamma(inst)
     holds = cmp_ratio_vs_beta(mag.gamma, beta) != GT
     return TheoremVerdict(theorem="plgen", holds=holds, lhs=mag.gamma, rhs=beta,
-                          exact=True, witness=mag.witness)
+                          witness=mag.witness)
 
 
-def check_single_summand(a: GSet, b: GSet, l: int, k: int) -> TheoremVerdict:
-    """Equal-summand case: some X has |X + kB| <= alpha^(k/l) |X| with
-    alpha = |A+lB|/|A|.  Reduces to the general check with B_i = B; the
-    instance itself rejects levels outside 1 <= l < k."""
-    return replace(check_plgen(Instance(a.group, a, tuple(b for _ in range(k)), l)),
-                   theorem="single")
+def check_single_summand(inst: Instance) -> TheoremVerdict:
+    """Equal-summand case on B = B_1: some X has |X + kB| <= alpha^(k/l) |X|
+    with alpha = |A+lB|/|A|.  Reduces to the general check on the instance
+    with every B_i = B_1, which is kept in the memo like B_K, so every level
+    shares its gamma and alpha table."""
+    equal = inst.cached("single", lambda i: Instance(i.group, i.a, (i.bs[0],) * i.k, i.l))
+    return replace(check_plgen(replace(equal, l=inst.l)), theorem="single")
 
 
 def check_pldiff(inst: Instance) -> TheoremVerdict:
@@ -137,9 +137,10 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
     def improves(c, best) -> bool:
         return cmp_ratio_vs_beta(c[0], c[1], best[0], best[1]) == LT
 
-    # X = A first; a later X replaces the best only when strictly smaller
+    # X = A first, whose |A+B_J| the alpha table holds; a later X replaces
+    # the best only when strictly smaller
     x = inst.a
-    best = c_of(m, [len(sumset(x, b)) for b in b_sets])
+    best = c_of(m, [table.sizes[j] for j in j_sets])
     min_size = math.floor((1 - eps) * m) + 1  # admissible: |X| > (1 - epsilon) |A|
     members = list(inst.a)
     exhaustive = m <= EXHAUSTIVE_M_MAX
@@ -250,8 +251,7 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
 
     def verdict(s_size: int, sa_size: int) -> TheoremVerdict:
         lhs, rhs = sa_size ** inst.k, s_size * s_prod
-        return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs,
-                              exact=True)
+        return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
     if not every_subset:
         return verdict(len(s), len(sumset(s, inst.a)))
@@ -360,8 +360,8 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
 def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVerdict:
     """Whether some nonempty X in A has |B1 * X * B2| <= alpha1 * alpha2 * |X|,
     with alpha1 = |B1*A|/|A| (left) and alpha2 = |A*B2|/|A| (right).  Since
-    B1 * X * B2 is the union of B1 * x * B2 over x in X, the least ratio is
-    gamma_flow's on the graph x -> B1 * x * B2.  The inequality is unproved
+    B1 * X * B2 is the union of B1 * (x * B2) over x in X, the least ratio
+    is gamma_flow's on the graph x -> B1 * (x * B2).  The inequality is unproved
     for noncommutative groups: a failed check is reported as a candidate
     counterexample, not raised as an error.
     """
@@ -369,9 +369,9 @@ def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVe
         if gs.group != group or not gs:
             raise UsageError("A, B1, B2 must be nonempty sets in the given group")
     mag = gamma_flow(PlunGraph.of(
-        group, {x: sumset(sumset(b1, group.singleton(x)), b2).bits for x in a}))
+        group, {x: sumset(b1, GSet(group, group.translate_bits(b2.bits, x))).bits for x in a}))
     bound = Fraction(len(sumset(b1, a)) * len(sumset(a, b2)), len(a) ** 2)
     holds = mag.gamma <= bound
     return TheoremVerdict(
-        theorem="noncomm", holds=holds, lhs=mag.gamma, rhs=bound, exact=True, witness=mag.witness,
+        theorem="noncomm", holds=holds, lhs=mag.gamma, rhs=bound, witness=mag.witness,
         notes="" if holds else "candidate counterexample: no subset meets the bound")

@@ -214,6 +214,26 @@ def test_verify_guaranteed_check_on_noncommutative_group_rejected():
     assert main(["verify", str(FIXTURES / "s3.json"), "--check", "plgen"]) == 2
 
 
+def test_verify_large_on_noncommutative_group_rejected(tmp_path, capsys):
+    # on D6 this bound fails (lhs=10 > 9.33); it is proved for commutative groups only
+    from plab.cayley import bundled_tables
+    path = write_json(tmp_path, "d6.json", {"cayley": dict(bundled_tables(12))["D6"],
+                                            "A": [7, 4, 10], "B": [[5], [10, 7, 11], [2, 10]],
+                                            "l": 1})
+    assert main(["verify", path, "--check", "large", "--mode", "t", "--value", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: check 'large' requires a commutative group\n")
+
+
+@pytest.mark.parametrize("fixture, checks, err", [
+    ("s3.json", "noncomm,plgen", "error: check 'plgen' requires a commutative group\n"),
+    ("z5.json", "plgen,bogus", "error: unknown check 'bogus'; valid: "
+                               "plgen, pldiff, single, restricted, plgen2, large, noncomm\n")],
+    ids=["s3-noncomm-plgen", "z5-plgen-bogus"])
+def test_verify_usage_error_prints_no_verdict(capsys, fixture, checks, err):
+    assert main(["verify", str(FIXTURES / fixture), "--check", checks]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_verify_json_report_round_trips(tmp_path, capsys, z5):
     report_path = tmp_path / "report.json"
     code = main(["verify", str(FIXTURES / "z5.json"), "--check", "plgen,restricted",
@@ -234,7 +254,7 @@ def test_verify_violation_exit_code(monkeypatch, capsys):
     def fake_check(inst, **kwargs):
         return TheoremVerdict(theorem="plgen", holds=False, lhs=2,
                               rhs=beta_value(alpha_table(inst), inst.key_set, inst.l),
-                              exact=True, witness=inst.a)
+                              witness=inst.a)
 
     monkeypatch.setattr(theorems_mod, "check_plgen", fake_check)
     code = main(["verify", str(FIXTURES / "z5.json"), "--check", "plgen"])
@@ -285,6 +305,12 @@ def test_demo_power(capsys):
     out = capsys.readouterr().out
     assert "gamma_r=25/4" in out and "all powers exact: yes" in out
     assert main(["demo", "power", str(FIXTURES / "z5.json"), "-r", "0"]) == 2
+
+
+def test_demo_power_on_cayley_group_prints_nothing(capsys):
+    assert main(["demo", "power", str(FIXTURES / "s3.json")]) == 2
+    assert capsys.readouterr() == (
+        "", "error: direct powers are only supported for abelian product groups\n")
 
 
 def test_demo_pipeline_complete_sum(capsys):
@@ -411,7 +437,7 @@ def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
     def fake_check(inst, **kwargs):
         v = real(inst, **kwargs)
         return TheoremVerdict(theorem="plgen", holds=False, lhs=v.lhs, rhs=v.rhs,
-                              exact=True, witness=v.witness)
+                              witness=v.witness)
 
     monkeypatch.setattr(theorems_mod, "check_plgen", fake_check)
     cfg_path = write_json(tmp_path, "cfg.json", {**BASE_CFG, "checks": ["plgen"]})
@@ -425,7 +451,7 @@ def violating_rows(cfg, index, timing):
     module level so that a worker process can load it."""
     if index < 3:
         return sweep_rows_for_index(cfg, index, timing)
-    verdict = TheoremVerdict(theorem="plgen", holds=False, lhs=1, rhs=0, exact=True)
+    verdict = TheoremVerdict(theorem="plgen", holds=False, lhs=1, rhs=0)
     ensure_holds(verdict, serialize_instance(generate_base(cfg, index)))
 
 

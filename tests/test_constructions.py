@@ -21,9 +21,10 @@ def test_admissible_q_integer_alphas():
     assert admissible_q(alpha_table(inst), g.order, count=3) == [1, 2, 3]
 
 
-def test_admissible_q_cap_exceeded(z9):
+def test_admissible_q_cap_exceeded(z9, monkeypatch):
+    monkeypatch.setenv("PLAB_MEM_CAP", "100")
     with pytest.raises(ResourceError):
-        admissible_q(alpha_table(z9), z9.group.order, cap=100)
+        admissible_q(alpha_table(z9), z9.group.order)
 
 
 def test_build_extension_preconditions(z9, z5):

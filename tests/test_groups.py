@@ -8,7 +8,7 @@ from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   direct_power, element_cap, embed_integer_sets, iterated_sumset,
                   make_abelian_group, make_cayley_group, power_group, power_set,
                   sumset)
-from plab.cayley import cyclic_table, symmetric_table
+from plab.cayley import bundled_tables, cyclic_table, symmetric_table
 from plab.groups import subset_sumsets
 
 from oracles import (integer_iterated, naive_iterated, naive_sumset,
@@ -16,6 +16,9 @@ from oracles import (integer_iterated, naive_iterated, naive_sumset,
 
 
 # -- strategies ------------------------------------------------------------------
+
+CAYLEY_GROUPS = [make_cayley_group(table) for _, table in bundled_tables(12)]
+
 
 @st.composite
 def abelian_groups(draw):
@@ -56,15 +59,16 @@ def test_power_group_order():
     assert power_group(g, 2).order == 25
 
 
-def test_make_abelian_group_errors():
+def test_make_abelian_group_errors(monkeypatch):
     with pytest.raises(UsageError):
         make_abelian_group([])
     with pytest.raises(UsageError):
         make_abelian_group([3, 0])
     with pytest.raises(ResourceError):
         make_abelian_group([1 << 27])
+    monkeypatch.setenv("PLAB_MEM_CAP", "64")
     with pytest.raises(ResourceError):
-        make_abelian_group([100], cap=64)
+        make_abelian_group([100])
 
 
 def test_cap_env_override(monkeypatch):
@@ -173,7 +177,7 @@ def test_sumset_commutes(gs):
     assert sumset(s, t) == sumset(t, s)
 
 
-@given(abelian_groups(), st.data())
+@given(st.one_of(abelian_groups(), st.sampled_from(CAYLEY_GROUPS)), st.data())
 def test_translate_matches_oracle(g, data):
     elems = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
     a = data.draw(st.integers(0, g.order - 1))
@@ -268,11 +272,12 @@ def test_direct_power_orders(z5):
     assert len(p.a) == 4
 
 
-def test_direct_power_cap():
+def test_direct_power_cap(monkeypatch):
     g = make_abelian_group([64])
     inst = Instance(g, g.set_of([0]), (g.set_of([0]), g.set_of([0])), 1)
+    monkeypatch.setenv("PLAB_MEM_CAP", "100")
     with pytest.raises(ResourceError):
-        direct_power(inst, 2, cap=100)
+        direct_power(inst, 2)
 
 
 @given(group_with_sets())
@@ -305,6 +310,16 @@ def test_cayley_order_respected_in_sumsets():
     s, t = g.set_of([1, 3]), g.set_of([2, 4])
     assert sorted(sumset(s, t)) == sorted(naive_sumset(g, [1, 3], [2, 4]))
     assert sorted(sumset(t, s)) == sorted(naive_sumset(g, [2, 4], [1, 3]))
+
+
+@given(st.sampled_from([g for g in CAYLEY_GROUPS if not g.is_abelian]), st.data())
+def test_cayley_order_respected_in_sumsets_of_unequal_sizes(g, data):
+    # S*T is the union of the left translates s*T whether S or T is larger
+    elems = st.integers(0, g.order - 1)
+    small = sorted(data.draw(st.sets(elems, min_size=1, max_size=g.order - 1)))
+    large = sorted(data.draw(st.sets(elems, min_size=len(small) + 1)))
+    for s, t in ((large, small), (small, large)):
+        assert sorted(sumset(g.set_of(s), g.set_of(t))) == sorted(naive_sumset(g, s, t))
 
 
 # order-5 loop: latin square with two-sided identity but a non-associative triple

@@ -30,7 +30,7 @@ def identity_instance(k=2):
 
 def test_plgen_z5(z5):
     v = check_plgen(z5)
-    assert v.holds and v.exact
+    assert v.holds
     assert v.lhs == Fraction(5, 2)
     assert v.rhs.base == 3 and v.rhs.expo_den == 1
     assert sorted(v.witness) == [0, 1]
@@ -64,10 +64,10 @@ def test_plgen_always_holds(seed):
 
 
 def test_ensure_holds_raises_on_guaranteed_failure():
-    fake = TheoremVerdict(theorem="plgen", holds=False, lhs=2, rhs=1, exact=True)
+    fake = TheoremVerdict(theorem="plgen", holds=False, lhs=2, rhs=1)
     with pytest.raises(TheoremViolationError):
         ensure_holds(fake, {"marker": True})
-    soft = TheoremVerdict(theorem="noncomm", holds=False, lhs=2, rhs=1, exact=True)
+    soft = TheoremVerdict(theorem="noncomm", holds=False, lhs=2, rhs=1)
     assert ensure_holds(soft) is soft
 
 
@@ -76,7 +76,7 @@ def test_ensure_holds_raises_on_guaranteed_failure():
 def test_single_summand_z4():
     g = make_abelian_group([4])
     a = g.set_of([0, 1])
-    v = check_single_summand(a, a, 1, 2)
+    v = check_single_summand(Instance(g, a, (a, a), 1))
     assert v.holds
     assert v.lhs == 2
     assert v.rhs.base == Fraction(9, 4) and v.rhs.expo_den == 1
@@ -84,13 +84,15 @@ def test_single_summand_z4():
 
 def test_single_summand_identity():
     g = make_abelian_group([4])
-    v = check_single_summand(g.set_of([0, 1]), g.identity_set(), 1, 2)
+    e = g.identity_set()
+    v = check_single_summand(Instance(g, g.set_of([0, 1]), (e, e), 1))
     assert v.holds and v.lhs == 1 and v.rhs.base == 1
 
 
 def test_single_summand_z8_singleton_base():
     g = make_abelian_group([8])
-    v = check_single_summand(g.set_of([0]), g.set_of([0, 1]), 1, 3)
+    b = g.set_of([0, 1])
+    v = check_single_summand(Instance(g, g.set_of([0]), (b, b, b), 1))
     assert v.holds
     assert v.lhs == 4       # |{0} + 3B| = 4
     assert v.rhs.base == 8  # alpha^k = 2^3
@@ -98,8 +100,9 @@ def test_single_summand_z8_singleton_base():
 
 def test_single_summand_needs_l_below_k():
     g = make_abelian_group([4])
+    b = g.set_of([0])
     with pytest.raises(UsageError):
-        check_single_summand(g.set_of([0]), g.set_of([0]), 2, 2)
+        check_single_summand(Instance(g, b, (b, b), 2))
 
 
 @given(st.integers(0, 10_000))
@@ -109,7 +112,7 @@ def test_single_agrees_with_plgen_on_equal_sets(seed):
                          b_range=(1, 4))
     equal = Instance(inst.group, inst.a,
                      tuple(inst.bs[0] for _ in range(inst.k)), inst.l)
-    v1 = check_single_summand(inst.a, inst.bs[0], inst.l, inst.k)
+    v1 = check_single_summand(inst)
     v2 = check_plgen(equal)
     assert (v1.holds, v1.lhs, v1.rhs) == (v2.holds, v2.lhs, v2.rhs)
 
@@ -266,7 +269,7 @@ def test_large_subset_growth_and_termination(seed):
 def test_restricted_z5(z5):
     s = z5.group.set_of([0, 3])
     v = check_restricted_sum(z5, s)
-    assert v.holds and v.exact
+    assert v.holds
     assert v.lhs == 16 and v.rhs == 24
 
 
