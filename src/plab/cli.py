@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from . import constructions, theorems
@@ -153,9 +153,7 @@ def _bound(name: str, check):
 
 def _restricted(inst: Instance, opts):
     bk = inst.bk
-    if opts.all_subsets:
-        if len(bk) > ALL_SUBSETS_MAX:
-            raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(bk)}")
+    if opts.all_subsets:  # |B_K| <= ALL_SUBSETS_MAX, checked by _check_usage
         results = [(v, {"S": members, "lhs": v.lhs, "rhs": v.rhs}, None)
                    for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)
@@ -238,8 +236,6 @@ def _large(inst: Instance, opts):
 
 
 def _noncomm(inst: Instance, opts):
-    if inst.k != 2:
-        raise UsageError("noncomm check needs exactly two summand sets")
     v = theorems.check_noncommutative(inst.group, inst.a, inst.bs[0], inst.bs[1])
     fields = {"ratio": str(v.lhs), "bound": str(v.rhs), "witness": list(v.witness),
               "notes": v.notes}
@@ -264,6 +260,24 @@ SWEEP_CHECKS = tuple(name for name, (_, _, sweep) in CHECKS.items() if sweep)
 
 # -- verify -----------------------------------------------------------------------
 
+def _check_usage(check: str, inst: Instance, opts) -> None:
+    """Raise the usage error that running check on inst with opts would
+    meet, so that verify can refuse before it prints anything."""
+    if check not in VERIFY_CHECKS:
+        raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
+    # the guaranteed inequalities are proved for commutative groups only
+    if check in theorems.GUARANTEED and not inst.group.is_abelian:
+        raise UsageError(f"check {check!r} requires a commutative group")
+    if check == "noncomm" and inst.k != 2:
+        raise UsageError("noncomm check needs exactly two summand sets")
+    if check == "plgen2":
+        _epsilon(opts.epsilon)
+    if check == "large":
+        _value(opts.value)
+    if check == "restricted" and opts.all_subsets and len(inst.bk) > ALL_SUBSETS_MAX:
+        raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(inst.bk)}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, s = load_instance(args.instance)
     opts = argparse.Namespace(**vars(args), s=s, subset_seed=None,
@@ -272,11 +286,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for chunk in args.check or ["plgen"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
     for check in checks:  # every usage error before any output
-        if check not in VERIFY_CHECKS:
-            raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
-        # the guaranteed inequalities are proved for commutative groups only
-        if check in theorems.GUARANTEED and not inst.group.is_abelian:
-            raise UsageError(f"check {check!r} requires a commutative group")
+        _check_usage(check, inst, opts)
     results: list[dict] = []
     violated = False
     for check in checks:
@@ -288,9 +298,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         report = {"instance": serialize_instance(inst, s), "checks": results,
                   "all_hold": all_hold}
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     if violated:
         print("GUARANTEED CHECK FAILED; instance dump follows", file=sys.stderr)
         json.dump(serialize_instance(inst, s), sys.stderr)
@@ -550,7 +560,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built on the first;
+    parse_args keeps no state between calls."""
     parser = _Parser(
         prog="plab",
         description="Exact sumset-inequality checks over finite groups")

@@ -13,14 +13,24 @@ group the operands are first swapped so that the smaller one supplies the
 translates.  A product-group translate is a handful of big-int shifts done
 axis by axis, so it costs O(d * N / wordsize) rather than |S|*|T| pairs; a
 table translate sends each member through one row of the table.
+
+Converting between members and bitsets is linear in the set and the group,
+not in their product.  set_of fills a byte buffer and converts it once in
+groups of more than 64 elements, O(|S| + N/8); iterating a set wider than
+WORD_WALK_MIN_BITS bits with more than WORD_WALK_MIN_MEMBERS members
+converts it once to 64-bit words and walks those, O(|S| + N/64).  Narrower
+or sparser sets are scanned by clearing the lowest bit of the whole int,
+O(N/64) per member, which is the faster loop at those sizes.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import dataclass, field
+from itertools import compress, count
 from math import prod
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceError, UsageError, ValidationError
@@ -28,6 +38,11 @@ from .errors import ResourceError, UsageError, ValidationError
 DEFAULT_ELEMENT_CAP = 1 << 26
 CAP_ENV_VAR = "PLAB_MEM_CAP"
 CAYLEY_MAX_ORDER = 64
+# GSet.__iter__ walks a set 64-bit word by word once it is wider than this
+# many bits and has more than this many members; below either, scanning the
+# whole int member by member is faster
+WORD_WALK_MIN_BITS = 2048
+WORD_WALK_MIN_MEMBERS = 16
 
 T = TypeVar("T")
 
@@ -173,12 +188,22 @@ class Group:
         return GSet(self, (1 << self.order) - 1)
 
     def set_of(self, elems: Iterable[int]) -> "GSet":
-        bits = 0
+        order = self.order
+        if order <= 64:  # the bitset is one machine word
+            bits = 0
+            for e in elems:
+                if not 0 <= e < order:
+                    raise UsageError(f"element index {e} out of range 0..{order - 1}")
+                bits |= 1 << e
+            return GSet(self, bits)
+        # ORing 1 << e into a growing int costs O(order) per member; set the
+        # bits in a little-endian byte buffer and convert once instead
+        buf = bytearray((order + 7) >> 3)
         for e in elems:
-            if not 0 <= e < self.order:
-                raise UsageError(f"element index {e} out of range 0..{self.order - 1}")
-            bits |= 1 << e
-        return GSet(self, bits)
+            if not 0 <= e < order:
+                raise UsageError(f"element index {e} out of range 0..{order - 1}")
+            buf[e >> 3] |= 1 << (e & 7)
+        return GSet(self, int.from_bytes(buf, "little"))
 
     # -- identity / equality -------------------------------------------------
 
@@ -221,7 +246,19 @@ class GSet:
         return 0 <= e < self.group.order and (self.bits >> e) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
+        """Members in increasing order.  Clearing the lowest bit of the whole
+        int costs O(N/64) per member; a wide set with many members is instead
+        converted once and walked word by word, O(|S| + N/64) in all."""
         bits = self.bits
+        if self._card > WORD_WALK_MIN_MEMBERS and bits.bit_length() > WORD_WALK_MIN_BITS:
+            nwords = (bits.bit_length() + 63) >> 6
+            words = struct.unpack(f"<{nwords}Q", bits.to_bytes(nwords * 8, "little"))
+            for base, word in compress(zip(count(0, 64), words), words):
+                while word:
+                    lsb = word & -word
+                    yield base + lsb.bit_length() - 1
+                    word ^= lsb
+            return
         while bits:
             lsb = bits & -bits
             yield lsb.bit_length() - 1
@@ -290,7 +327,7 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
     columns are permutations), a two-sided identity, associativity of every
     triple, and two-sided inverses; the first failure raises ValidationError.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
     if n == 0:
         raise ValidationError("empty multiplication table")
@@ -302,29 +339,33 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
             raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
         if frozenset(row) != full:
             raise ValidationError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if frozenset(rows[i][j] for i in range(n)) != full:
+    columns = tuple(zip(*rows))
+    for j, column in enumerate(columns):
+        if frozenset(column) != full:
             raise ValidationError(f"column {j} is not a permutation of 0..{n - 1}")
-    identity = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            identity = e
-            break
+    plain = tuple(range(n))
+    identity = next((e for e in range(n) if rows[e] == plain and columns[e] == plain), None)
     if identity is None:
         raise ValidationError("no two-sided identity element")
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
+    # (a*b)*c = a*(b*c) for every c says that row a*b is row b sent through
+    # row a; compare whole rows, and scan c only in a row that differs.  An
+    # order-1 table is ((0,),), associative, and itemgetter(0) returns a scalar.
+    compose = [itemgetter(*row) for row in rows] if n > 1 else []
+    for a, row_a in enumerate(rows):
+        for b, through_b in enumerate(compose):
+            ab = row_a[b]
+            if rows[ab] == through_b(row_a):
+                continue
             for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
+                if rows[ab][c] != row_a[rows[b][c]]:
                     raise ValidationError(
                         f"associativity fails at triple ({a}, {b}, {c}): "
-                        f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {rows[a][rows[b][c]]}")
+                        f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {row_a[rows[b][c]]}")
     for a in range(n):
         inv = rows[a].index(identity)
         if rows[inv][a] != identity:
             raise ValidationError(f"element {a} has no two-sided inverse")
-    abelian = all(rows[a][b] == rows[b][a] for a in range(n) for b in range(a))
+    abelian = rows == columns
     return Group("cayley", table=rows, identity=identity, is_abelian=abelian)
 
 

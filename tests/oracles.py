@@ -55,6 +55,26 @@ def naive_translate(group, elems, a) -> set[int]:
     return {group.op(a, x) for x in elems}
 
 
+def naive_members(bits: int) -> list[int]:
+    """Set bits of a nonnegative int in increasing order, read off its
+    binary digits."""
+    return [i for i, digit in enumerate(reversed(bin(bits))) if digit == "1"]
+
+
+def first_associativity_failure(rows) -> str | None:
+    """The message make_cayley_group gives for the first triple (a, b, c),
+    in lexicographic order, with (a*b)*c != a*(b*c); None if there is none."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                left, right = rows[rows[a][b]][c], rows[a][rows[b][c]]
+                if left != right:
+                    return (f"associativity fails at triple ({a}, {b}, {c}): "
+                            f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
+    return None
+
+
 def naive_power_index_set(base_order, elems, r) -> set[int]:
     """Indices of the r-fold cartesian power under concatenated-radix indexing."""
     out = {0}

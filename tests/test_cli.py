@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from plab.alphabeta import alpha_table, beta_value
-from plab.cli import (SweepConfig, generate_base, load_sweep_config, main, parse_instance,
-                      run_sweep, serialize_instance, sweep_config_from_dict,
+from plab.cli import (SweepConfig, build_parser, generate_base, load_sweep_config, main,
+                      parse_instance, run_sweep, serialize_instance, sweep_config_from_dict,
                       sweep_rows_for_index)
 from plab.theorems import TheoremVerdict, ensure_holds
 
@@ -232,6 +232,42 @@ def test_verify_large_on_noncommutative_group_rejected(tmp_path, capsys):
 def test_verify_usage_error_prints_no_verdict(capsys, fixture, checks, err):
     assert main(["verify", str(FIXTURES / fixture), "--check", checks]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+# |B_K| = 16, above the --all-subsets limit of 12
+_BIG_BK = {"group": [64], "A": [0, 1], "B": [[0, 1, 2, 3], [0, 4, 8, 12]], "l": 1}
+
+
+@pytest.mark.parametrize("instance, flags, err", [
+    ("z9.json", ["--check", "plgen,noncomm"],
+     "error: noncomm check needs exactly two summand sets\n"),
+    ("z5.json", ["--check", "plgen,plgen2", "--epsilon", "2"],
+     "error: epsilon must lie strictly between 0 and 1, got 2\n"),
+    ("z5.json", ["--check", "plgen,large", "--value", "nan"],
+     "error: value must be finite, got nan\n"),
+    (_BIG_BK, ["--check", "plgen,restricted", "--all-subsets"],
+     "error: --all-subsets needs |B_K| <= 12, got 16\n")],
+    ids=["noncomm-needs-k-2", "plgen2-bad-epsilon", "large-bad-value", "all-subsets-too-big"])
+def test_verify_usage_error_of_a_later_check_prints_no_verdict(tmp_path, capsys, instance,
+                                                                flags, err):
+    # each error belongs to the second check; the first, plgen, would hold
+    path = (str(FIXTURES / instance) if isinstance(instance, str)
+            else write_json(tmp_path, "inst.json", instance))
+    assert main(["verify", path, *flags]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_main_calls_in_one_process_share_no_state(tmp_path, capsys):
+    z5, report = str(FIXTURES / "z5.json"), tmp_path / "r.json"
+    assert main(["verify", z5, "--check", "plgen", "--check", "pldiff",
+                 "--json", str(report)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "plgen", "pldiff"]
+    report.unlink()
+    assert main(["verify", z5]) == 0
+    assert capsys.readouterr().out == "plgen: gamma=5/2 beta=3 HOLDS\n"
+    assert not report.exists()
+    assert build_parser() is build_parser()
 
 
 def test_verify_json_report_round_trips(tmp_path, capsys, z5):

@@ -1,7 +1,8 @@
+import random
 from math import prod
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
@@ -9,10 +10,10 @@ from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   make_abelian_group, make_cayley_group, power_group, power_set,
                   sumset)
 from plab.cayley import bundled_tables, cyclic_table, symmetric_table
-from plab.groups import subset_sumsets
+from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets
 
-from oracles import (integer_iterated, naive_iterated, naive_sumset,
-                     naive_translate)
+from oracles import (first_associativity_failure, integer_iterated, naive_iterated,
+                     naive_members, naive_sumset, naive_translate)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -124,6 +125,59 @@ def test_embed_never_wraps(data):
     got = sumset(a, iterated_sumset(bs, idxs)) if idxs else a
     assert len(got) == len(expected)
     assert sorted(got) == sorted(expected)
+
+
+# -- bitset conversions --------------------------------------------------------------
+
+# product groups of order 1, 63, 64, 65, 127, 128, 129, 2304 and 65536: one
+# machine word and either side of it, and the sizes verify works in
+CONVERSION_GROUPS = [make_abelian_group(m) for m in
+                     ((1,), (63,), (8, 8), (65,), (127,), (128,), (129,), (48, 48), (256, 256))]
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("groups", [st.just(g) for g in CONVERSION_GROUPS]
+                         + [st.sampled_from(CAYLEY_GROUPS)],
+                         ids=[repr(g) for g in CONVERSION_GROUPS] + ["cayley"])
+@given(data=st.data())
+def test_set_of_and_iteration_round_trip(groups, data):
+    # elements with repeats, in any order, at a density anywhere from one
+    # member to the whole group
+    g = data.draw(groups)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    density = data.draw(st.sampled_from([0.0, 0.001, 0.01, 0.1, 0.5, 0.9, 1.0]))
+    members = [e for e in range(g.order) if rng.random() < density] or [rng.randrange(g.order)]
+    elems = members + rng.choices(members, k=data.draw(st.integers(0, 5)))
+    rng.shuffle(elems)
+    gs = g.set_of(elems)
+    assert list(gs) == sorted(set(elems)) == naive_members(gs.bits)
+    assert len(gs) == len(set(elems))
+    assert list(GSet(g, gs.bits)) == list(gs)
+    assert g.set_of(gs) == gs
+
+
+@pytest.mark.parametrize("top", [WORD_WALK_MIN_BITS - 1, WORD_WALK_MIN_BITS])
+@pytest.mark.parametrize("members", [WORD_WALK_MIN_MEMBERS, WORD_WALK_MIN_MEMBERS + 1])
+def test_iteration_on_both_sides_of_the_word_walk(top, members):
+    # the highest member sets the bit length; the rest are spread below it
+    g = make_abelian_group([2 * WORD_WALK_MIN_BITS])
+    elems = [top] + [i * 97 % top for i in range(1, members)]
+    assert len(set(elems)) == members
+    gs = g.set_of(elems)
+    assert list(gs) == sorted(elems) == naive_members(gs.bits)
+
+
+@pytest.mark.parametrize("g", [make_abelian_group([64]), make_abelian_group([65]),
+                               make_abelian_group([256, 256]), CAYLEY_GROUPS[-1]],
+                         ids=repr)
+def test_set_of_names_the_first_element_out_of_range(g):
+    top = g.order - 1
+    with pytest.raises(UsageError) as exc:
+        g.set_of([0, top, g.order, -1])
+    assert str(exc.value) == f"element index {g.order} out of range 0..{top}"
+    with pytest.raises(UsageError) as exc:
+        g.set_of([top, -1, g.order])
+    assert str(exc.value) == f"element index -1 out of range 0..{top}"
 
 
 # -- sumsets -----------------------------------------------------------------------
@@ -333,13 +387,67 @@ _LOOP5 = [
 
 
 def test_cayley_rejects_non_associative():
-    with pytest.raises(ValidationError, match="associativity fails at triple"):
+    with pytest.raises(ValidationError) as exc:
         make_cayley_group(_LOOP5)
+    assert str(exc.value) == "associativity fails at triple (1, 1, 2): (1*1)*2 = 2 but 1*(1*2) = 4"
+
+
+@st.composite
+def loops(draw):
+    """Latin squares with a two-sided identity, of order 1 to 7, under a
+    random relabelling: they pass every check before associativity, and
+    most of those of order 5 and above are not groups."""
+    n = draw(st.integers(1, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        symbols = [x for x in range(n) if x not in rows[i] and all(r[j] != x for r in rows)]
+        rng.shuffle(symbols)
+        for x in symbols:
+            rows[i][j] = x
+            if fill(k + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    label = rng.sample(range(n), n)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[label[a]][label[b]] = label[rows[a][b]]
+    return table
+
+
+@settings(deadline=None)
+@given(loops())
+def test_cayley_associativity_failure_matches_triple_loop(table):
+    expected = first_associativity_failure(table)
+    if expected is None:
+        g, n = make_cayley_group(table), len(table)
+        assert g.order == n
+        assert all(table[g.identity][x] == x == table[x][g.identity] for x in range(n))
+        assert g.is_abelian == all(table[a][b] == table[b][a] for a in range(n) for b in range(n))
+    else:
+        with pytest.raises(ValidationError) as exc:
+            make_cayley_group(table)
+        assert str(exc.value) == expected
 
 
 def test_cayley_rejects_non_permutation_row():
     with pytest.raises(ValidationError, match="not a permutation"):
         make_cayley_group([[0, 0], [1, 1]])
+
+
+def test_cayley_rejects_non_permutation_column():
+    with pytest.raises(ValidationError) as exc:
+        make_cayley_group([[0, 1, 2], [1, 2, 0], [0, 2, 1]])
+    assert str(exc.value) == "column 0 is not a permutation of 0..2"
 
 
 def test_cayley_rejects_missing_identity():
