@@ -53,7 +53,7 @@ def _int(value, what: str) -> int:
 
 
 def _ints(value, what: str) -> list[int]:
-    if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
+    if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= {int}:
         raise UsageError(f"{what} must be a list of integers")
     return list(value)
 
@@ -153,7 +153,9 @@ def _bound(name: str, check):
 
 def _restricted(inst: Instance, opts):
     bk = inst.bk
-    if opts.all_subsets:  # |B_K| <= ALL_SUBSETS_MAX, checked by _check_usage
+    if opts.all_subsets:
+        if len(bk) > ALL_SUBSETS_MAX:
+            raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(bk)}")
         results = [(v, {"S": members, "lhs": v.lhs, "rhs": v.rhs}, None)
                    for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)
@@ -236,7 +238,7 @@ def _large(inst: Instance, opts):
 
 
 def _noncomm(inst: Instance, opts):
-    v = theorems.check_noncommutative(inst.group, inst.a, inst.bs[0], inst.bs[1])
+    v = theorems.check_noncommutative(inst)
     fields = {"ratio": str(v.lhs), "bound": str(v.rhs), "witness": list(v.witness),
               "notes": v.notes}
     tail = f" ({v.notes})" if v.notes else ""
@@ -260,24 +262,6 @@ SWEEP_CHECKS = tuple(name for name, (_, _, sweep) in CHECKS.items() if sweep)
 
 # -- verify -----------------------------------------------------------------------
 
-def _check_usage(check: str, inst: Instance, opts) -> None:
-    """Raise the usage error that running check on inst with opts would
-    meet, so that verify can refuse before it prints anything."""
-    if check not in VERIFY_CHECKS:
-        raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
-    # the guaranteed inequalities are proved for commutative groups only
-    if check in theorems.GUARANTEED and not inst.group.is_abelian:
-        raise UsageError(f"check {check!r} requires a commutative group")
-    if check == "noncomm" and inst.k != 2:
-        raise UsageError("noncomm check needs exactly two summand sets")
-    if check == "plgen2":
-        _epsilon(opts.epsilon)
-    if check == "large":
-        _value(opts.value)
-    if check == "restricted" and opts.all_subsets and len(inst.bk) > ALL_SUBSETS_MAX:
-        raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(inst.bk)}")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, s = load_instance(args.instance)
     opts = argparse.Namespace(**vars(args), s=s, subset_seed=None,
@@ -285,12 +269,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = []
     for chunk in args.check or ["plgen"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
-    for check in checks:  # every usage error before any output
-        _check_usage(check, inst, opts)
+    runs = []  # every check runs before any output, so no error follows a verdict line
+    for check in checks:
+        if check not in VERIFY_CHECKS:
+            raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
+        theorems.require_commutative(check, inst.group)
+        runs.append((check, *CHECKS[check][0](inst, opts)))
     results: list[dict] = []
     violated = False
-    for check in checks:
-        batch, line = CHECKS[check][0](inst, opts)
+    for check, batch, line in runs:
         print(line)
         violated = violated or any(theorems.is_fatal(v) for v, _, _ in batch)
         results.extend({"check": check, "holds": v.holds, **fields} for v, fields, _ in batch)
@@ -481,6 +468,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     inst, s = load_instance(args.instance)
+    if args.what != "lemma21" and args.r < 1:  # power and pipeline
+        raise UsageError(f"r_max must be >= 1, got {args.r}")
     if args.what == "lemma21":
         if args.q is None:
             raise UsageError("demo lemma21 needs --q")
@@ -503,8 +492,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
         return 0
     if args.what == "power":
-        if args.r < 1:
-            raise UsageError(f"r_max must be >= 1, got {args.r}")
         beta = beta_value(instance_table(inst), inst.key_set, inst.l)
         reps = [multiplicativity_check(inst, r) for r in range(1, args.r + 1)]
         for r, rep in enumerate(reps, 1):

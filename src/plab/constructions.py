@@ -83,6 +83,8 @@ class Lemma21Report:
 
 def build_extension(inst: Instance, q: int) -> Lemma21Setup:
     """Extend the instance's group by the cyclic paddings for a given q."""
+    if q < 1:
+        raise UsageError(f"q must be >= 1, got {q}")
     if inst.group.kind != "abelian":
         raise UsageError("the extension construction needs an abelian product group")
     if inst.l != inst.k - 1:

@@ -30,6 +30,13 @@ NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
 GUARANTEED = frozenset({"plgen", "pldiff", "single", "restricted", "large", "power"})
 
 
+def require_commutative(theorem: str, group: Group) -> None:
+    """Refuse a guaranteed check on a noncommutative group: the paper proves
+    those inequalities for commutative groups only."""
+    if theorem in GUARANTEED and not group.is_abelian:
+        raise UsageError(f"check {theorem!r} requires a commutative group")
+
+
 @dataclass(frozen=True)
 class TheoremVerdict:
     theorem: str
@@ -296,6 +303,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     instance: branch on |S| against the threshold, evaluate every
     intermediate inequality, and confirm the tensor-power identity
     |S^r + A^r| = |S+A|^r for r up to r_max."""
+    require_commutative("restricted", inst.group)
     final = check_restricted_sum(inst, s)
     bk = inst.bk
     k, m = inst.k, len(inst.a)
@@ -357,7 +365,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
 
 # -- noncommutative two-sided search --------------------------------------------
 
-def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVerdict:
+def check_noncommutative(inst: Instance) -> TheoremVerdict:
     """Whether some nonempty X in A has |B1 * X * B2| <= alpha1 * alpha2 * |X|,
     with alpha1 = |B1*A|/|A| (left) and alpha2 = |A*B2|/|A| (right).  Since
     B1 * X * B2 is the union of B1 * (x * B2) over x in X, the least ratio
@@ -365,9 +373,9 @@ def check_noncommutative(group: Group, a: GSet, b1: GSet, b2: GSet) -> TheoremVe
     for noncommutative groups: a failed check is reported as a candidate
     counterexample, not raised as an error.
     """
-    for gs in (a, b1, b2):
-        if gs.group != group or not gs:
-            raise UsageError("A, B1, B2 must be nonempty sets in the given group")
+    if inst.k != 2:
+        raise UsageError("noncomm check needs exactly two summand sets")
+    group, a, (b1, b2) = inst.group, inst.a, inst.bs
     mag = gamma_flow(PlunGraph.of(
         group, {x: sumset(b1, GSet(group, group.translate_bits(b2.bits, x))).bits for x in a}))
     bound = Fraction(len(sumset(b1, a)) * len(sumset(a, b2)), len(a) ** 2)

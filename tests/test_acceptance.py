@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from plab import (alpha_table, beta_identity_holds, beta_value,
+from plab import (Instance, alpha_table, beta_identity_holds, beta_value,
                   build_plun_graph, check_noncommutative, check_plgen,
                   check_restricted_sum, cmp_ratio_vs_beta, direct_power,
                   gamma_flow, iterated_sumset, large_subset,
@@ -203,7 +203,7 @@ def test_acceptance_noncommutative_search():
             a = group.set_of(rng.sample(range(n), rng.randint(1, n)))
             b1 = group.set_of(rng.sample(range(n), rng.randint(1, n)))
             b2 = group.set_of(rng.sample(range(n), rng.randint(1, n)))
-            verdict = check_noncommutative(group, a, b1, b2)
+            verdict = check_noncommutative(Instance(group, a, (b1, b2), 1))
             trials += 1
             if not verdict.holds:
                 findings.append((name, sorted(a), sorted(b1), sorted(b2)))

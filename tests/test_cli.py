@@ -356,6 +356,28 @@ def test_demo_pipeline_complete_sum(capsys):
     assert "branch=" in out and "ALL HOLD" in out
 
 
+def test_demo_pipeline_on_noncommutative_group_prints_nothing(tmp_path, capsys):
+    # on D6 this instance fails the pipeline's witness_term_bound step
+    from plab.cayley import dihedral_table
+    path = write_json(tmp_path, "d6.json", {"cayley": dihedral_table(6),
+                                            "A": [7, 9, 5, 8, 2], "B": [[2], [10, 3]],
+                                            "l": 1})
+    assert main(["demo", "pipeline", path, "-r", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: check 'restricted' requires a commutative group\n")
+
+
+@pytest.mark.parametrize("what", ["power", "pipeline"])
+@pytest.mark.parametrize("r", ["0", "-3"])
+def test_demo_rejects_r_below_1(capsys, what, r):
+    assert main(["demo", what, str(FIXTURES / "z5.json"), "-r", r]) == 2
+    assert capsys.readouterr() == ("", f"error: r_max must be >= 1, got {r}\n")
+
+
+def test_demo_lemma21_rejects_q_below_1(capsys):
+    assert main(["demo", "lemma21", str(FIXTURES / "z9.json"), "--q", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: q must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("argv", [[], ["--bogus"], ["demo"], ["find-x"],
                                   ["demo", "nope", str(FIXTURES / "z5.json")]])
 def test_argparse_errors_are_one_line(capsys, argv):

@@ -35,6 +35,8 @@ def test_build_extension_preconditions(z9, z5):
         build_extension(bad_level, 2)
     # z5 has k=l+1=2 with leave-one-out alphas (2, 3/2), so q=2 is the first
     assert build_extension(z5, 2).n == (4, 3)
+    with pytest.raises(UsageError, match="q must be >= 1, got 0"):
+        build_extension(z9, 0)
 
 
 def test_extension_shape_z9_q2(z9):

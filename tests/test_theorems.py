@@ -14,7 +14,7 @@ from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageE
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
 from plab.theorems import TheoremVerdict
-from plab.cayley import bundled_tables, cyclic_table, symmetric_table
+from plab.cayley import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 
 from gen import rand_instance, rand_subset
 from oracles import gamma_exhaustive, naive_iterated, naive_sumset, nonempty_subsets
@@ -347,13 +347,22 @@ def test_pipeline_power_identity(seed):
     assert rep.all_hold
 
 
+def test_restricted_pipeline_rejects_noncommutative_group():
+    # on D6 this S = B_K breaks the pipeline's witness_term_bound step; the
+    # restricted-sum bound is proved for commutative groups only
+    g = make_cayley_group(dihedral_table(6))
+    inst = Instance(g, g.set_of([7, 9, 5, 8, 2]), (g.set_of([2]), g.set_of([10, 3])), 1)
+    with pytest.raises(UsageError, match="check 'restricted' requires a commutative group"):
+        restricted_pipeline(inst, inst.bk, 1)
+
+
 # -- noncommutative two-sided bound ------------------------------------------------------------
 
 def test_noncomm_identity_sets():
     g = make_cayley_group(symmetric_table(3))
     a = g.set_of([0, 1, 3])
     e = g.identity_set()
-    v = check_noncommutative(g, a, e, e)
+    v = check_noncommutative(Instance(g, a, (e, e), 1))
     assert v.holds
     assert v.lhs == 1 == v.rhs
 
@@ -361,7 +370,7 @@ def test_noncomm_identity_sets():
 def test_noncomm_s3_matches_bruteforce():
     g = make_cayley_group(symmetric_table(3))
     a, b1, b2 = g.set_of([0, 3]), g.set_of([0, 1]), g.set_of([0, 4])
-    v = check_noncommutative(g, a, b1, b2)
+    v = check_noncommutative(Instance(g, a, (b1, b2), 1))
     best = None
     for z in nonempty_subsets(a):
         mid = naive_sumset(g, list(b1), z)
@@ -378,7 +387,7 @@ def test_noncomm_abelian_cross_check():
     a = g.set_of(rng.sample(range(8), 3))
     b1 = g.set_of([0] + rng.sample(range(1, 8), 2))
     b2 = g.set_of([0] + rng.sample(range(1, 8), 2))
-    v = check_noncommutative(g, a, b1, b2)
+    v = check_noncommutative(Instance(g, a, (b1, b2), 1))
     assert v.holds
     # on a commutative group the product-of-alphas witness guarantees this
     za = make_abelian_group([8])
@@ -387,13 +396,20 @@ def test_noncomm_abelian_cross_check():
     assert v2.holds and v2.rhs.base == v.rhs
 
 
+def test_noncomm_needs_two_summand_sets():
+    g = make_cayley_group(symmetric_table(3))
+    e = g.identity_set()
+    with pytest.raises(UsageError, match="noncomm check needs exactly two summand sets"):
+        check_noncommutative(Instance(g, g.set_of([0, 1]), (e, e, e), 1))
+
+
 def test_noncomm_size_cap():
     # |A| has no cap below the group order.  In C24, A = {0..20} and
     # B1 = B2 = {0, 1}: every X in A has |X + {0, 1, 2}| >= |X| + 2 (no
     # wrap-around), so the least ratio is 23/21, attained only by X = A.
     g = make_cayley_group(cyclic_table(24))
     a, b = g.set_of(range(21)), g.set_of([0, 1])
-    v = check_noncommutative(g, a, b, b)
+    v = check_noncommutative(Instance(g, a, (b, b), 1))
     assert v.lhs == Fraction(23, 21) and v.witness == a
     assert v.rhs == Fraction(22 * 22, 21 * 21) and v.holds
 
@@ -408,7 +424,7 @@ def test_noncomm_matches_bruteforce_on_bundled_tables(which, seed):
     n = g.order
     a, b1, b2 = (g.set_of(rng.sample(range(n), rng.randint(1, min(n, cap))))
                  for cap in (10, n, n))
-    v = check_noncommutative(g, a, b1, b2)
+    v = check_noncommutative(Instance(g, a, (b1, b2), 1))
 
     def ratio(z):
         return Fraction(len(naive_sumset(g, naive_sumset(g, list(b1), z), list(b2))), len(z))
