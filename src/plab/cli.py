@@ -223,10 +223,9 @@ def _plgen2(inst: Instance, opts):
 
 def _large(inst: Instance, opts):
     value = _value(opts.value)
-    if Decimal(float(value)) == value:  # then shown, as before, as that float
-        value = float(value)
-    res = theorems.large_subset(inst, opts.mode, value)
-    shown = value if type(value) is float else str(value)
+    res = theorems.large_subset(inst, opts.mode, value)  # an error echoes value as typed
+    # a value that a float holds exactly is shown, as before, as that float
+    shown = float(value) if Decimal(float(value)) == value else str(value)
     v = theorems.TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
                                 rhs=res.bound, witness=res.x)
     bound = _float_str(res.bound)
@@ -285,7 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         report = {"instance": serialize_instance(inst, s), "checks": results,
                   "all_hold": all_hold}
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
     if violated:

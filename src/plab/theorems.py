@@ -118,7 +118,8 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
 
     Exhaustive over all admissible subsets when |A| <= 16, otherwise seeded
     random sampling; X = A is always examined, so the result is finite.
-    Every inner comparison is exact.
+    Every inner comparison is exact, and an X is compared only up to the
+    first J that does not beat the best so far.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
@@ -141,8 +142,17 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
                 top = (ratio, beta, j)
         return top
 
-    def improves(c, best) -> bool:
-        return cmp_ratio_vs_beta(c[0], c[1], best[0], best[1]) == LT
+    def c_if_better(size: int, image_sizes) -> tuple[Fraction, BetaValue, frozenset[int]] | None:
+        """c_of of an X if it lies strictly below the best, else None.  The
+        max lies below the best only if every J does, so the lazy
+        image_sizes are read and compared in j_sets order up to the first J
+        that does not."""
+        seen = []
+        for beta, image_size in zip(betas, image_sizes):
+            if cmp_ratio_vs_beta(Fraction(image_size, size), beta, best[0], best[1]) != LT:
+                return None
+            seen.append(image_size)
+        return c_of(size, seen)
 
     # X = A first, whose |A+B_J| the alpha table holds; a later X replaces
     # the best only when strictly smaller
@@ -155,8 +165,8 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
         full = best_mask = (1 << m) - 1
         for mask, unions in subset_sumsets(inst.a, b_sets, min_size):
             if mask != full:
-                c = c_of(mask.bit_count(), [u.bit_count() for u in unions])
-                if improves(c, best):
+                c = c_if_better(mask.bit_count(), map(int.bit_count, unions))
+                if c is not None:
                     best, best_mask = c, mask
         if best_mask != full:
             x = inst.group.set_of(members[i] for i in range(m) if best_mask >> i & 1)
@@ -164,8 +174,8 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
         rng = random.Random(seed)
         for _ in range(samples):
             sample = inst.group.set_of(rng.sample(members, rng.randint(min_size, m)))
-            c = c_of(len(sample), [len(sumset(sample, b)) for b in b_sets])
-            if improves(c, best):
+            c = c_if_better(len(sample), (len(sumset(sample, b)) for b in b_sets))
+            if c is not None:
                 best, x = c, sample
     ratio, beta, j = best
     return EmpiricalConstant(epsilon=eps, ratio=ratio, beta=beta, x=x, argmax_j=j,

@@ -3,17 +3,23 @@
 Everything here works on plain Python sets of element indices (or plain
 integers) and touches the library only through Group.op, so the oracles
 stay independent of the bitset, translation, and flow code paths they
-check.  The one exception is gamma_exhaustive, which enumerates the
+check.  The exceptions are gamma_exhaustive, which enumerates the
 subsets of a PlunGraph's left side to check the flow engine on the same
-graph.
+graph, and plgen2_reference, which checks empirical_plgen2's search on
+the same sumsets and exact comparisons.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from plab import GSet, MagResult, UsageError
+from plab import (LT, EmpiricalConstant, GSet, MagResult, UsageError, alpha_table,
+                  beta_value, cmp_ratio_vs_beta, iterated_sumset, sumset)
+from plab.groups import subset_sumsets
+from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX
 
 EXHAUSTIVE_MAX = 22
 
@@ -118,3 +124,55 @@ def gamma_exhaustive(graph) -> MagResult:
     visit(0, 0, 0, 0)
     p, q, members = best
     return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members), iterations=0)
+
+
+def plgen2_reference(inst, epsilon, *, samples: int = DEFAULT_SAMPLES,
+                     seed: int = 0) -> EmpiricalConstant:
+    """empirical_plgen2 by its definition: the full max over J for every X
+    examined (X = A first, then the admissible X in increasing mask order,
+    or the same seeded samples), each replacing the best only when strictly
+    smaller; within one X the first J wins among equal maxima."""
+    eps = Fraction(epsilon)
+    m = len(inst.a)
+    table = alpha_table(inst)
+    j_sets = [frozenset(c)
+              for size in range(inst.l, inst.k + 1)
+              for c in combinations(range(1, inst.k + 1), size)]
+    betas = [beta_value(table, j, inst.l) for j in j_sets]
+    b_sets = [iterated_sumset(inst.bs, sorted(j)) for j in j_sets]
+
+    def c_of(size, image_sizes):
+        top = None
+        for j, beta, image_size in zip(j_sets, betas, image_sizes):
+            ratio = Fraction(image_size, size)
+            if top is None or cmp_ratio_vs_beta(top[0], top[1], ratio, beta) == LT:
+                top = (ratio, beta, j)
+        return top
+
+    def improves(c, best) -> bool:
+        return cmp_ratio_vs_beta(c[0], c[1], best[0], best[1]) == LT
+
+    x = inst.a
+    best = c_of(m, [table.sizes[j] for j in j_sets])
+    min_size = math.floor((1 - eps) * m) + 1
+    members = list(inst.a)
+    exhaustive = m <= EXHAUSTIVE_M_MAX
+    if exhaustive:
+        full = best_mask = (1 << m) - 1
+        for mask, unions in subset_sumsets(inst.a, b_sets, min_size):
+            if mask != full:
+                c = c_of(mask.bit_count(), [u.bit_count() for u in unions])
+                if improves(c, best):
+                    best, best_mask = c, mask
+        if best_mask != full:
+            x = inst.group.set_of(members[i] for i in range(m) if best_mask >> i & 1)
+    else:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            sample = inst.group.set_of(rng.sample(members, rng.randint(min_size, m)))
+            c = c_of(len(sample), [len(sumset(sample, b)) for b in b_sets])
+            if improves(c, best):
+                best, x = c, sample
+    ratio, beta, j = best
+    return EmpiricalConstant(epsilon=eps, ratio=ratio, beta=beta, x=x, argmax_j=j,
+                             exhaustive=exhaustive)

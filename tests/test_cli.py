@@ -284,6 +284,30 @@ def test_verify_json_report_round_trips(tmp_path, capsys, z5):
     assert plgen_row["beta_base"] == "3"
 
 
+@pytest.mark.parametrize("instance, flags, golden", [
+    ("z5.json", ["--check", "plgen,restricted"], "report_z5_plgen_restricted.json"),
+    ("z9.json", ["--check", "large,plgen2", "--epsilon", "0.6"], "report_z9_large_plgen2.json")])
+def test_verify_json_report_is_compact(tmp_path, capsys, instance, flags, golden):
+    # the golden files are the same reports as an indented encoder wrote them:
+    # only whitespace may differ
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(FIXTURES / instance), *flags, "--json", str(report_path)]) == 0
+    text = report_path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert report == json.loads((ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("mode, typed", [("a", "100"), ("a", "100.0"), ("a", "1E+2"),
+                                         ("t", "5"), ("t", "5.0")])
+def test_verify_large_echoes_a_rejected_value_as_typed(capsys, mode, typed):
+    assert main(["verify", str(FIXTURES / "z9.json"), "--check", "large", "--mode", mode,
+                 "--value", typed]) == 2
+    need = "an integer 1 <= a <= 2" if mode == "a" else "0 <= t < 2"
+    assert capsys.readouterr() == ("", f"error: mode '{mode}' needs {need}, got {typed}\n")
+
+
 def test_verify_violation_exit_code(monkeypatch, capsys):
     import plab.theorems as theorems_mod
 

@@ -17,7 +17,8 @@ from plab.theorems import TheoremVerdict
 from plab.cayley import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 
 from gen import rand_instance, rand_subset
-from oracles import gamma_exhaustive, naive_iterated, naive_sumset, nonempty_subsets
+from oracles import (gamma_exhaustive, naive_iterated, naive_sumset, nonempty_subsets,
+                     plgen2_reference)
 
 
 def identity_instance(k=2):
@@ -514,3 +515,40 @@ def test_plgen2_ties_go_to_the_lowest_mask():
     one = g.set_of([0])
     inst = Instance(g, g.set_of([1, 4, 9]), (one, one), 1)
     assert empirical_plgen2(inst, Fraction(1, 2)).x == inst.a
+
+
+# every (k, l) with k from 2 to 4, so roots beta_J with exponents above 1 occur
+_K_L = [(k, l) for k in range(2, 5) for l in range(1, k)]
+
+
+def _search_result(emp):
+    return emp.ratio, emp.beta, emp.x, emp.argmax_j, emp.exhaustive
+
+
+@pytest.mark.parametrize("k, l", _K_L)
+@given(st.integers(0, 100_000))
+def test_plgen2_search_matches_the_full_maximum(k, l, seed):
+    # tiny sets, half of them in noncommutative tables, so ratios often tie
+    rng = random.Random(seed)
+    g = rng.choice(BUNDLED) if rng.random() < 0.5 else make_abelian_group([rng.randint(2, 16)])
+    a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 8))))
+    bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 3))))
+               for _ in range(k))
+    inst, eps = Instance(g, a, bs, l), Fraction(rng.randint(1, 9), 10)
+    emp = empirical_plgen2(inst, eps)
+    assert emp.exhaustive
+    assert _search_result(emp) == _search_result(plgen2_reference(inst, eps))
+
+
+@pytest.mark.parametrize("k, l", _K_L)
+@given(st.integers(0, 100_000))
+def test_plgen2_sampled_search_matches_the_full_maximum(k, l, seed):
+    rng = random.Random(seed)
+    inst = rand_instance(rng, n_range=(20, 64), k_range=(k, k), a_range=(17, 20),
+                         b_range=(1, 3), l=l)
+    eps, samples = Fraction(rng.randint(1, 9), 10), rng.randint(1, 24)
+    emp = empirical_plgen2(inst, eps, samples=samples, seed=seed)
+    assert not emp.exhaustive
+    assert _search_result(emp) == _search_result(
+        plgen2_reference(inst, eps, samples=samples, seed=seed))
+
