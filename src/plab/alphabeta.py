@@ -1,7 +1,7 @@
 """Exact normalized sumset ratios and their fractional-power bounds.
 
-For an instance (A, B_1..B_k, l) the table alpha_I = |A+B_I| / |A| is an
-exact rational for every index subset I.  The derived bound
+For an instance (A, B_1..B_k, l) the table keeps the integer size |A+B_I|
+of every index subset I, so alpha_I = |A+B_I| / |A| is exact.  The bound
 
     beta_J = (prod of alpha_L over L subset of J, |L| = l) ** (1 / C(|J|-1, l-1))
 
@@ -28,12 +28,17 @@ LT, EQ, GT = -1, 0, 1
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Exact |A+B_I| and alpha_I = |A+B_I|/m for every I subset of {1..k}."""
+    """The integer sizes |A+B_I| for every I subset of {1..k}, with m = |A|.
+
+    alphas, the ratios alpha_I = |A+B_I|/m, are derived from them on read."""
 
     k: int
     m: int
     sizes: dict[frozenset[int], int]
-    alphas: dict[frozenset[int], Fraction]
+
+    @property
+    def alphas(self) -> dict[frozenset[int], Fraction]:
+        return {key: Fraction(size, self.m) for key, size in self.sizes.items()}
 
     def leave_one_out(self) -> list[frozenset[int]]:
         """The index sets {1..k} minus {i}, for i = 1..k."""
@@ -65,7 +70,6 @@ def alpha_table(inst: Instance) -> AlphaTable:
     m = len(inst.a)
     sets = {frozenset(): inst.a}
     sizes = {frozenset(): m}
-    alphas = {frozenset(): Fraction(1)}
     indices = list(range(1, k + 1))
     for size in range(1, k + 1):
         for combo in combinations(indices, size):
@@ -74,8 +78,7 @@ def alpha_table(inst: Instance) -> AlphaTable:
             cur = sumset(sets[prev], inst.bs[combo[-1] - 1])
             sets[key] = cur
             sizes[key] = len(cur)
-            alphas[key] = Fraction(len(cur), m)
-    return AlphaTable(k=k, m=m, sizes=sizes, alphas=alphas)
+    return AlphaTable(k=k, m=m, sizes=sizes)
 
 
 def instance_table(inst: Instance) -> AlphaTable:
@@ -89,16 +92,17 @@ def log_fraction(x: Fraction) -> float:
 
 def beta_value(table: AlphaTable, j_set: frozenset[int] | set[int], l: int) -> BetaValue:
     """The root bound for index set J at level l; for |J| = l it degenerates
-    to alpha_J with exponent 1."""
+    to alpha_J with exponent 1.  The base, the product of the C(|J|, l)
+    alphas alpha_L, is one Fraction of the integer sizes over m ** C(|J|, l)."""
     j_key = frozenset(j_set)
     j = len(j_key)
     if not j_key <= frozenset(range(1, table.k + 1)):
         raise UsageError(f"index set {sorted(j_set)} not within 1..{table.k}")
     if l < 1 or j < l:
         raise UsageError(f"need 1 <= l <= |J|, got l={l}, |J|={j}")
-    base = Fraction(1)
-    for combo in combinations(sorted(j_key), l):
-        base *= table.alphas[frozenset(combo)]
+    sizes = table.sizes
+    base = Fraction(math.prod(sizes[frozenset(combo)] for combo in combinations(j_key, l)),
+                    table.m ** math.comb(j, l))
     expo_den = math.comb(j - 1, l - 1)
     if expo_den == 1:
         approx = float(base)
@@ -169,4 +173,4 @@ def synthetic_alpha_table(k: int, rng: random.Random, *, max_part: int = 60) -> 
                                                 rng.randint(1, max_part))
     m = math.lcm(*(a.denominator for a in alphas.values()))
     sizes = {key: int(a * m) for key, a in alphas.items()}
-    return AlphaTable(k=k, m=m, sizes=sizes, alphas=alphas)
+    return AlphaTable(k=k, m=m, sizes=sizes)

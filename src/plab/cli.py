@@ -408,7 +408,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
                               subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
                               epsilon="0.5", samples=128, seed=cfg.seed * 1009 + index)
     for level in _levels(cfg, inst0.k):
-        inst = replace(inst0, l=level)
+        inst = inst0 if level == inst0.l else replace(inst0, l=level)
         for check in cfg.checks:
             start = time.perf_counter()
             [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)

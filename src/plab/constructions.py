@@ -22,7 +22,8 @@ from .magnification import instance_gamma
 
 
 def _leave_one_out_alphas(table: AlphaTable) -> list[Fraction]:
-    return [table.alphas[j] for j in table.leave_one_out()]
+    alphas = table.alphas  # built on each read
+    return [alphas[j] for j in table.leave_one_out()]
 
 
 def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6) -> list[int]:

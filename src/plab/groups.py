@@ -10,9 +10,12 @@ A GSet is an immutable subset of one group, stored as a bitset in a single
 Python int (bit i set <=> element i is a member).  The sumset S*T is the
 union of the left translates s*T over the members s of S; in a commutative
 group the operands are first swapped so that the smaller one supplies the
-translates.  A product-group translate is a handful of big-int shifts done
-axis by axis, so it costs O(d * N / wordsize) rather than |S|*|T| pairs; a
-table translate sends each member through one row of the table.
+translates.  A product-group translate is a handful of big-int shifts, so it
+costs O(d * N / wordsize) rather than |S|*|T| pairs: the outermost axis is one
+block spanning the whole bitset, so its translate is a single rotate under the
+group's full mask, and each inner axis shifts its blocks under comb masks
+cached per group.  A table translate sends each member through one row of the
+table.
 
 Converting between members and bitsets is linear in the set and the group,
 not in their product.  set_of fills a byte buffer and converts it once in
@@ -70,7 +73,7 @@ class Group:
     """
 
     __slots__ = ("kind", "moduli", "table", "order", "identity", "is_abelian",
-                 "_strides", "_combs", "_masks")
+                 "_strides", "_full", "_combs", "_masks")
 
     def __init__(self, kind: str, *, moduli: tuple[int, ...] | None = None,
                  table: tuple[tuple[int, ...], ...] | None = None,
@@ -90,6 +93,7 @@ class Group:
         else:
             self.order = len(table)
             self._strides = ()
+        self._full = (1 << self.order) - 1
         self._combs = None   # per-axis block comb masks, built lazily
         self._masks = {}     # (axis, shift) -> (low_mask, high_mask)
 
@@ -123,15 +127,9 @@ class Group:
 
     def _axis_combs(self) -> tuple[int, ...]:
         if self._combs is None:
-            combs = []
-            for n, s in zip(self.moduli, self._strides):
-                block = n * s
-                nblocks = self.order // block
-                if nblocks == 1:
-                    combs.append(1)
-                else:
-                    combs.append(((1 << (block * nblocks)) - 1) // ((1 << block) - 1))
-            self._combs = tuple(combs)
+            # bit 0 of every block of n*s bits; the blocks tile the bitset
+            self._combs = tuple(self._full // ((1 << (n * s)) - 1)
+                                for n, s in zip(self.moduli, self._strides))
         return self._combs
 
     def _axis_masks(self, axis: int, c: int) -> tuple[int, int]:
@@ -150,8 +148,9 @@ class Group:
         return cached
 
     def translate_bits(self, bits: int, a: int) -> int:
-        """Bitset of the left translate {a * x : x in bits}: shifts axis by
-        axis in a product group, row a of the table in a cayley group."""
+        """Bitset of the left translate {a * x : x in bits}: one rotate of
+        the whole bitset for axis 0 and masked shifts for each inner axis of
+        a product group, row a of the table in a cayley group."""
         if a == self.identity or bits == 0:
             return bits
         if self.table is not None:
@@ -162,15 +161,17 @@ class Group:
                 out |= 1 << row[lsb.bit_length() - 1]
                 bits ^= lsb
             return out
-        for axis, c in enumerate(self.coords(a)):
-            if c == 0:
-                continue
-            s = self._strides[axis]
-            n = self.moduli[axis]
-            shift = c * s
-            keep = (n - c) * s
-            low, high = self._axis_masks(axis, c)
-            bits = ((bits & low) << shift) | ((bits >> keep) & high)
+        moduli = self.moduli
+        for axis in range(len(moduli) - 1, 0, -1):
+            a, c = divmod(a, moduli[axis])
+            if c:
+                s = self._strides[axis]
+                low, high = self._axis_masks(axis, c)
+                bits = ((bits & low) << c * s) | ((bits >> (moduli[axis] - c) * s) & high)
+        if a:
+            # axis 0 is one block spanning the whole bitset: a rotate
+            shift = a * self._strides[0]
+            bits = ((bits << shift) & self._full) | (bits >> (self.order - shift))
         return bits
 
     # -- set constructors ----------------------------------------------------
@@ -185,7 +186,7 @@ class Group:
         return self.set_of((self.identity,))
 
     def full(self) -> "GSet":
-        return GSet(self, (1 << self.order) - 1)
+        return GSet(self, self._full)
 
     def set_of(self, elems: Iterable[int]) -> "GSet":
         order = self.order
@@ -465,7 +466,9 @@ class Instance:
     through cached(); it takes no part in equality, hashing or repr, and
     dataclasses.replace(inst, l=...) shares it, so every level of one
     instance computes B_K, its alpha table and gamma once.  A copy whose
-    group or sets differ starts an empty memo of its own.
+    group or sets differ starts an empty memo of its own.  Every copy runs
+    the validation again, so a caller that walks the levels uses the
+    instance itself for its own level and copies only for the others.
     """
 
     group: Group

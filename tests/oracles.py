@@ -5,8 +5,9 @@ integers) and touches the library only through Group.op, so the oracles
 stay independent of the bitset, translation, and flow code paths they
 check.  The exceptions are gamma_exhaustive, which enumerates the
 subsets of a PlunGraph's left side to check the flow engine on the same
-graph, and plgen2_reference, which checks empirical_plgen2's search on
-the same sumsets and exact comparisons.
+graph, plgen2_reference, which checks empirical_plgen2's search on
+the same sumsets and exact comparisons, and beta_reference, which checks
+beta_value's integer arithmetic on the same alpha table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from plab import (LT, EmpiricalConstant, GSet, MagResult, UsageError, alpha_table,
+from plab import (LT, BetaValue, EmpiricalConstant, GSet, MagResult, UsageError, alpha_table,
                   beta_value, cmp_ratio_vs_beta, iterated_sumset, sumset)
 from plab.groups import subset_sumsets
 from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX
@@ -124,6 +125,21 @@ def gamma_exhaustive(graph) -> MagResult:
     visit(0, 0, 0, 0)
     p, q, members = best
     return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members), iterations=0)
+
+
+def beta_reference(table, j_set, l) -> BetaValue:
+    """beta_value as the product of one Fraction alpha_L per l-subset L of
+    J, with the same display float."""
+    j = len(j_set)
+    base = Fraction(1)
+    for combo in combinations(sorted(j_set), l):
+        base *= table.alphas[frozenset(combo)]
+    expo_den = math.comb(j - 1, l - 1)
+    if expo_den == 1:
+        approx = float(base)
+    else:
+        approx = math.exp((math.log(base.numerator) - math.log(base.denominator)) / expo_den)
+    return BetaValue(base=base, expo_den=expo_den, approx=approx)
 
 
 def plgen2_reference(inst, epsilon, *, samples: int = DEFAULT_SAMPLES,

@@ -14,7 +14,7 @@ from plab.alphabeta import BetaValue
 from plab.cayley import bundled_tables
 
 from gen import rand_instance
-from oracles import naive_iterated, naive_sumset
+from oracles import beta_reference, naive_iterated, naive_sumset
 
 
 def identity_instance(k=3):
@@ -97,6 +97,43 @@ def test_alpha_table_matches_iterated_sumsets_in_noncommutative_groups(which, se
 
 
 # -- beta values -----------------------------------------------------------------
+
+CAYLEY = [make_cayley_group(table) for _, table in bundled_tables(12)]
+
+
+@st.composite
+def tables(draw):
+    """An alpha table with k in 2..5: of a random Z_N instance, of random
+    sets in a bundled Cayley group, or synthetic."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    k = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["abelian", "cayley", "synthetic"]))
+    if kind == "synthetic":
+        return synthetic_alpha_table(k, rng)
+    if kind == "abelian":
+        return alpha_table(rand_instance(rng, n_range=(2, 40), k_range=(k, k),
+                                         a_range=(1, 8), b_range=(1, 5)))
+    g = CAYLEY[draw(st.integers(0, len(CAYLEY) - 1))]
+    a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(6, g.order))))
+    bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, min(3, g.order))))
+               for _ in range(k))
+    return alpha_table(Instance(g, a, bs, 1))
+
+
+@given(tables())
+def test_beta_value_matches_fraction_product(t):
+    # one Fraction of integer sizes gives the same base as the product of
+    # the reduced alphas, and so the same display float, bit for bit
+    for key, size in t.sizes.items():
+        assert t.alphas[key] == Fraction(size, t.m)
+    full = range(1, t.k + 1)
+    for l in full:
+        for size in range(l, t.k + 1):
+            for j in _subsets_of_size(full, size):
+                got, want = beta_value(t, j, l), beta_reference(t, j, l)
+                assert (got.base, got.expo_den, got.approx.hex()) == (
+                    want.base, want.expo_den, want.approx.hex()), (sorted(j), l)
+
 
 def test_beta_z5_level1(z5):
     b = beta_value(alpha_table(z5), z5.key_set, 1)

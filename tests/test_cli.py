@@ -443,6 +443,21 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert first.startswith("index,group,k,l,m,b_sizes,check,gamma,")
 
 
+# N runs past 64, so some instances' bitsets span more than one machine word
+GOLDEN_SWEEP = {"seed": 20260808, "count": 60, "k_range": [2, 4], "l_rule": "all",
+                "group_size_range": [2, 96], "set_size_range": [1, 6],
+                "checks": ["plgen", "pldiff", "restricted", "power"]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_matches_golden_bytes(workers):
+    # the golden CSV was written by an earlier commit: a faster kernel or a
+    # reordered computation may not move one byte of a sweep's output
+    golden = (ROOT / "tests" / "golden" / "sweep_z2_96_seed20260808.csv").read_bytes()
+    text = run_sweep(sweep_config_from_dict(GOLDEN_SWEEP), workers=workers)
+    assert text.encode("utf-8") == golden
+
+
 def test_sweep_cli_to_file(tmp_path, capsys):
     cfg_path = write_json(tmp_path, "cfg.json", BASE_CFG)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -237,6 +238,22 @@ def test_translate_matches_oracle(g, data):
     a = data.draw(st.integers(0, g.order - 1))
     got = GSet(g, g.translate_bits(g.set_of(elems).bits, a))
     assert sorted(got) == sorted(naive_translate(g, elems, a))
+
+
+@pytest.mark.parametrize("moduli", [(65,), (128,), (2, 64), (3, 1, 50), (1, 7), (256, 256)])
+def test_translate_matches_oracle_above_one_word(moduli):
+    # the outer axis rotates the whole bitset, here wider than a machine
+    # word; an axis of size 1 has only the coordinate 0.  Every a whose
+    # coordinates are 0, 1 or n-1, then random ones
+    g = make_abelian_group(moduli)
+    rng = random.Random(repr(moduli))
+    corners = sorted({g.index(c) for c in product(*((0, 1, n - 1) for n in moduli))})
+    sets = [[0], [g.order - 1], [0, g.order - 1], range(min(g.order, 300)),
+            rng.sample(range(g.order), min(g.order // 3, 400))]
+    for a in corners + [rng.randrange(g.order) for _ in range(8)]:
+        for elems in sets:
+            got = GSet(g, g.translate_bits(g.set_of(elems).bits, a))
+            assert sorted(got) == sorted(naive_translate(g, elems, a)), (a, len(elems))
 
 
 @given(st.booleans(), st.data())
