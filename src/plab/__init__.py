@@ -1,8 +1,7 @@
 """Exact verification lab for sumset-cardinality inequalities over finite groups."""
 
-from .alphabeta import (EQ, GT, LT, AlphaTable, BetaValue, alpha_table,
-                        beta_identity_holds, beta_value, cmp_ratio_vs_beta,
-                        synthetic_alpha_table)
+from .alphabeta import (EQ, GT, LT, AlphaTable, BetaValue, alpha_table, beta_value,
+                        cmp_ratio_vs_beta)
 from .errors import (CertificateError, PlabError, ResourceError,
                      TheoremViolationError, UsageError, ValidationError)
 from .groups import (GSet, Group, Instance, direct_power, element_cap,
@@ -23,12 +22,12 @@ __all__ = [
     "Instance", "LT", "LargeSubsetResult", "Lemma21Report", "Lemma21Setup",
     "MagResult", "PlabError", "PlunGraph", "ResourceError",
     "TheoremViolationError", "TheoremVerdict", "UsageError", "ValidationError",
-    "admissible_q", "alpha_table", "beta_identity_holds", "beta_value",
+    "admissible_q", "alpha_table", "beta_value",
     "build_extension", "build_plun_graph", "check_noncommutative", "check_pldiff",
     "check_plgen", "check_restricted_sum", "check_single_summand",
     "cmp_ratio_vs_beta", "direct_power", "element_cap", "embed_integer_sets",
     "empirical_plgen2", "ensure_holds", "gamma_flow",
     "iterated_sumset", "large_subset", "lemma21_demo", "make_abelian_group",
     "make_cayley_group", "multiplicativity_check", "power_group", "power_set",
-    "restricted_pipeline", "sumset", "synthetic_alpha_table",
+    "restricted_pipeline", "sumset",
 ]

@@ -13,7 +13,6 @@ cross-multiplying big integers; floats appear only as display values.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -28,17 +27,11 @@ LT, EQ, GT = -1, 0, 1
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """The integer sizes |A+B_I| for every I subset of {1..k}, with m = |A|.
-
-    alphas, the ratios alpha_I = |A+B_I|/m, are derived from them on read."""
+    """The integer sizes |A+B_I| for every I subset of {1..k}, with m = |A|."""
 
     k: int
     m: int
     sizes: dict[frozenset[int], int]
-
-    @property
-    def alphas(self) -> dict[frozenset[int], Fraction]:
-        return {key: Fraction(size, self.m) for key, size in self.sizes.items()}
 
     def leave_one_out(self) -> list[frozenset[int]]:
         """The index sets {1..k} minus {i}, for i = 1..k."""
@@ -135,42 +128,3 @@ def cmp_ratio_vs_beta(ratio: Fraction, b: BetaValue,
     if lhs > rhs:
         return GT
     return EQ
-
-
-def beta_identity_holds(table: AlphaTable, j_set: frozenset[int] | set[int], l: int) -> bool:
-    """Whether the product of the |J|-1 sub-bounds equals beta_J ** (|J|-1).
-
-    Both sides become rational after raising to the product of the two root
-    denominators; the check is exact.
-    """
-    j_key = frozenset(j_set)
-    j = len(j_key)
-    if j < l + 1:
-        raise UsageError(f"identity needs |J| >= l+1, got |J|={j}, l={l}")
-    beta_j = beta_value(table, j_key, l)
-    sub_root = math.comb(j - 2, l - 1)
-    lhs_base = Fraction(1)
-    for x in sorted(j_key):
-        sub = beta_value(table, j_key - {x}, l)
-        if sub.expo_den != sub_root:
-            raise AssertionError("sub-bound root mismatch")
-        lhs_base *= sub.base
-    # (lhs_base ** (1/sub_root)) ** (D * sub_root) vs (base ** ((j-1)/D)) ** (D * sub_root)
-    d = beta_j.expo_den
-    return lhs_base ** d == beta_j.base ** ((j - 1) * sub_root)
-
-
-def synthetic_alpha_table(k: int, rng: random.Random, *, max_part: int = 60) -> AlphaTable:
-    """A coherent table with arbitrary positive rational entries, for
-    exercising purely algebraic identities.  Not monotone in general."""
-    if not 1 <= k <= MAX_K:
-        raise UsageError(f"need 1 <= k <= {MAX_K}, got {k}")
-    alphas = {frozenset(): Fraction(1)}
-    indices = list(range(1, k + 1))
-    for size in range(1, k + 1):
-        for combo in combinations(indices, size):
-            alphas[frozenset(combo)] = Fraction(rng.randint(1, max_part),
-                                                rng.randint(1, max_part))
-    m = math.lcm(*(a.denominator for a in alphas.values()))
-    sizes = {key: int(a * m) for key, a in alphas.items()}
-    return AlphaTable(k=k, m=m, sizes=sizes)

@@ -94,7 +94,7 @@ def parse_instance(data: dict) -> tuple[Instance, GSet | None]:
 
 def serialize_instance(inst: Instance, s: GSet | None = None) -> dict:
     out: dict = {}
-    if inst.group.kind == "cayley":
+    if inst.group.table is not None:
         out["cayley"] = [list(row) for row in inst.group.table]
     else:
         out["group"] = list(inst.group.moduli)
@@ -450,6 +450,8 @@ def run_sweep(cfg: SweepConfig, *, workers: int = 1, timing: bool = False) -> st
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     overrides = {"seed": args.seed, "count": args.count,
                  "insert_identity": False if args.allow_no_identity else None}
     cfg = load_sweep_config(args.config, **{key: value for key, value in overrides.items()

@@ -21,21 +21,22 @@ from .groups import GSet, Group, Instance, element_cap, make_abelian_group, sums
 from .magnification import instance_gamma
 
 
-def _leave_one_out_alphas(table: AlphaTable) -> list[Fraction]:
-    alphas = table.alphas  # built on each read
-    return [alphas[j] for j in table.leave_one_out()]
+def _leave_one_out_sizes(table: AlphaTable) -> list[int]:
+    """|A+B_(K minus i)| for i = 1..k, so alpha_(K minus i) = size / m."""
+    return [table.sizes[j] for j in table.leave_one_out()]
 
 
 def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6) -> list[int]:
     """First few q making every n_i = alpha_(K minus i) * q an integer,
     filtered by the element cap on the extended group."""
-    alphas = _leave_one_out_alphas(table)
-    step = math.lcm(*(a.denominator for a in alphas))
+    sizes, m = _leave_one_out_sizes(table), table.m
+    # size / m in lowest terms has denominator m / gcd(size, m)
+    step = math.lcm(*(m // math.gcd(size, m) for size in sizes))
     limit = element_cap()
     out: list[int] = []
     q = step
     while len(out) < count:
-        ext_order = base_order * math.prod(int(a * q) for a in alphas)
+        ext_order = base_order * math.prod(size * q // m for size in sizes)
         if ext_order > limit:
             break
         out.append(q)
@@ -86,18 +87,17 @@ def build_extension(inst: Instance, q: int) -> Lemma21Setup:
     """Extend the instance's group by the cyclic paddings for a given q."""
     if q < 1:
         raise UsageError(f"q must be >= 1, got {q}")
-    if inst.group.kind != "abelian":
+    if inst.group.table is not None:
         raise UsageError("the extension construction needs an abelian product group")
     if inst.l != inst.k - 1:
         raise UsageError(f"construction requires k = l+1, got k={inst.k}, l={inst.l}")
     table = instance_table(inst)
-    alphas = _leave_one_out_alphas(table)
     n = []
-    for a in alphas:
-        ni = a * q
-        if ni.denominator != 1:
-            raise UsageError(f"q={q} is not admissible: alpha*q = {ni} is not integral")
-        n.append(int(ni))
+    for size in _leave_one_out_sizes(table):
+        if size * q % table.m:
+            raise UsageError(f"q={q} is not admissible: "
+                             f"alpha*q = {Fraction(size * q, table.m)} is not integral")
+        n.append(size * q // table.m)
     gprime = make_abelian_group(inst.group.moduli + tuple(n))
     h_order = math.prod(n)
     aprime = gprime.set_of(x * h_order for x in inst.a)
@@ -131,11 +131,11 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
     repeated-summand diagnostics and the apex identity
     |X + (B_K x H)| = |H| * |X + B_K|."""
     setup = build_extension(inst, q)
-    k, m = inst.k, len(inst.a)
+    k = inst.k
     table = instance_table(inst)
     h_order = setup.h_order
 
-    expected = _expected_at(table, m, inst.l, q)
+    expected = _expected_at(table, inst.l, q)
 
     distinct_sizes = {
         i: _sum_size(setup.aprime, (b for j, b in enumerate(setup.bi_prime, 1) if j != i))
@@ -152,7 +152,7 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
             continue
         st = setup if cand == q else build_extension(inst, cand)
         size = _sum_size(st.aprime, [st.bprime] * (k - 1))
-        if size <= 2 * k * _expected_at(table, m, inst.l, cand):
+        if size <= 2 * k * _expected_at(table, inst.l, cand):
             first_q = cand
             break
 
@@ -177,11 +177,11 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
                          apex_equal=apex_lhs == apex_rhs)
 
 
-def _expected_at(table: AlphaTable, m: int, l: int, q: int) -> int:
-    """m * (beta*q)^l as an exact integer via the leave-one-out product."""
-    fr = Fraction(m) * q ** l
-    for a in _leave_one_out_alphas(table):
-        fr *= a
-    if fr.denominator != 1:
+def _expected_at(table: AlphaTable, l: int, q: int) -> int:
+    """m * (beta*q)^l as an exact integer via the leave-one-out product,
+    m * q^l * (product of the sizes) / m^k."""
+    expected, rest = divmod(table.m * q ** l * math.prod(_leave_one_out_sizes(table)),
+                            table.m ** table.k)
+    if rest:
         raise AssertionError("distinct-summand size must be integral for admissible q")
-    return int(fr)
+    return expected

@@ -1,10 +1,9 @@
 """Finite groups, bitset subsets, and exact sumset arithmetic.
 
 Abelian groups are products of cyclic groups Z_{n_1} x ... x Z_{n_d} with
-mixed-radix element indexing, so index 0 is the identity and element
-arithmetic is O(d).  Arbitrary small groups (order <= 64) can instead be
-described by an explicit multiplication table, validated for the group
-axioms at construction.
+mixed-radix element indexing, so index 0 is the identity.  Arbitrary small
+groups (order <= 64) can instead be described by an explicit
+multiplication table, validated for the group axioms at construction.
 
 A GSet is an immutable subset of one group, stored as a bitset in a single
 Python int (bit i set <=> element i is a member).  The sumset S*T is the
@@ -67,23 +66,23 @@ def element_cap() -> int:
 class Group:
     """A finite group with elements indexed 0..order-1.
 
-    kind is "abelian" (product of cyclic groups, identity at index 0) or
-    "cayley" (explicit multiplication table, identity wherever the table
-    puts it).  Instances are immutable; shared caches are fill-once.
+    Either a product of cyclic groups (moduli set, table None, identity at
+    index 0) or an explicit multiplication table (table set, moduli None,
+    identity wherever the table puts it).  Instances are immutable; shared
+    caches are fill-once.
     """
 
-    __slots__ = ("kind", "moduli", "table", "order", "identity", "is_abelian",
+    __slots__ = ("moduli", "table", "order", "identity", "is_abelian",
                  "_strides", "_full", "_combs", "_masks")
 
-    def __init__(self, kind: str, *, moduli: tuple[int, ...] | None = None,
+    def __init__(self, *, moduli: tuple[int, ...] | None = None,
                  table: tuple[tuple[int, ...], ...] | None = None,
                  identity: int = 0, is_abelian: bool = True):
-        self.kind = kind
         self.moduli = moduli
         self.table = table
         self.identity = identity
         self.is_abelian = is_abelian
-        if kind == "abelian":
+        if table is None:
             self.order = prod(moduli)
             # stride of axis j = product of the moduli after it
             strides = [1] * len(moduli)
@@ -96,32 +95,6 @@ class Group:
         self._full = (1 << self.order) - 1
         self._combs = None   # per-axis block comb masks, built lazily
         self._masks = {}     # (axis, shift) -> (low_mask, high_mask)
-
-    # -- element arithmetic ------------------------------------------------
-
-    def coords(self, a: int) -> tuple[int, ...]:
-        """Mixed-radix coordinate vector of element index a (abelian only)."""
-        out = []
-        for n in reversed(self.moduli):
-            a, r = divmod(a, n)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def index(self, coords: Sequence[int]) -> int:
-        """Element index of a coordinate vector (abelian only)."""
-        a = 0
-        for v, n in zip(coords, self.moduli):
-            a = a * n + (v % n)
-        return a
-
-    def op(self, a: int, b: int) -> int:
-        """Group operation on element indices."""
-        if self.kind == "abelian":
-            out = 0
-            for x, y, n in zip(self.coords(a), self.coords(b), self.moduli):
-                out = out * n + (x + y) % n
-            return out
-        return self.table[a][b]
 
     # -- bitset translation ------------------------------------------------
 
@@ -179,14 +152,8 @@ class Group:
     def empty(self) -> "GSet":
         return GSet(self, 0)
 
-    def singleton(self, a: int) -> "GSet":
-        return self.set_of((a,))
-
     def identity_set(self) -> "GSet":
         return self.set_of((self.identity,))
-
-    def full(self) -> "GSet":
-        return GSet(self, self._full)
 
     def set_of(self, elems: Iterable[int]) -> "GSet":
         order = self.order
@@ -213,14 +180,13 @@ class Group:
             return True
         if not isinstance(other, Group):
             return NotImplemented
-        return (self.kind == other.kind and self.moduli == other.moduli
-                and self.table == other.table)
+        return self.moduli == other.moduli and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.moduli, self.table))
+        return hash((self.moduli, self.table))
 
     def __repr__(self) -> str:
-        if self.kind == "abelian":
+        if self.table is None:
             return "Z" + "xZ".join(str(n) for n in self.moduli)
         return f"Cayley(order={self.order})"
 
@@ -242,9 +208,6 @@ class GSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __contains__(self, e: int) -> bool:
-        return 0 <= e < self.group.order and (self.bits >> e) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         """Members in increasing order.  Clearing the lowest bit of the whole
@@ -277,16 +240,9 @@ class GSet:
         _require_same_group(self, other)
         return GSet(self.group, self.bits | other.bits)
 
-    def __and__(self, other: "GSet") -> "GSet":
-        _require_same_group(self, other)
-        return GSet(self.group, self.bits & other.bits)
-
     def __sub__(self, other: "GSet") -> "GSet":
         _require_same_group(self, other)
         return GSet(self.group, self.bits & ~other.bits)
-
-    def __add__(self, other: "GSet") -> "GSet":
-        return sumset(self, other)
 
     def issubset(self, other: "GSet") -> bool:
         _require_same_group(self, other)
@@ -318,7 +274,7 @@ def make_abelian_group(moduli: Sequence[int]) -> Group:
     limit = element_cap()
     if order > limit:
         raise ResourceError(f"group order {order} exceeds element cap {limit}")
-    return Group("abelian", moduli=mods)
+    return Group(moduli=mods)
 
 
 def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
@@ -367,7 +323,7 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
         if rows[inv][a] != identity:
             raise ValidationError(f"element {a} has no two-sided inverse")
     abelian = rows == columns
-    return Group("cayley", table=rows, identity=identity, is_abelian=abelian)
+    return Group(table=rows, identity=identity, is_abelian=abelian)
 
 
 def embed_integer_sets(a: Iterable[int],
@@ -519,7 +475,7 @@ class Instance:
 
 def power_group(group: Group, r: int) -> Group:
     """The r-fold direct power, as the concatenated-moduli product group."""
-    if group.kind != "abelian":
+    if group.table is not None:
         raise UsageError("direct powers are only supported for abelian product groups")
     if r < 1:
         raise UsageError(f"power must be >= 1, got {r}")

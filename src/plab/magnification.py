@@ -253,7 +253,6 @@ def _certified(graph: PlunGraph, gamma: Fraction, witness_bits: int, iterations:
 class MultiplicativityReport:
     gamma_base: Fraction
     gamma_power: Fraction
-    r: int
     equal: bool
 
 
@@ -266,5 +265,5 @@ def multiplicativity_check(inst: Instance, r: int) -> MultiplicativityReport:
     """Compare gamma of the r-th direct power against gamma ** r, exactly."""
     g1 = instance_gamma(inst)
     gr = instance_gamma(direct_power(inst, r))
-    return MultiplicativityReport(gamma_base=g1.gamma, gamma_power=gr.gamma, r=r,
+    return MultiplicativityReport(gamma_base=g1.gamma, gamma_power=gr.gamma,
                                   equal=gr.gamma == g1.gamma ** r)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
-from plab import Instance, make_abelian_group
+from plab import AlphaTable, Instance, make_abelian_group
 
 
 def rand_instance(rng: random.Random, *, n_range=(4, 64), k_range=(2, 4),
@@ -31,3 +34,17 @@ def rand_subset(rng: random.Random, gset, *, min_size=1):
     members = list(gset)
     size = rng.randint(min_size, len(members))
     return gset.group.set_of(rng.sample(members, size))
+
+
+def synthetic_alpha_table(k: int, rng: random.Random, *, max_part: int = 60) -> AlphaTable:
+    """A coherent table with arbitrary positive rational entries, for
+    exercising purely algebraic identities.  Not monotone in general."""
+    alphas = {frozenset(): Fraction(1)}
+    indices = list(range(1, k + 1))
+    for size in range(1, k + 1):
+        for combo in combinations(indices, size):
+            alphas[frozenset(combo)] = Fraction(rng.randint(1, max_part),
+                                                rng.randint(1, max_part))
+    m = math.lcm(*(a.denominator for a in alphas.values()))
+    sizes = {key: int(a * m) for key, a in alphas.items()}
+    return AlphaTable(k=k, m=m, sizes=sizes)

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here works on plain Python sets of element indices (or plain
-integers) and touches the library only through Group.op, so the oracles
-stay independent of the bitset, translation, and flow code paths they
-check.  The exceptions are gamma_exhaustive, which enumerates the
-subsets of a PlunGraph's left side to check the flow engine on the same
-graph, plgen2_reference, which checks empirical_plgen2's search on
-the same sumsets and exact comparisons, and beta_reference, which checks
-beta_value's integer arithmetic on the same alpha table.
+integers) and shares no arithmetic with plab: op rebuilds the group
+operation from a Group's moduli or table, so the oracles stay independent
+of the bitset, translation, and flow code paths they check.  The
+exceptions are gamma_exhaustive, which enumerates the subsets of a
+PlunGraph's left side to check the flow engine on the same graph,
+plgen2_reference, which checks empirical_plgen2's search on the same
+sumsets and exact comparisons, beta_reference, which checks beta_value's
+integer arithmetic on the same alpha table, and beta_identity_holds, which
+checks an identity between beta_value's results.
 """
 
 from __future__ import annotations
@@ -25,8 +27,21 @@ from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX
 EXHAUSTIVE_MAX = 22
 
 
+def op(group, a: int, b: int) -> int:
+    """a * b: a row of the table, or coordinatewise addition of the
+    mixed-radix digits, last modulus lowest."""
+    if group.table is not None:
+        return group.table[a][b]
+    out, place = 0, 1
+    for n in reversed(group.moduli):
+        (a, x), (b, y) = divmod(a, n), divmod(b, n)
+        out += (x + y) % n * place
+        place *= n
+    return out
+
+
 def naive_sumset(group, s_elems, t_elems) -> set[int]:
-    return {group.op(s, t) for s in s_elems for t in t_elems}
+    return {op(group, s, t) for s in s_elems for t in t_elems}
 
 
 def naive_iterated(group, b_lists, idxs) -> set[int]:
@@ -59,7 +74,7 @@ def naive_gamma(group, a_elems, bk_elems) -> Fraction:
 
 
 def naive_translate(group, elems, a) -> set[int]:
-    return {group.op(a, x) for x in elems}
+    return {op(group, a, x) for x in elems}
 
 
 def naive_members(bits: int) -> list[int]:
@@ -133,13 +148,35 @@ def beta_reference(table, j_set, l) -> BetaValue:
     j = len(j_set)
     base = Fraction(1)
     for combo in combinations(sorted(j_set), l):
-        base *= table.alphas[frozenset(combo)]
+        base *= Fraction(table.sizes[frozenset(combo)], table.m)
     expo_den = math.comb(j - 1, l - 1)
     if expo_den == 1:
         approx = float(base)
     else:
         approx = math.exp((math.log(base.numerator) - math.log(base.denominator)) / expo_den)
     return BetaValue(base=base, expo_den=expo_den, approx=approx)
+
+
+def beta_identity_holds(table, j_set, l) -> bool:
+    """Whether the product of the |J|-1 sub-bounds equals beta_J ** (|J|-1).
+
+    Both sides become rational after raising to the product of the two root
+    denominators; the check is exact.
+    """
+    j_key = frozenset(j_set)
+    j = len(j_key)
+    if j < l + 1:
+        raise UsageError(f"identity needs |J| >= l+1, got |J|={j}, l={l}")
+    beta_j = beta_value(table, j_key, l)
+    sub_root = math.comb(j - 2, l - 1)
+    lhs_base = Fraction(1)
+    for x in sorted(j_key):
+        sub = beta_value(table, j_key - {x}, l)
+        assert sub.expo_den == sub_root, "sub-bound root mismatch"
+        lhs_base *= sub.base
+    # (lhs_base ** (1/sub_root)) ** (D * sub_root) vs (base ** ((j-1)/D)) ** (D * sub_root)
+    d = beta_j.expo_den
+    return lhs_base ** d == beta_j.base ** ((j - 1) * sub_root)
 
 
 def plgen2_reference(inst, epsilon, *, samples: int = DEFAULT_SAMPLES,

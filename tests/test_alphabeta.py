@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plab import (EQ, GT, LT, Instance, UsageError, alpha_table,
-                  beta_identity_holds, beta_value, cmp_ratio_vs_beta,
-                  iterated_sumset, make_abelian_group, make_cayley_group,
-                  sumset, synthetic_alpha_table)
+from plab import (EQ, GT, LT, Instance, UsageError, alpha_table, beta_value,
+                  cmp_ratio_vs_beta, iterated_sumset, make_abelian_group,
+                  make_cayley_group, sumset)
 from plab.alphabeta import BetaValue
-from plab.cayley import bundled_tables
 
-from gen import rand_instance
-from oracles import beta_reference, naive_iterated, naive_sumset
+from cayley_tables import bundled_tables
+from gen import rand_instance, synthetic_alpha_table
+from oracles import beta_identity_holds, beta_reference, naive_iterated, naive_sumset
 
 
 def identity_instance(k=3):
@@ -28,23 +27,22 @@ def identity_instance(k=3):
 def test_alpha_table_z5(z5):
     t = alpha_table(z5)
     assert t.m == 2
-    assert t.alphas[frozenset()] == 1
-    assert t.alphas[frozenset({1})] == Fraction(3, 2)
-    assert t.alphas[frozenset({2})] == 2
-    assert t.alphas[frozenset({1, 2})] == Fraction(5, 2)
+    assert t.sizes == {frozenset(): 2, frozenset({1}): 3, frozenset({2}): 4,
+                       frozenset({1, 2}): 5}
 
 
 def test_alpha_table_z9(z9):
     t = alpha_table(z9)
-    assert t.alphas[frozenset({1, 2})] == Fraction(5, 2)
-    assert t.alphas[frozenset({1, 3})] == 3
-    assert t.alphas[frozenset({2, 3})] == 4
+    assert t.m == 2
+    assert t.sizes[frozenset({1, 2})] == 5
+    assert t.sizes[frozenset({1, 3})] == 6
+    assert t.sizes[frozenset({2, 3})] == 8
     assert t.sizes[frozenset({1, 2, 3})] == 9
 
 
 def test_alpha_table_identity_sets():
     t = alpha_table(identity_instance())
-    assert all(a == 1 for a in t.alphas.values())
+    assert all(size == t.m for size in t.sizes.values())
 
 
 def test_alpha_table_matches_oracle(z9):
@@ -68,9 +66,9 @@ def test_alpha_monotone(seed):
     inst = rand_instance(random.Random(seed), n_range=(2, 24), k_range=(2, 4),
                          a_range=(1, 5), b_range=(1, 5))
     t = alpha_table(inst)
-    for key, alpha in t.alphas.items():
+    for key, size in t.sizes.items():
         for extra in range(1, inst.k + 1):
-            assert alpha <= t.alphas[key | {extra}]
+            assert size <= t.sizes[key | {extra}]
 
 
 NONCOMM = [make_cayley_group(table) for _, table in bundled_tables(12)
@@ -124,8 +122,6 @@ def tables(draw):
 def test_beta_value_matches_fraction_product(t):
     # one Fraction of integer sizes gives the same base as the product of
     # the reduced alphas, and so the same display float, bit for bit
-    for key, size in t.sizes.items():
-        assert t.alphas[key] == Fraction(size, t.m)
     full = range(1, t.k + 1)
     for l in full:
         for size in range(l, t.k + 1):
@@ -178,7 +174,7 @@ def test_equal_summand_reduction():
         inst = Instance(g, a, tuple(g.set_of(list(b)) for _ in range(k)), 1)
         t = alpha_table(inst)
         for l in range(1, k):
-            alpha = t.alphas[frozenset(range(1, l + 1))]
+            alpha = Fraction(t.sizes[frozenset(range(1, l + 1))], t.m)
             bv = beta_value(t, inst.key_set, l)
             assert bv.base == alpha ** math.comb(k, l)
             assert bv.base ** l == alpha ** (k * math.comb(k - 1, l - 1))
@@ -228,8 +224,8 @@ def test_identity_z9(z9):
     t = alpha_table(z9)
     assert beta_identity_holds(t, z9.key_set, 2)
     # both sides are rational here: product of the three pair-alphas is 30
-    assert (t.alphas[frozenset({1, 2})] * t.alphas[frozenset({1, 3})]
-            * t.alphas[frozenset({2, 3})]) == 30
+    assert (t.sizes[frozenset({1, 2})] * t.sizes[frozenset({1, 3})]
+            * t.sizes[frozenset({2, 3})]) == 30 * t.m ** 3
 
 
 def test_identity_trivial_k2(z5):

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from plab import (PlunGraph, build_plun_graph, gamma_flow, make_abelian_group,
                   make_cayley_group, sumset)
 from plab import magnification
-from plab.cayley import bundled_tables
 from plab.certificate import check_certificate
 from plab.cli import main
 from plab.errors import CertificateError
 
+from cayley_tables import bundled_tables
 from oracles import gamma_exhaustive, naive_sumset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -116,7 +116,7 @@ def _z40_graph():
 def _d3_graph():
     g = make_cayley_group(dict(bundled_tables(12))["D3"])
     b1, b2 = g.set_of([0, 4]), g.set_of([2, 5])
-    return PlunGraph.of(g, {x: sumset(sumset(b1, g.singleton(x)), b2).bits for x in (0, 1, 4)})
+    return PlunGraph.of(g, {x: sumset(sumset(b1, g.set_of([x])), b2).bits for x in (0, 1, 4)})
 
 
 @pytest.mark.parametrize("mutate", [_move_one_unit, _drop_class_bit, _drop_witness_element,

@@ -43,7 +43,7 @@ def test_round_trip_integers_mode(z9):
 def test_round_trip_cayley():
     data = json.loads((FIXTURES / "s3.json").read_text())
     inst, _ = parse_instance(data)
-    assert inst.group.kind == "cayley" and not inst.group.is_abelian
+    assert inst.group.table is not None and not inst.group.is_abelian
     again, _ = parse_instance(serialize_instance(inst))
     assert again == inst
 
@@ -78,12 +78,13 @@ def test_parse_rejects_bad_shapes():
     ("verify", ["--check", "large", "--value"]),
     ("verify", ["--bogus"]),
     ("sweep", ["--count", "x"]),
+    ("sweep", ["--workers", "0"]), ("sweep", ["--workers", "-1"]),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
         "insert_identity-str", "set_size_range-reversed", "l_rule-zero",
         "epsilon-nan", "epsilon-inf", "epsilon-zero", "epsilon-one", "epsilon-too-fine",
         "value-fractional-a", "value-1e400", "value-nan", "value-rounds-to-integer",
         "epsilon-minus-inf", "mode-bad-choice", "value-missing", "unknown-flag",
-        "count-not-int"])
+        "count-not-int", "workers-zero", "workers-negative"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
     """patch is either file fields to replace or command-line flags to add;
     the one-line error names the field or echoes the flag's value."""
@@ -142,7 +143,7 @@ def test_verify_restricted_all_subsets(capsys):
 @pytest.mark.parametrize("flags", [(), ("--all-subsets",)])
 def test_verify_restricted_on_noncommutative_group_rejected(tmp_path, capsys, flags):
     # on D3 two of the three subsets S of B1*B2 break the commutative bound
-    from plab.cayley import bundled_tables
+    from cayley_tables import bundled_tables
     path = write_json(tmp_path, "d3.json", {"cayley": dict(bundled_tables(12))["D3"],
                                             "A": [0, 1, 4], "B": [[0, 4], [2, 5]], "l": 1})
     assert main(["verify", path, "--check", "restricted", *flags]) == 2
@@ -216,7 +217,7 @@ def test_verify_guaranteed_check_on_noncommutative_group_rejected():
 
 def test_verify_large_on_noncommutative_group_rejected(tmp_path, capsys):
     # on D6 this bound fails (lhs=10 > 9.33); it is proved for commutative groups only
-    from plab.cayley import bundled_tables
+    from cayley_tables import bundled_tables
     path = write_json(tmp_path, "d6.json", {"cayley": dict(bundled_tables(12))["D6"],
                                             "A": [7, 4, 10], "B": [[5], [10, 7, 11], [2, 10]],
                                             "l": 1})
@@ -382,7 +383,7 @@ def test_demo_pipeline_complete_sum(capsys):
 
 def test_demo_pipeline_on_noncommutative_group_prints_nothing(tmp_path, capsys):
     # on D6 this instance fails the pipeline's witness_term_bound step
-    from plab.cayley import dihedral_table
+    from cayley_tables import dihedral_table
     path = write_json(tmp_path, "d6.json", {"cayley": dihedral_table(6),
                                             "A": [7, 9, 5, 8, 2], "B": [[2], [10, 3]],
                                             "l": 1})
@@ -574,7 +575,7 @@ def test_sweep_power_violation_exit(tmp_path, monkeypatch, capsys):
     def fake_check(inst, r):
         rep = real(inst, r)
         return MultiplicativityReport(gamma_base=rep.gamma_base, gamma_power=rep.gamma_power + 1,
-                                      r=r, equal=False)
+                                      equal=False)
 
     monkeypatch.setattr(cli_mod, "multiplicativity_check", fake_check)
     cfg_path = write_json(tmp_path, "cfg.json", {**BASE_CFG, "count": 3, "checks": ["power"]})

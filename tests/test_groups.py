@@ -10,9 +10,9 @@ from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   direct_power, element_cap, embed_integer_sets, iterated_sumset,
                   make_abelian_group, make_cayley_group, power_group, power_set,
                   sumset)
-from plab.cayley import bundled_tables, cyclic_table, symmetric_table
 from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets
 
+from cayley_tables import bundled_tables, cyclic_table, symmetric_table
 from oracles import (first_associativity_failure, integer_iterated, naive_iterated,
                      naive_members, naive_sumset, naive_translate)
 
@@ -49,13 +49,6 @@ def test_make_abelian_group_basic():
     assert g.is_abelian
 
 
-def test_mixed_radix_index():
-    g = make_abelian_group([2, 3])
-    assert g.order == 6
-    assert g.index((1, 2)) == 5
-    assert g.coords(5) == (1, 2)
-
-
 def test_power_group_order():
     g = make_abelian_group([5])
     assert power_group(g, 2).order == 25
@@ -81,12 +74,6 @@ def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("PLAB_MEM_CAP", "zzz")
     with pytest.raises(UsageError):
         element_cap()
-
-
-@given(abelian_groups(), st.data())
-def test_coords_index_roundtrip(g, data):
-    a = data.draw(st.integers(0, g.order - 1))
-    assert g.index(g.coords(a)) == a
 
 
 # -- integer embedding ---------------------------------------------------------------
@@ -247,7 +234,9 @@ def test_translate_matches_oracle_above_one_word(moduli):
     # coordinates are 0, 1 or n-1, then random ones
     g = make_abelian_group(moduli)
     rng = random.Random(repr(moduli))
-    corners = sorted({g.index(c) for c in product(*((0, 1, n - 1) for n in moduli))})
+    strides = [prod(moduli[j + 1:]) for j in range(len(moduli))]
+    corners = sorted({sum(v % n * s for v, n, s in zip(c, moduli, strides))
+                      for c in product(*((0, 1, n - 1) for n in moduli))})
     sets = [[0], [g.order - 1], [0, g.order - 1], range(min(g.order, 300)),
             rng.sample(range(g.order), min(g.order // 3, 400))]
     for a in corners + [rng.randrange(g.order) for _ in range(8)]:
@@ -370,10 +359,21 @@ def test_cayley_cyclic_ok():
     assert g.identity == 0
 
 
+def test_group_identity_is_its_moduli_and_table():
+    # Z6 as a product group and as a table are different groups
+    z6, c6 = make_abelian_group([6]), make_cayley_group(cyclic_table(6))
+    assert z6 != c6
+    with pytest.raises(UsageError, match="different groups"):
+        sumset(z6.set_of([1]), c6.set_of([1]))
+    again = make_cayley_group(cyclic_table(6))
+    assert again is not c6 and again == c6 and hash(again) == hash(c6)
+    assert (repr(z6), repr(c6)) == ("Z6", "Cayley(order=6)")
+
+
 def test_cayley_s3_noncommutative():
     g = make_cayley_group(symmetric_table(3))
     assert not g.is_abelian
-    assert any(g.op(a, b) != g.op(b, a) for a in range(6) for b in range(6))
+    assert any(g.table[a][b] != g.table[b][a] for a in range(6) for b in range(6))
 
 
 def test_cayley_order_respected_in_sumsets():

@@ -259,7 +259,7 @@ def test_flow_shortcut_full_bk(seed):
     rng = random.Random(seed)
     g = make_abelian_group(rng.choice([[rng.randint(1, 16)], [2, rng.randint(1, 8)]]))
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 10))))
-    graph = build_plun_graph(a, g.full())
+    graph = build_plun_graph(a, g.set_of(range(g.order)))
     with _no_network():
         fl = gamma_flow(graph)
     ex = gamma_exhaustive(graph)
@@ -288,8 +288,8 @@ def test_flow_shortcut_a_in_one_coset_of_the_stabilizer(seed):
 
 def test_flow_shortcut_subgroup_bk():
     g = make_abelian_group([4, 6])
-    h = g.set_of(g.index((0, j)) for j in range(0, 6, 2))  # the subgroup 0 x 2Z_6
-    a = g.set_of([g.index((1, 0)), g.index((1, 4))])      # inside (1, 0) + H
+    h = g.set_of([0, 2, 4])  # (0, 0), (0, 2), (0, 4): the subgroup 0 x 2Z_6
+    a = g.set_of([6, 10])    # (1, 0) and (1, 4), inside (1, 0) + H
     graph = build_plun_graph(a, h)
     with _no_network():
         res = gamma_flow(graph)

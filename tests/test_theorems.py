@@ -14,8 +14,8 @@ from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageE
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
 from plab.theorems import TheoremVerdict
-from plab.cayley import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 
+from cayley_tables import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 from gen import rand_instance, rand_subset
 from oracles import (gamma_exhaustive, naive_iterated, naive_sumset, nonempty_subsets,
                      plgen2_reference)
