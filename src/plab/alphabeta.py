@@ -33,10 +33,10 @@ class AlphaTable:
     m: int
     sizes: dict[frozenset[int], int]
 
-    def leave_one_out(self) -> list[frozenset[int]]:
-        """The index sets {1..k} minus {i}, for i = 1..k."""
-        return [frozenset(j for j in range(1, self.k + 1) if j != i)
-                for i in range(1, self.k + 1)]
+    def leave_one_out_sizes(self) -> list[int]:
+        """|A+B_(K minus i)| for i = 1..k, so alpha_(K minus i) = size / m."""
+        full = frozenset(range(1, self.k + 1))
+        return [self.sizes[full - {i}] for i in range(1, self.k + 1)]
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ def _plgen2(inst: Instance, opts):
 def _large(inst: Instance, opts):
     value = _value(opts.value)
     res = theorems.large_subset(inst, opts.mode, value)  # an error echoes value as typed
-    # a value that a float holds exactly is shown, as before, as that float
+    # a value that a float holds exactly is shown as that float, so reports stay byte-stable
     shown = float(value) if Decimal(float(value)) == value else str(value)
     v = theorems.TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
                                 rhs=res.bound, witness=res.x)
@@ -268,26 +268,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = []
     for chunk in args.check or ["plgen"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
-    runs = []  # every check runs before any output, so no error follows a verdict line
+    if not checks:
+        raise UsageError(f"--check names no check; valid: {', '.join(VERIFY_CHECKS)}")
+    runs = []  # every check runs and the report is written before any output
     for check in checks:
         if check not in VERIFY_CHECKS:
             raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
         theorems.require_commutative(check, inst.group)
         runs.append((check, *CHECKS[check][0](inst, opts)))
-    results: list[dict] = []
-    violated = False
-    for check, batch, line in runs:
-        print(line)
-        violated = violated or any(theorems.is_fatal(v) for v, _, _ in batch)
-        results.extend({"check": check, "holds": v.holds, **fields} for v, fields, _ in batch)
-    all_hold = all(r["holds"] for r in results)
+    results = [{"check": check, "holds": v.holds, **fields}
+               for check, batch, _ in runs for v, fields, _ in batch]
     if args.json:
         report = {"instance": serialize_instance(inst, s), "checks": results,
-                  "all_hold": all_hold}
+                  "all_hold": all(r["holds"] for r in results)}
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if violated:
+    for _, _, line in runs:
+        print(line)
+    if any(theorems.is_fatal(v) for _, batch, _ in runs for v, _, _ in batch):
         print("GUARANTEED CHECK FAILED; instance dump follows", file=sys.stderr)
         json.dump(serialize_instance(inst, s), sys.stderr)
         print(file=sys.stderr)
@@ -299,28 +298,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    seed: int = 0
-    count: int = 100
-    k_min: int = 2
-    k_max: int = 4
-    l_rule: str | int = "all"
-    group_min: int = 4
-    group_max: int = 64
-    set_min: int = 1
-    set_max: int = 8
-    checks: tuple[str, ...] = ("plgen",)
-    insert_identity: bool = True
+    seed: int
+    count: int
+    k_range: tuple[int, int]
+    l_rule: str | int
+    group_size_range: tuple[int, int]
+    set_size_range: tuple[int, int]
+    checks: tuple[str, ...]
+    insert_identity: bool
+
+
+# the value of every field that a sweep config file leaves out
+SWEEP_DEFAULTS = {"seed": 0, "count": 100, "k_range": (2, 4), "l_rule": "all",
+                  "group_size_range": (4, 64), "set_size_range": (1, 8),
+                  "checks": ("plgen",), "insert_identity": True}
 
 
 def load_sweep_config(path: str, **overrides) -> SweepConfig:
     return sweep_config_from_dict(_load_json(path), **overrides)
 
 
-def _range(data: dict, key: str, default: list[int]) -> list[int]:
-    pair = _ints(data.get(key, default), f'"{key}"')
+def _range(data: dict, key: str) -> tuple[int, int]:
+    pair = _ints(data[key], f'"{key}"')
     if len(pair) != 2:
         raise UsageError(f'"{key}" must be a [min, max] pair')
-    return pair
+    return tuple(pair)
 
 
 def sweep_config_from_dict(data: dict, **overrides) -> SweepConfig:
@@ -329,33 +331,32 @@ def sweep_config_from_dict(data: dict, **overrides) -> SweepConfig:
     command line is held to the same rules as the same value in the file."""
     if not isinstance(data, dict):
         raise UsageError("sweep config must contain a JSON object")
-    data = {**data, **overrides}
-    k_range = _range(data, "k_range", [2, 4])
-    g_range = _range(data, "group_size_range", [4, 64])
-    s_range = _range(data, "set_size_range", [1, 8])
-    checks = data.get("checks", ["plgen"])
+    data = {**SWEEP_DEFAULTS, **data, **overrides}
+    k_range = _range(data, "k_range")
+    g_range = _range(data, "group_size_range")
+    s_range = _range(data, "set_size_range")
+    checks = data["checks"]
     if not isinstance(checks, (list, tuple)):
         raise UsageError('"checks" must be a list of check names')
+    if not checks:
+        raise UsageError(f'"checks" names no check; valid: {", ".join(SWEEP_CHECKS)}')
     for c in checks:
         if c not in SWEEP_CHECKS:
             raise UsageError(f"unknown sweep check {c!r}; valid: {', '.join(SWEEP_CHECKS)}")
-    l_rule = data.get("l_rule", "all")
+    l_rule = data["l_rule"]
     if l_rule != "all":
         _int(l_rule, '"l_rule" (when not "all")')
-    insert_identity = data.get("insert_identity", True)
-    if type(insert_identity) is not bool:
+    if type(data["insert_identity"]) is not bool:
         raise UsageError('"insert_identity" must be true or false')
-    cfg = SweepConfig(seed=_int(data.get("seed", 0), '"seed"'),
-                      count=_int(data.get("count", 100), '"count"'),
-                      k_min=k_range[0], k_max=k_range[1], l_rule=l_rule,
-                      group_min=g_range[0], group_max=g_range[1],
-                      set_min=s_range[0], set_max=s_range[1],
-                      checks=tuple(checks),
-                      insert_identity=insert_identity)
-    if cfg.count < 0 or cfg.k_min < 2 or cfg.k_max < cfg.k_min:
+    cfg = SweepConfig(seed=_int(data["seed"], '"seed"'),
+                      count=_int(data["count"], '"count"'),
+                      k_range=k_range, l_rule=l_rule, group_size_range=g_range,
+                      set_size_range=s_range, checks=tuple(checks),
+                      insert_identity=data["insert_identity"])
+    (k_min, k_max), (g_min, g_max), (s_min, s_max) = k_range, g_range, s_range
+    if cfg.count < 0 or k_min < 2 or k_max < k_min:
         raise UsageError("bad sweep config: need count >= 0 and 2 <= k_min <= k_max")
-    if (cfg.group_min < 1 or cfg.group_max < cfg.group_min
-            or cfg.set_min < 1 or cfg.set_max < cfg.set_min):
+    if g_min < 1 or g_max < g_min or s_min < 1 or s_max < s_min:
         raise UsageError('bad sweep config: "group_size_range" and "set_size_range" '
                          "need 1 <= min <= max")
     if l_rule != "all" and l_rule < 1:
@@ -372,10 +373,11 @@ def generate_base(cfg: SweepConfig, index: int) -> Instance | None:
     insert_identity is off.
     """
     rng = random.Random(cfg.seed * (1 << 32) + index)
-    k = rng.randint(cfg.k_min, cfg.k_max)
-    n = rng.randint(cfg.group_min, cfg.group_max)
+    k = rng.randint(*cfg.k_range)
+    n = rng.randint(*cfg.group_size_range)
     group = make_abelian_group([n])
-    size_lo, size_hi = min(cfg.set_min, n), min(cfg.set_max, n)
+    set_min, set_max = cfg.set_size_range
+    size_lo, size_hi = min(set_min, n), min(set_max, n)
     a = group.set_of(rng.sample(range(n), rng.randint(size_lo, size_hi)))
     bs = []
     for _ in range(k):

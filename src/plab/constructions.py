@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
 from .alphabeta import AlphaTable, instance_table
 from .errors import ResourceError, UsageError
@@ -21,15 +23,10 @@ from .groups import GSet, Group, Instance, element_cap, make_abelian_group, sums
 from .magnification import instance_gamma
 
 
-def _leave_one_out_sizes(table: AlphaTable) -> list[int]:
-    """|A+B_(K minus i)| for i = 1..k, so alpha_(K minus i) = size / m."""
-    return [table.sizes[j] for j in table.leave_one_out()]
-
-
 def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6) -> list[int]:
     """First few q making every n_i = alpha_(K minus i) * q an integer,
     filtered by the element cap on the extended group."""
-    sizes, m = _leave_one_out_sizes(table), table.m
+    sizes, m = table.leave_one_out_sizes(), table.m
     # size / m in lowest terms has denominator m / gcd(size, m)
     step = math.lcm(*(m // math.gcd(size, m) for size in sizes))
     limit = element_cap()
@@ -93,7 +90,7 @@ def build_extension(inst: Instance, q: int) -> Lemma21Setup:
         raise UsageError(f"construction requires k = l+1, got k={inst.k}, l={inst.l}")
     table = instance_table(inst)
     n = []
-    for size in _leave_one_out_sizes(table):
+    for size in table.leave_one_out_sizes():
         if size * q % table.m:
             raise UsageError(f"q={q} is not admissible: "
                              f"alpha*q = {Fraction(size * q, table.m)} is not integral")
@@ -104,16 +101,10 @@ def build_extension(inst: Instance, q: int) -> Lemma21Setup:
     bi_prime = []
     for i, b in enumerate(inst.bs):
         stride = math.prod(n[i + 1:])  # index step along H_i's axis
-        bits = 0
-        for x in b:
-            for h in range(n[i]):
-                bits |= 1 << (x * h_order + h * stride)
-        bi_prime.append(GSet(gprime, bits))
-    union = gprime.empty()
-    for bp in bi_prime:
-        union = union | bp
+        bi_prime.append(gprime.set_of(x * h_order + h * stride for x in b for h in range(n[i])))
+    bprime = GSet(gprime, reduce(or_, (bp.bits for bp in bi_prime)))
     return Lemma21Setup(q=q, n=tuple(n), gprime=gprime, aprime=aprime,
-                        bprime=union, bi_prime=tuple(bi_prime))
+                        bprime=bprime, bi_prime=tuple(bi_prime))
 
 
 def _sum_size(acc: GSet, summands) -> int:
@@ -145,11 +136,8 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
     union_rhs = 2 * k * expected
     union_holds = union_size <= union_rhs
 
-    # the first satisfying q is at most q when q satisfies the bound, above q otherwise
     first_q = None
     for cand in admissible_q(table, inst.group.order, count=8):
-        if (cand <= q) != union_holds:
-            continue
         st = setup if cand == q else build_extension(inst, cand)
         size = _sum_size(st.aprime, [st.bprime] * (k - 1))
         if size <= 2 * k * _expected_at(table, inst.l, cand):
@@ -180,7 +168,7 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
 def _expected_at(table: AlphaTable, l: int, q: int) -> int:
     """m * (beta*q)^l as an exact integer via the leave-one-out product,
     m * q^l * (product of the sizes) / m^k."""
-    expected, rest = divmod(table.m * q ** l * math.prod(_leave_one_out_sizes(table)),
+    expected, rest = divmod(table.m * q ** l * math.prod(table.leave_one_out_sizes()),
                             table.m ** table.k)
     if rest:
         raise AssertionError("distinct-summand size must be integral for admissible q")

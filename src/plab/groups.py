@@ -149,9 +149,6 @@ class Group:
 
     # -- set constructors ----------------------------------------------------
 
-    def empty(self) -> "GSet":
-        return GSet(self, 0)
-
     def identity_set(self) -> "GSet":
         return self.set_of((self.identity,))
 
@@ -492,10 +489,7 @@ def power_set(powered: Group, s: GSet, r: int) -> GSet:
     cur = [0]
     for _ in range(r):
         cur = [p * base + e for p in cur for e in idxs]
-    bits = 0
-    for e in cur:
-        bits |= 1 << e
-    return GSet(powered, bits)
+    return powered.set_of(cur)
 
 
 def direct_power(inst: Instance, r: int) -> Instance:

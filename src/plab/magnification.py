@@ -14,7 +14,7 @@ class (every a+B_K is the same set) no network is built at all.
 
 The network is bipartite, source -(p)-> a -(inf)-> class -(q*|class|)->
 sink, so max-flow is a greedy fill followed by short augmenting paths
-(_Transport).  Every gamma is returned only after
+(_max_flow).  Every gamma is returned only after
 certificate.check_certificate, which shares no code with the solver, has
 accepted its witness and flow.
 """
@@ -72,93 +72,82 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     return PlunGraph.of(g, {x: g.translate_bits(bk.bits, x) for x in a})
 
 
-class _Transport:
+def _max_flow(out_of: list[list[int]], sizes: list[int], p: int,
+              q: int) -> tuple[list[dict[int, int]], list[int]]:
     """Max-flow on source -(p)-> left i -(inf)-> class j -(q*sizes[j])-> sink,
-    where out_of[i] lists the classes inside left vertex i's image.  gets[j]
-    maps each left vertex sending flow into class j to its positive amount."""
+    where out_of[i] lists the classes inside left vertex i's image.  Returns
+    gets, a maximum flow, and the left vertices that the residual network
+    reaches from the source, empty when every left vertex sends p.  gets[j]
+    maps each left vertex sending flow into class j to its positive amount.
 
-    __slots__ = ("out_of", "sizes", "gets")
-
-    def __init__(self, out_of: list[list[int]], sizes: list[int]):
-        self.out_of = out_of
-        self.sizes = sizes
-        self.gets: list[dict[int, int]] = []
-
-    def max_flow(self, p: int, q: int) -> list[int]:
-        """Leave a maximum flow in gets and return the left vertices that the
-        residual network reaches from the source, empty when every left
-        vertex sends p.
-
-        A breadth-first search from a left vertex that still has need, which
-        finds no class with room, has reached a set with no residual edge
-        leaving it: later paths cannot enter and leave it, so its flow stays
-        put and it is closed for good.  The closed sets together are the
-        vertices reachable from the source, the source side of the least min
-        cut, which is the same for every maximum flow."""
-        out_of = self.out_of
-        room = [q * size for size in self.sizes]
-        gets: list[dict[int, int]] = [{} for _ in room]
-        self.gets = gets
-        need = []
-        for i, classes in enumerate(out_of):
-            left = p
-            for j in classes:
-                if not left:
-                    break
-                r = room[j]
-                if r:
-                    take = r if r < left else left
-                    room[j] = r - take
-                    gets[j][i] = take
-                    left -= take
-            need.append(left)
-        closed = [False] * len(out_of)
-        reached = []
-        for i, left in enumerate(need):
-            while left and not closed[i]:
-                via_left = {}          # class -> the left vertex it was reached from
-                via_class = {i: -1}    # left vertex -> the class it was reached from
-                queue = [i]
-                found = -1
-                for u in queue:
-                    for j in out_of[u]:
-                        if j in via_left:
-                            continue
-                        via_left[j] = u
-                        if room[j]:
-                            found = j
-                            break
-                        for v in gets[j]:
-                            if v not in via_class and not closed[v]:
-                                via_class[v] = j
-                                queue.append(v)
-                    if found >= 0:
+    A breadth-first search from a left vertex that still has need, which
+    finds no class with room, has reached a set with no residual edge
+    leaving it: later paths cannot enter and leave it, so its flow stays
+    put and it is closed for good.  The closed sets together are the
+    vertices reachable from the source, the source side of the least min
+    cut, which is the same for every maximum flow."""
+    room = [q * size for size in sizes]
+    gets: list[dict[int, int]] = [{} for _ in room]
+    need = []
+    for i, classes in enumerate(out_of):
+        left = p
+        for j in classes:
+            if not left:
+                break
+            r = room[j]
+            if r:
+                take = r if r < left else left
+                room[j] = r - take
+                gets[j][i] = take
+                left -= take
+        need.append(left)
+    closed = [False] * len(out_of)
+    reached = []
+    for i, left in enumerate(need):
+        while left and not closed[i]:
+            via_left = {}          # class -> the left vertex it was reached from
+            via_class = {i: -1}    # left vertex -> the class it was reached from
+            queue = [i]
+            found = -1
+            for u in queue:
+                for j in out_of[u]:
+                    if j in via_left:
+                        continue
+                    via_left[j] = u
+                    if room[j]:
+                        found = j
                         break
-                if found < 0:
-                    for v in queue:
-                        closed[v] = True
-                    reached.extend(queue)
+                    for v in gets[j]:
+                        if v not in via_class and not closed[v]:
+                            via_class[v] = j
+                            queue.append(v)
+                if found >= 0:
                     break
-                amount = min(left, room[found])
-                j = found
-                while (u := via_left[j]) != i:
-                    j = via_class[u]
-                    amount = min(amount, gets[j][u])
-                room[found] -= amount
-                left -= amount
-                j = found
-                while True:
-                    u = via_left[j]
-                    gets[j][u] = gets[j].get(u, 0) + amount
-                    if u == i:
-                        break
-                    j = via_class[u]
-                    rest = gets[j][u] - amount
-                    if rest:
-                        gets[j][u] = rest
-                    else:
-                        del gets[j][u]
-        return reached
+            if found < 0:
+                for v in queue:
+                    closed[v] = True
+                reached.extend(queue)
+                break
+            amount = min(left, room[found])
+            j = found
+            while (u := via_left[j]) != i:
+                j = via_class[u]
+                amount = min(amount, gets[j][u])
+            room[found] -= amount
+            left -= amount
+            j = found
+            while True:
+                u = via_left[j]
+                gets[j][u] = gets[j].get(u, 0) + amount
+                if u == i:
+                    break
+                j = via_class[u]
+                rest = gets[j][u] - amount
+                if rest:
+                    gets[j][u] = rest
+                else:
+                    del gets[j][u]
+    return gets, reached
 
 
 def gamma_flow(graph: PlunGraph) -> MagResult:
@@ -182,13 +171,13 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     would return it, without a network, with the flow p from every left
     vertex into the one class.
 
-    Each round resets only the capacities and flow of one _Transport built
-    per call.  Its greedy fill offers each left vertex's classes fewest
-    owners first, so that a class few left vertices reach is not taken by
-    one that has other choices; the short augmenting paths that follow
-    then have little left to move.  The source side it reaches is the least
-    min cut's whichever maximum flow it finds, so witnesses and rounds do
-    not depend on that order.
+    Each round runs _max_flow afresh on the classes built once per call.
+    Its greedy fill offers each left vertex's classes fewest owners first,
+    so that a class few left vertices reach is not taken by one that has
+    other choices; the short augmenting paths that follow then have little
+    left to move.  The source side it reaches is the least min cut's
+    whichever maximum flow it finds, so witnesses and rounds do not depend
+    on that order.
 
     The final round's flow and the witness go to check_certificate before
     the result is returned; a rejected certificate raises CertificateError.
@@ -221,14 +210,14 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
             low = mask & -mask
             out_of[low.bit_length() - 1].append(j)
             mask ^= low
-    net = _Transport(out_of, [bits.bit_count() for bits in classes])
+    sizes = [bits.bit_count() for bits in classes]
     iterations = 0
     while True:
         iterations += 1
-        reached = net.max_flow(t.numerator, t.denominator)
+        flows, reached = _max_flow(out_of, sizes, t.numerator, t.denominator)
         if not reached:
             return _certified(graph, t, witness_bits, iterations, classes,
-                              [(lefts[i], j, amount) for j, gets in enumerate(net.gets)
+                              [(lefts[i], j, amount) for j, gets in enumerate(flows)
                                for i, amount in gets.items()])
         z_bits = im_bits = 0
         for i in reached:

@@ -19,7 +19,7 @@ from itertools import combinations
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction)
 from .errors import TheoremViolationError, UsageError
-from .groups import (GSet, Group, Instance, direct_power, iterated_sumset, power_set,
+from .groups import (GSet, Group, Instance, iterated_sumset, power_group, power_set,
                      subset_sumsets, sumset)
 from .magnification import PlunGraph, build_plun_graph, gamma_flow, instance_gamma
 
@@ -263,8 +263,7 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
         raise UsageError("S must be nonempty")
     if not s.issubset(inst.bk):
         raise UsageError("S must be a subset of the complete sum B_K")
-    table = instance_table(inst)
-    s_prod = math.prod(table.sizes[j] for j in table.leave_one_out())
+    s_prod = math.prod(instance_table(inst).leave_one_out_sizes())
 
     def verdict(s_size: int, sa_size: int) -> TheoremVerdict:
         lhs, rhs = sa_size ** inst.k, s_size * s_prod
@@ -320,7 +319,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     sa = sumset(s, inst.a)
     sa_size = len(sa)
     s_size = len(s)
-    s_prod = final.rhs // s_size  # prod over i of |A + B_(K minus i)|
+    s_prod = math.prod(instance_table(inst).leave_one_out_sizes())
     steps: list[PipelineStep] = []
 
     def add(name: str, lhs: float, rhs: float, exact: bool) -> None:
@@ -356,9 +355,11 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     power_rows: list[PowerRow] = []
     prev_bound = math.inf
     for r in range(1, r_max + 1):
-        powered = direct_power(inst, r)
-        s_r = power_set(powered.group, s, r) if r > 1 else s
-        size_r = len(sumset(s_r, powered.a))
+        s_r, a_r = s, inst.a
+        if r > 1:
+            gp = power_group(inst.group, r)
+            s_r, a_r = power_set(gp, s, r), power_set(gp, inst.a, r)
+        size_r = len(sumset(s_r, a_r))
         bound_r = k ** (1 / r) * (s_prod * s_size) ** (1 / k)
         power_rows.append(PowerRow(
             r=r, power_size=size_r, identity_holds=size_r == sa_size ** r,

@@ -137,19 +137,19 @@ def test_checker_rejects_mutated_certificates(make_graph, mutate):
 @pytest.fixture
 def flow_short_by_one_unit(monkeypatch):
     """An engine whose feasible rounds lose one unit of flow."""
-    real = magnification._Transport.max_flow
+    real = magnification._max_flow
 
-    def max_flow(self, p, q):
-        reached = real(self, p, q)
+    def max_flow(out_of, sizes, p, q):
+        flows, reached = real(out_of, sizes, p, q)
         if not reached:
-            gets = next(g for g in self.gets if g)
+            gets = next(g for g in flows if g)
             i = next(iter(gets))
             gets[i] -= 1
             if not gets[i]:
                 del gets[i]
-        return reached
+        return flows, reached
 
-    monkeypatch.setattr(magnification._Transport, "max_flow", max_flow)
+    monkeypatch.setattr(magnification, "_max_flow", max_flow)
 
 
 def test_rejected_certificate_exits_1_with_a_replayable_dump(flow_short_by_one_unit, capsys):

@@ -63,7 +63,8 @@ def test_parse_rejects_bad_shapes():
     ("verify", {"cayley": "xx"}), ("verify", {"S": "x"}),
     ("sweep", {"k_range": "x"}), ("sweep", {"checks": "plgen"}),
     ("sweep", {"insert_identity": "no"}), ("sweep", {"set_size_range": [5, 3]}),
-    ("sweep", {"l_rule": 0, "count": 0}),
+    ("sweep", {"l_rule": 0, "count": 0}), ("sweep", {"checks": []}),
+    ("verify", ["--check", ","]),
     ("verify", ["--check", "plgen2", "--epsilon", "nan"]),
     ("verify", ["--check", "plgen2", "--epsilon", "inf"]),
     ("verify", ["--check", "plgen2", "--epsilon", "0"]),
@@ -80,7 +81,8 @@ def test_parse_rejects_bad_shapes():
     ("sweep", ["--count", "x"]),
     ("sweep", ["--workers", "0"]), ("sweep", ["--workers", "-1"]),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
-        "insert_identity-str", "set_size_range-reversed", "l_rule-zero",
+        "insert_identity-str", "set_size_range-reversed", "l_rule-zero", "checks-empty",
+        "check-list-empty",
         "epsilon-nan", "epsilon-inf", "epsilon-zero", "epsilon-one", "epsilon-too-fine",
         "value-fractional-a", "value-1e400", "value-nan", "value-rounds-to-integer",
         "epsilon-minus-inf", "mode-bad-choice", "value-missing", "unknown-flag",
@@ -237,6 +239,7 @@ def test_verify_usage_error_prints_no_verdict(capsys, fixture, checks, err):
 
 # |B_K| = 16, above the --all-subsets limit of 12
 _BIG_BK = {"group": [64], "A": [0, 1], "B": [[0, 1, 2, 3], [0, 4, 8, 12]], "l": 1}
+_MISSING_DIR = FIXTURES / "no-such-directory"
 
 
 @pytest.mark.parametrize("instance, flags, err", [
@@ -247,11 +250,15 @@ _BIG_BK = {"group": [64], "A": [0, 1], "B": [[0, 1, 2, 3], [0, 4, 8, 12]], "l": 
     ("z5.json", ["--check", "plgen,large", "--value", "nan"],
      "error: value must be finite, got nan\n"),
     (_BIG_BK, ["--check", "plgen,restricted", "--all-subsets"],
-     "error: --all-subsets needs |B_K| <= 12, got 16\n")],
-    ids=["noncomm-needs-k-2", "plgen2-bad-epsilon", "large-bad-value", "all-subsets-too-big"])
+     "error: --all-subsets needs |B_K| <= 12, got 16\n"),
+    ("z5.json", ["--check", "plgen", "--json", str(_MISSING_DIR / "r.json")],
+     f"error: [Errno 2] No such file or directory: '{_MISSING_DIR / 'r.json'}'\n")],
+    ids=["noncomm-needs-k-2", "plgen2-bad-epsilon", "large-bad-value", "all-subsets-too-big",
+         "json-path-unwritable"])
 def test_verify_usage_error_of_a_later_check_prints_no_verdict(tmp_path, capsys, instance,
                                                                 flags, err):
-    # each error belongs to the second check; the first, plgen, would hold
+    # each error comes after plgen, which would hold: from a second check,
+    # or from writing the report
     path = (str(FIXTURES / instance) if isinstance(instance, str)
             else write_json(tmp_path, "inst.json", instance))
     assert main(["verify", path, *flags]) == 2
@@ -457,6 +464,25 @@ def test_sweep_matches_golden_bytes(workers):
     golden = (ROOT / "tests" / "golden" / "sweep_z2_96_seed20260808.csv").read_bytes()
     text = run_sweep(sweep_config_from_dict(GOLDEN_SWEEP), workers=workers)
     assert text.encode("utf-8") == golden
+
+
+def test_sweep_config_defaults_spelled_out():
+    assert sweep_config_from_dict({}) == SweepConfig(
+        seed=0, count=100, k_range=(2, 4), l_rule="all", group_size_range=(4, 64),
+        set_size_range=(1, 8), checks=("plgen",), insert_identity=True)
+
+
+def test_sweep_without_optional_keys_writes_the_spelled_out_csv(tmp_path, capsys):
+    spelled = {"seed": 0, "count": 20, "k_range": [2, 4], "l_rule": "all",
+               "group_size_range": [4, 64], "set_size_range": [1, 8],
+               "checks": ["plgen"], "insert_identity": True}
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", write_json(tmp_path, "bare.json", {"count": 20}),
+                 "--out", str(out1)]) == 0
+    assert main(["sweep", write_json(tmp_path, "spelled.json", spelled),
+                 "--out", str(out2)]) == 0
+    assert len(out1.read_text().splitlines()) > 20
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_sweep_cli_to_file(tmp_path, capsys):

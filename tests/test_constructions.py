@@ -1,11 +1,15 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plab import (GT, Instance, ResourceError, UsageError, admissible_q, alpha_table,
                   beta_value, build_extension, check_plgen, cmp_ratio_vs_beta,
-                  lemma21_demo, make_abelian_group, multiplicativity_check)
+                  lemma21_demo, make_abelian_group, multiplicativity_check, sumset)
 
+from gen import rand_instance
 from oracles import naive_sumset
 
 
@@ -89,6 +93,30 @@ def test_demo_apex_identity(z9):
 def test_demo_ratio_decreases_over_first_three_q(z9):
     ratios = [lemma21_demo(z9, q).repeated_to_distinct_ratio for q in (2, 4, 6)]
     assert ratios[0] > ratios[1] > ratios[2]
+
+
+@given(st.integers(0, 100_000))
+def test_first_satisfying_q_is_the_first_in_a_plain_scan(seed):
+    # the first of the first eight admissible q whose union sum |A'+(k-1)B'|
+    # meets 2*k*m*(beta*q)^l, whichever q the demo is run at
+    rng = random.Random(seed)
+    k = rng.randint(2, 3)
+    inst = rand_instance(rng, n_range=(2, 7), k_range=(k, k), a_range=(1, 3),
+                         b_range=(1, 3), l=k - 1)
+    table = alpha_table(inst)
+    m, s_prod = table.m, math.prod(table.sizes[inst.key_set - {i}] for i in inst.key_set)
+    qs = admissible_q(table, inst.group.order, count=8)
+
+    def union_holds(q):
+        setup = build_extension(inst, q)
+        union = setup.aprime
+        for _ in range(k - 1):
+            union = sumset(union, setup.bprime)
+        return len(union) * m ** k <= 2 * k * m * q ** (k - 1) * s_prod
+
+    first = next((q for q in qs if union_holds(q)), None)
+    for q in rng.sample(qs, min(3, len(qs))):
+        assert lemma21_demo(inst, q).first_satisfying_q == first
 
 
 def test_demo_identity_summands():

@@ -197,7 +197,7 @@ def test_sumset_group_mismatch():
 
 def test_sumset_empty_operand():
     g = make_abelian_group([5])
-    assert len(sumset(g.empty(), g.set_of([1]))) == 0
+    assert len(sumset(g.set_of([]), g.set_of([1]))) == 0
 
 
 @given(group_with_sets())
@@ -489,7 +489,7 @@ def test_instance_validation():
     with pytest.raises(UsageError):
         Instance(g, a, (b, b), 2)         # l >= k
     with pytest.raises(UsageError):
-        Instance(g, g.empty(), (b, b), 1)
+        Instance(g, g.set_of([]), (b, b), 1)
     other = make_abelian_group([7])
     with pytest.raises(UsageError):
         Instance(g, a, (b, other.set_of([0])), 1)

@@ -46,7 +46,7 @@ def test_graph_singleton():
 def test_graph_errors():
     g = make_abelian_group([4])
     with pytest.raises(UsageError):
-        build_plun_graph(g.empty(), g.set_of([0]))
+        build_plun_graph(g.set_of([]), g.set_of([0]))
     other = make_abelian_group([5])
     with pytest.raises(UsageError):
         build_plun_graph(g.set_of([0]), other.set_of([0]))
@@ -193,28 +193,23 @@ def test_flow_equals_exhaustive_on_arbitrary_adjacency(seed):
 def test_flow_network_merges_right_vertices_by_neighbourhood():
     # 0+B_K = {0..9} and 1+B_K = {1..10}: the right vertices fall into the
     # classes {0} (seen by 0 only), {1..9} (by both) and {10} (by 1 only)
-    built = []
+    rounds = []
+    real = magnification._max_flow
 
-    class Recording(magnification._Transport):
-        def __init__(self, out_of, sizes):
-            super().__init__(out_of, sizes)
-            self.sink_caps = []
-            built.append(self)
-
-        def max_flow(self, p, q):
-            self.sink_caps.append(sorted(q * size for size in self.sizes))
-            return super().max_flow(p, q)
+    def recording(out_of, sizes, p, q):
+        rounds.append((out_of, sizes, sorted(q * size for size in sizes)))
+        return real(out_of, sizes, p, q)
 
     g = make_abelian_group([100])
     a = g.set_of([0, 1])
-    with mock.patch("plab.magnification._Transport", Recording):
+    with mock.patch("plab.magnification._max_flow", recording):
         res = gamma_flow(build_plun_graph(a, g.set_of(range(10))))
     assert res.gamma == Fraction(11, 2) and res.witness == a
-    [net] = built
-    assert len(net.out_of) == 2 and len(net.sizes) == 3
-    assert sum(len(classes) for classes in net.out_of) == 4
+    [(out_of, sizes, sink_caps)] = rounds
+    assert len(out_of) == 2 and len(sizes) == 3
+    assert sum(len(classes) for classes in out_of) == 4
     # each class's sink edge carries q = 2 per vertex it merges
-    assert net.sink_caps == [[2, 2, 18]]
+    assert sink_caps == [2, 2, 18]
 
 
 @given(st.integers(0, 10_000))
@@ -250,7 +245,7 @@ def test_multiplicativity_z9(z9):
 # -- translates that coincide: the shortcut -----------------------------------------
 
 def _no_network():
-    return mock.patch("plab.magnification._Transport",
+    return mock.patch("plab.magnification._max_flow",
                       side_effect=AssertionError("the shortcut must not build a flow network"))
 
 
