@@ -31,5 +31,7 @@ if __name__ == "__main__":
     run("find-x", z9)
     run("demo", "lemma21", z9, "--q", "2")
     run("demo", "power", z9, "-r", "2")
+    run("demo", "power", z5, "-r", "3")
     run("demo", "pipeline", z5, "-r", "3")
+    run("demo", "pipeline", z9, "-r", "2")
     print("\nall fixture reports completed")

@@ -64,10 +64,18 @@ def _int_lists(value, what: str) -> list[list[int]]:
     return [_ints(v, f"each entry of {what}") for v in value]
 
 
+def _require_keys(data, what: str, valid) -> None:
+    """Refuse anything but a JSON object whose keys all lie in valid."""
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} must contain a JSON object")
+    for key in data:
+        if key not in valid:
+            raise UsageError(f"unknown {what} key {json.dumps(key)}; valid: {', '.join(valid)}")
+
+
 def parse_instance(data: dict) -> tuple[Instance, GSet | None]:
     """Build an Instance (and optional restricted set S) from parsed JSON."""
-    if not isinstance(data, dict):
-        raise UsageError("instance file must contain a JSON object")
+    _require_keys(data, "instance file", ("group", "cayley", "A", "B", "l", "S"))
     if "A" not in data or "B" not in data or "l" not in data:
         raise UsageError('instance file needs "A", "B" and "l" fields')
     a_elems = _ints(data["A"], '"A"')
@@ -329,8 +337,7 @@ def sweep_config_from_dict(data: dict, **overrides) -> SweepConfig:
     """Parse and validate a sweep config.  overrides, keyed like the file's
     fields, replace them before anything is checked, so a value from the
     command line is held to the same rules as the same value in the file."""
-    if not isinstance(data, dict):
-        raise UsageError("sweep config must contain a JSON object")
+    _require_keys(data, "sweep config", SWEEP_DEFAULTS)
     data = {**SWEEP_DEFAULTS, **data, **overrides}
     k_range = _range(data, "k_range")
     g_range = _range(data, "group_size_range")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress, count
 from math import prod
 from operator import itemgetter, or_
@@ -409,7 +410,7 @@ def iterated_sumset(bs: Sequence[GSet], idxs: Iterable[int]) -> GSet:
     return acc
 
 
-# -- instances and direct powers ----------------------------------------------
+# -- instances, and the Cartesian powers behind the tensor-power identities ---
 
 @dataclass(frozen=True)
 class Instance:
@@ -470,8 +471,13 @@ class Instance:
         return memo[key]
 
 
-def power_group(group: Group, r: int) -> Group:
-    """The r-fold direct power, as the concatenated-moduli product group."""
+def direct_powers(sets: Sequence[GSet], r: int) -> tuple[GSet, ...]:
+    """The Cartesian r-th powers of sets of one product group G, inside G^r
+    with G's moduli repeated r times: (e_1, ..., e_r) has index
+    e_1*|G|^(r-1) + ... + e_r."""
+    group = sets[0].group
+    for s in sets:
+        _require_same_group(sets[0], s)
     if group.table is not None:
         raise UsageError("direct powers are only supported for abelian product groups")
     if r < 1:
@@ -479,23 +485,8 @@ def power_group(group: Group, r: int) -> Group:
     limit = element_cap()
     if group.order ** r > limit:
         raise ResourceError(f"group order {group.order}^{r} exceeds element cap {limit}")
-    return make_abelian_group(group.moduli * r)
-
-
-def power_set(powered: Group, s: GSet, r: int) -> GSet:
-    """Cartesian r-th power of s inside the powered group."""
-    base = s.group.order
-    idxs = list(s)
-    cur = [0]
-    for _ in range(r):
-        cur = [p * base + e for p in cur for e in idxs]
-    return powered.set_of(cur)
-
-
-def direct_power(inst: Instance, r: int) -> Instance:
-    """Instance over G^r with A^r and B_i^r; r=1 returns the instance itself."""
-    if r == 1:
-        return inst
-    gp = power_group(inst.group, r)
-    return Instance(gp, power_set(gp, inst.a, r),
-                    tuple(power_set(gp, b, r) for b in inst.bs), inst.l)
+    powered, n = make_abelian_group(group.moduli * r), group.order
+    powers = [s.bits for s in sets]
+    for j in range(1, r):  # prefix a digit e: a copy of the bits so far shifted by e*n^j
+        powers = [reduce(or_, [bits << e * n ** j for e in s]) for bits, s in zip(powers, sets)]
+    return tuple(GSet(powered, bits) for bits in powers)

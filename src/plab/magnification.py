@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .certificate import check_certificate
 from .errors import UsageError
-from .groups import GSet, Group, Instance, direct_power
+from .groups import GSet, Group, Instance, direct_powers
 
 @dataclass(frozen=True)
 class PlunGraph:
@@ -251,8 +251,9 @@ def instance_gamma(inst: Instance) -> MagResult:
 
 
 def multiplicativity_check(inst: Instance, r: int) -> MultiplicativityReport:
-    """Compare gamma of the r-th direct power against gamma ** r, exactly."""
-    g1 = instance_gamma(inst)
-    gr = instance_gamma(direct_power(inst, r))
-    return MultiplicativityReport(gamma_base=g1.gamma, gamma_power=gr.gamma,
-                                  equal=gr.gamma == g1.gamma ** r)
+    """Compare gamma of the r-th direct power against gamma ** r, exactly.  In
+    G^r the complete sum B_1^r + ... + B_k^r is (B_K)^r, so the power's graph
+    is built from A^r and (B_K)^r alone; r = 1 reuses the instance's gamma."""
+    g1 = instance_gamma(inst).gamma
+    gr = gamma_flow(build_plun_graph(*direct_powers((inst.a, inst.bk), r))).gamma if r != 1 else g1
+    return MultiplicativityReport(gamma_base=g1, gamma_power=gr, equal=gr == g1 ** r)

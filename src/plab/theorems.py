@@ -19,8 +19,8 @@ from itertools import combinations
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction)
 from .errors import TheoremViolationError, UsageError
-from .groups import (GSet, Group, Instance, iterated_sumset, power_group, power_set,
-                     subset_sumsets, sumset)
+from .groups import (GSet, Group, Instance, direct_powers, iterated_sumset, subset_sumsets,
+                     sumset)
 from .magnification import PlunGraph, build_plun_graph, gamma_flow, instance_gamma
 
 REL_TOL = 1e-9        # float bound checks
@@ -314,10 +314,8 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     |S^r + A^r| = |S+A|^r for r up to r_max."""
     require_commutative("restricted", inst.group)
     final = check_restricted_sum(inst, s)
-    bk = inst.bk
     k, m = inst.k, len(inst.a)
-    sa = sumset(s, inst.a)
-    sa_size = len(sa)
+    sa_size = len(sumset(s, inst.a))
     s_size = len(s)
     s_prod = math.prod(instance_table(inst).leave_one_out_sizes())
     steps: list[PipelineStep] = []
@@ -340,9 +338,8 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         x = res.x
         r_x = len(x)
         sx = len(sumset(s, x))
-        bkx = len(sumset(bk, x))
-        add("witness_term_subset", sx, bkx, True)
-        add("witness_term_bound", bkx, res.bound, False)
+        add("witness_term_subset", sx, res.lhs, True)  # res.lhs is |X+B_K|
+        add("witness_term_bound", res.lhs, res.bound, False)
         rest = len(sumset(s, inst.a - x)) if r_x < m else 0
         add("complement_term", rest, s_size * (m - r_x), True)
         add("split", sa_size, sx + rest, True)
@@ -355,11 +352,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     power_rows: list[PowerRow] = []
     prev_bound = math.inf
     for r in range(1, r_max + 1):
-        s_r, a_r = s, inst.a
-        if r > 1:
-            gp = power_group(inst.group, r)
-            s_r, a_r = power_set(gp, s, r), power_set(gp, inst.a, r)
-        size_r = len(sumset(s_r, a_r))
+        size_r = len(sumset(*direct_powers((s, inst.a), r))) if r > 1 else sa_size
         bound_r = k ** (1 / r) * (s_prod * s_size) ** (1 / k)
         power_rows.append(PowerRow(
             r=r, power_size=size_r, identity_holds=size_r == sa_size ** r,

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 from plab import (Instance, alpha_table, beta_value,
                   build_plun_graph, check_noncommutative, check_plgen,
-                  check_restricted_sum, cmp_ratio_vs_beta, direct_power,
+                  check_restricted_sum, cmp_ratio_vs_beta, direct_powers,
                   gamma_flow, iterated_sumset, large_subset,
                   lemma21_demo, make_cayley_group,
-                  multiplicativity_check, power_set, sumset)
+                  multiplicativity_check, sumset)
 from plab.alphabeta import LT
 from plab.cli import run_sweep, sweep_config_from_dict
 
@@ -142,9 +142,8 @@ def test_acceptance_restricted_sums():
             s = rand_subset(rng, bk)
             sa = len(sumset(s, inst.a))
             for r in (2, 3):
-                powered = direct_power(inst, r)
-                s_r = power_set(powered.group, s, r)
-                assert len(sumset(s_r, powered.a)) == sa ** r
+                s_r, a_r = direct_powers((s, inst.a), r)
+                assert len(sumset(s_r, a_r)) == sa ** r
             tensor_checked += 1
     report("restricted-sums", True,
            f"100 instances, {subsets_total} subsets exact; tensor identity "

@@ -80,13 +80,15 @@ def test_parse_rejects_bad_shapes():
     ("verify", ["--bogus"]),
     ("sweep", ["--count", "x"]),
     ("sweep", ["--workers", "0"]), ("sweep", ["--workers", "-1"]),
+    ("sweep", {"check": ["power"]}), ("verify", {"s": [0]}),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
         "insert_identity-str", "set_size_range-reversed", "l_rule-zero", "checks-empty",
         "check-list-empty",
         "epsilon-nan", "epsilon-inf", "epsilon-zero", "epsilon-one", "epsilon-too-fine",
         "value-fractional-a", "value-1e400", "value-nan", "value-rounds-to-integer",
         "epsilon-minus-inf", "mode-bad-choice", "value-missing", "unknown-flag",
-        "count-not-int", "workers-zero", "workers-negative"])
+        "count-not-int", "workers-zero", "workers-negative", "sweep-unknown-key",
+        "instance-unknown-key"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
     """patch is either file fields to replace or command-line flags to add;
     the one-line error names the field or echoes the flag's value."""

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import prod
 
@@ -7,14 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
-                  direct_power, element_cap, embed_integer_sets, iterated_sumset,
-                  make_abelian_group, make_cayley_group, power_group, power_set,
-                  sumset)
+                  direct_powers, element_cap, embed_integer_sets, iterated_sumset,
+                  make_abelian_group, make_cayley_group, sumset)
 from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets
 
 from cayley_tables import bundled_tables, cyclic_table, symmetric_table
 from oracles import (first_associativity_failure, integer_iterated, naive_iterated,
-                     naive_members, naive_sumset, naive_translate)
+                     naive_members, naive_power_index_set, naive_sumset, naive_translate)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_make_abelian_group_basic():
 
 def test_power_group_order():
     g = make_abelian_group([5])
-    assert power_group(g, 2).order == 25
+    assert direct_powers((g.set_of([0]),), 2)[0].group.order == 25
 
 
 def test_make_abelian_group_errors(monkeypatch):
@@ -323,13 +323,13 @@ def test_monotone_in_index_set(data):
 # -- direct powers ------------------------------------------------------------------
 
 def test_direct_power_unit(z5):
-    assert direct_power(z5, 1) is z5
+    assert direct_powers((z5.a, *z5.bs), 1) == (z5.a, *z5.bs)
 
 
 def test_direct_power_orders(z5):
-    p = direct_power(z5, 2)
-    assert p.group.order == 25
-    assert len(p.a) == 4
+    (a2,) = direct_powers((z5.a,), 2)
+    assert a2.group.order == 25
+    assert len(a2) == 4
 
 
 def test_direct_power_cap(monkeypatch):
@@ -337,17 +337,37 @@ def test_direct_power_cap(monkeypatch):
     inst = Instance(g, g.set_of([0]), (g.set_of([0]), g.set_of([0])), 1)
     monkeypatch.setenv("PLAB_MEM_CAP", "100")
     with pytest.raises(ResourceError):
-        direct_power(inst, 2)
+        direct_powers((inst.a, *inst.bs), 2)
 
 
-@given(group_with_sets())
-def test_power_law_and_power_of_sumset(gs):
+@given(group_with_sets(), st.integers(1, 3))
+def test_power_law_and_power_of_sumset(gs, r):
     g, (s, t) = gs
-    assume(g.order ** 2 <= 4096)
-    gp = power_group(g, 2)
-    s2, t2 = power_set(gp, s, 2), power_set(gp, t, 2)
-    assert len(s2) == len(s) ** 2
-    assert power_set(gp, sumset(s, t), 2) == sumset(s2, t2)
+    assume(g.order ** r <= 4096)
+    s_r, t_r, st_r = direct_powers((s, t, sumset(s, t)), r)
+    assert len(s_r) == len(s) ** r
+    assert st_r == sumset(s_r, t_r)
+    # members against the oracle's concatenated-radix indexing, which
+    # covers groups with several axes
+    for power, base in ((s_r, s), (t_r, t)):
+        assert set(power) == naive_power_index_set(g.order, list(base), r)
+        assert power.group.moduli == g.moduli * r
+
+
+@pytest.mark.parametrize("sets, r, error, message", [
+    ("cayley", 2, UsageError, "direct powers are only supported for abelian product groups"),
+    ("cayley", 0, UsageError, "direct powers are only supported for abelian product groups"),
+    ("z5", 0, UsageError, "power must be >= 1, got 0"),
+    ("z64", 5, ResourceError, "group order 64^5 exceeds element cap"),
+    ("mixed", 2, UsageError, "set operands belong to different groups"),
+], ids=["cayley", "cayley-r0", "r0", "cap", "mixed-groups"])
+def test_direct_powers_rejects(sets, r, error, message):
+    z5, z64 = make_abelian_group([5]), make_abelian_group([64])
+    c6 = make_cayley_group(cyclic_table(6))
+    operands = {"cayley": (c6.set_of([1]),), "z5": (z5.set_of([1]),),
+                "z64": (z64.set_of([1]),), "mixed": (z5.set_of([1]), z64.set_of([1]))}[sets]
+    with pytest.raises(error, match=re.escape(message)):
+        direct_powers(operands, r)
 
 
 # -- cayley tables -----------------------------------------------------------------

@@ -12,7 +12,8 @@ from plab import (PlunGraph, UsageError, build_plun_graph,
 from plab import magnification
 
 from gen import rand_instance
-from oracles import gamma_exhaustive, naive_gamma
+from oracles import (gamma_exhaustive, naive_gamma, naive_iterated, naive_power_index_set,
+                     naive_sumset)
 
 
 def graph_of(inst):
@@ -145,10 +146,10 @@ def test_flow_needs_multiple_rounds():
 
 
 def test_flow_power_of_z5(z5):
-    from plab import direct_power
-    p = direct_power(z5, 2)
-    bk = iterated_sumset(p.bs, [1, 2])
-    res = gamma_flow(build_plun_graph(p.a, bk))
+    from plab import direct_powers
+    a2, *bs2 = direct_powers((z5.a, *z5.bs), 2)
+    bk = iterated_sumset(bs2, [1, 2])
+    res = gamma_flow(build_plun_graph(a2, bk))
     assert res.gamma == Fraction(25, 4)
 
 
@@ -240,6 +241,25 @@ def test_multiplicativity_z9(z9):
     rep = multiplicativity_check(z9, 2)
     assert rep.gamma_power == Fraction(81, 4)
     assert rep.equal
+
+
+@given(st.integers(0, 100_000), st.sampled_from([2, 3]))
+def test_multiplicativity_matches_an_oracle_power_graph(seed, r):
+    # A^r, (B_K)^r and every a + (B_K)^r come from the oracles, so a fault
+    # in plab's powers or translates cannot cancel out on both sides
+    inst = rand_instance(random.Random(seed), n_range=(2, 6), k_range=(2, 3),
+                         a_range=(1, 3 if r == 2 else 2), b_range=(1, 3))
+    group = inst.group
+    powered = make_abelian_group(group.moduli * r)
+    bk = naive_iterated(group, [list(b) for b in inst.bs], inst.key_set)
+    bk_r = naive_power_index_set(group.order, bk, r)
+    graph = PlunGraph.of(powered, {
+        x: sum(1 << y for y in naive_sumset(powered, [x], bk_r))
+        for x in sorted(naive_power_index_set(group.order, list(inst.a), r))})
+    gamma = naive_gamma(group, list(inst.a), bk)
+    rep = multiplicativity_check(inst, r)
+    assert rep.gamma_base == gamma
+    assert rep.gamma_power == gamma_exhaustive(graph).gamma == gamma ** r
 
 
 # -- translates that coincide: the shortcut -----------------------------------------
