@@ -9,8 +9,7 @@ and a flow that proves no subset does better.
 The flow network does not keep one node per element of A+B_K.  Right
 vertices with the same set of left neighbours are merged into one class
 whose sink capacity counts them all, which leaves every cut value, and so
-the answer and its witness, unchanged.  When all of A+B_K is one such
-class (every a+B_K is the same set) no network is built at all.
+the answer and its witness, unchanged.
 
 The network is bipartite, source -(p)-> a -(inf)-> class -(q*|class|)->
 sink, so max-flow is a greedy fill followed by short augmenting paths
@@ -164,12 +163,7 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     vertices then cuts p*|A - Z| + q*|N(Z)| as before, so the min cut and
     the source side its residual network reaches are those of the unmerged
     network.  The classes come from partition refinement of the union of
-    the images by each adj_bits[a].  A single class means every a+B_K is
-    the same set (B_K = G, or A inside one coset of the stabilizer of
-    B_K), so every nonempty Z has |Z+B_K| = |A+B_K| and the first
-    candidate |A+B_K|/|A| with witness A is returned as that first round
-    would return it, without a network, with the flow p from every left
-    vertex into the one class.
+    the images by each adj_bits[a].
 
     Each round runs _max_flow afresh on the classes built once per call.
     Its greedy fill offers each left vertex's classes fewest owners first,
@@ -183,9 +177,8 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     the result is returned; a rejected certificate raises CertificateError.
     """
     lefts = graph.left
-    nl = len(lefts)
     witness_bits = sum(1 << x for x in lefts)
-    t = Fraction(graph.right_bits.bit_count(), nl)
+    t = Fraction(graph.right_bits.bit_count(), len(lefts))
     # classes[j] is a set of right vertices and owners[j] the mask of the
     # indices i whose image contains all of it; every other image misses it
     classes, owners = [graph.right_bits], [0]
@@ -200,9 +193,6 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 owners.append(owners[j])
                 classes[j] = inside
             owners[j] |= 1 << i
-    if len(classes) == 1 and owners[0] == (1 << nl) - 1:
-        return _certified(graph, t, witness_bits, 1, classes,
-                          [(x, 0, t.numerator) for x in lefts])
     out_of: list[list[int]] = [[] for _ in lefts]
     for j in sorted(range(len(classes)), key=lambda j: owners[j].bit_count()):
         mask = owners[j]
@@ -216,9 +206,15 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
         iterations += 1
         flows, reached = _max_flow(out_of, sizes, t.numerator, t.denominator)
         if not reached:
-            return _certified(graph, t, witness_bits, iterations, classes,
-                              [(lefts[i], j, amount) for j, gets in enumerate(flows)
-                               for i, amount in gets.items()])
+            # tuple() of a list, whose length is known: of a generator it
+            # grows by resizes, which kept a sweep's resident memory rising
+            # pass after pass
+            classes, flow = tuple(classes), tuple([(lefts[i], j, amount)
+                                                   for j, gets in enumerate(flows)
+                                                   for i, amount in gets.items()])
+            check_certificate(graph.adj_bits, t, witness_bits, classes, flow)
+            return MagResult(gamma=t, witness=GSet(graph.group, witness_bits),
+                             iterations=iterations, classes=classes, flow=flow)
         z_bits = im_bits = 0
         for i in reached:
             z_bits |= 1 << lefts[i]
@@ -228,14 +224,6 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
             raise AssertionError("candidate ratios must strictly decrease")
         t = nxt
         witness_bits = z_bits
-
-
-def _certified(graph: PlunGraph, gamma: Fraction, witness_bits: int, iterations: int,
-               classes: list[int], flow: list[tuple[int, int, int]]) -> MagResult:
-    classes, flow = tuple(classes), tuple(flow)
-    check_certificate(graph.adj_bits, gamma, witness_bits, classes, flow)
-    return MagResult(gamma=gamma, witness=GSet(graph.group, witness_bits),
-                     iterations=iterations, classes=classes, flow=flow)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Verdict operations: each inequality the library checks, with witnesses.
 
 Guaranteed inequalities (every commutative instance must satisfy them) are
-checked exactly; a False verdict from one of those (is_fatal) means an
-implementation bug or a genuine counterexample and callers are expected to
-abort loudly via ensure_holds.  The two-sided-summand inequality over
+checked exactly; a False verdict from one of those means an implementation
+bug or a genuine counterexample, and ensure_holds raises it with the
+instance for replay.  The two-sided-summand inequality over
 noncommutative groups is unproved territory: a failing check there is a
 reportable finding, never an assertion.
 """
@@ -47,14 +47,9 @@ class TheoremVerdict:
     notes: str = ""
 
 
-def is_fatal(verdict: TheoremVerdict) -> bool:
-    """Whether the verdict is a failed guaranteed check."""
-    return not verdict.holds and verdict.theorem in GUARANTEED
-
-
 def ensure_holds(verdict: TheoremVerdict, instance_dump: dict | None = None) -> TheoremVerdict:
     """Raise for a failed guaranteed check; pass every other verdict through."""
-    if is_fatal(verdict):
+    if not verdict.holds and verdict.theorem in GUARANTEED:
         raise TheoremViolationError(
             f"guaranteed check {verdict.theorem!r} failed: lhs={verdict.lhs} rhs={verdict.rhs}",
             instance_dump=instance_dump)
@@ -249,6 +244,21 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
 
 # -- restricted sums ------------------------------------------------------------
 
+def _leave_one_out_product(inst: Instance, s: GSet) -> int:
+    """The product over i of |A + B_(K minus i)|, once S is found to be a
+    nonempty subset of the complete sum B_K."""
+    if not s:
+        raise UsageError("S must be nonempty")
+    if not s.issubset(inst.bk):
+        raise UsageError("S must be a subset of the complete sum B_K")
+    return math.prod(instance_table(inst).leave_one_out_sizes())
+
+
+def _restricted_verdict(k: int, s_size: int, sa_size: int, s_prod: int) -> TheoremVerdict:
+    lhs, rhs = sa_size ** k, s_size * s_prod
+    return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+
+
 def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
                          ) -> TheoremVerdict | list[tuple[list[int], TheoremVerdict]]:
     """For S inside the complete sum B_K:
@@ -259,21 +269,12 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
     increasing order of T's mask over the sorted members of S; each |T+A|
     comes from subset_sumsets, so each s+A is translated once.
     """
-    if not s:
-        raise UsageError("S must be nonempty")
-    if not s.issubset(inst.bk):
-        raise UsageError("S must be a subset of the complete sum B_K")
-    s_prod = math.prod(instance_table(inst).leave_one_out_sizes())
-
-    def verdict(s_size: int, sa_size: int) -> TheoremVerdict:
-        lhs, rhs = sa_size ** inst.k, s_size * s_prod
-        return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs)
-
+    s_prod = _leave_one_out_product(inst, s)
     if not every_subset:
-        return verdict(len(s), len(sumset(s, inst.a)))
+        return _restricted_verdict(inst.k, len(s), len(sumset(s, inst.a)), s_prod)
     members = list(s)
     return [([e for i, e in enumerate(members) if mask >> i & 1],
-             verdict(mask.bit_count(), union.bit_count()))
+             _restricted_verdict(inst.k, mask.bit_count(), union.bit_count(), s_prod))
             for mask, (union,) in subset_sumsets(s, [inst.a])]
 
 
@@ -313,11 +314,9 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     intermediate inequality, and confirm the tensor-power identity
     |S^r + A^r| = |S+A|^r for r up to r_max."""
     require_commutative("restricted", inst.group)
-    final = check_restricted_sum(inst, s)
+    s_prod = _leave_one_out_product(inst, s)
     k, m = inst.k, len(inst.a)
-    sa_size = len(sumset(s, inst.a))
-    s_size = len(s)
-    s_prod = math.prod(instance_table(inst).leave_one_out_sizes())
+    s_size, sa_size = len(s), len(sumset(s, inst.a))
     steps: list[PipelineStep] = []
 
     def add(name: str, lhs: float, rhs: float, exact: bool) -> None:
@@ -337,7 +336,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         res = large_subset(replace(inst, l=k - 1), "t", t)
         x = res.x
         r_x = len(x)
-        sx = len(sumset(s, x))
+        sx = len(sumset(s, x)) if r_x < m else sa_size
         add("witness_term_subset", sx, res.lhs, True)  # res.lhs is |X+B_K|
         add("witness_term_bound", res.lhs, res.bound, False)
         rest = len(sumset(s, inst.a - x)) if r_x < m else 0
@@ -347,6 +346,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
                     - (k - 1) * (s_prod / m) ** (1 / (k - 1)))
         add("combined_bound", sa_size, combined, False)
         add("relaxed_bound", sa_size, k * (s_prod * s_size) ** (1 / k), False)
+    final = _restricted_verdict(k, s_size, sa_size, s_prod)
     add("kth_power_bound", final.lhs, final.rhs, True)
 
     power_rows: list[PowerRow] = []

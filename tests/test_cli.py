@@ -81,6 +81,7 @@ def test_parse_rejects_bad_shapes():
     ("sweep", ["--count", "x"]),
     ("sweep", ["--workers", "0"]), ("sweep", ["--workers", "-1"]),
     ("sweep", {"check": ["power"]}), ("verify", {"s": [0]}),
+    ("verify", {"cayley": [[(i + j) % 5 for j in range(5)] for i in range(5)]}),
 ], ids=["l-str", "A-float", "A-str", "cayley-str", "S-str", "k_range-str", "checks-str",
         "insert_identity-str", "set_size_range-reversed", "l_rule-zero", "checks-empty",
         "check-list-empty",
@@ -88,7 +89,7 @@ def test_parse_rejects_bad_shapes():
         "value-fractional-a", "value-1e400", "value-nan", "value-rounds-to-integer",
         "epsilon-minus-inf", "mode-bad-choice", "value-missing", "unknown-flag",
         "count-not-int", "workers-zero", "workers-negative", "sweep-unknown-key",
-        "instance-unknown-key"])
+        "instance-unknown-key", "cayley-and-group"])
 def test_malformed_input_exits_2(tmp_path, command, patch):
     """patch is either file fields to replace or command-line flags to add;
     the one-line error names the field or echoes the flag's value."""
@@ -331,7 +332,7 @@ def test_verify_violation_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAILS" in captured.out
-    assert "instance dump" in captured.err
+    assert "VIOLATION" in captured.err and "guaranteed check 'plgen' failed" in captured.err
     assert '"group": [5]' in captured.err.replace("'", '"')
 
 

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import plab.alphabeta as alphabeta
 import plab.magnification as magnification
+import plab.theorems as theorems
 from plab import (Instance, check_pldiff, check_plgen, check_restricted_sum,
                   empirical_plgen2, large_subset)
-from plab.cli import generate_base, main, run_sweep, sweep_config_from_dict
+from plab.cli import generate_base, load_instance, main, run_sweep, sweep_config_from_dict
 
 from gen import rand_instance
 
@@ -86,6 +87,22 @@ def test_restricted_all_subsets_builds_one_alpha_table(calls, capsys):
                  "--all-subsets"]) == 0
     assert "15/15 subset checks HOLD" in capsys.readouterr().out
     assert calls["alpha_table"] == 1
+
+
+def test_restricted_pipeline_builds_s_plus_a_once(monkeypatch):
+    inst, _ = load_instance(str(FIXTURES / "z5.json"))
+    operands = []
+    real_sumset = theorems.sumset
+
+    def sumset(x, y):
+        operands.append((x, y))
+        return real_sumset(x, y)
+
+    monkeypatch.setattr(theorems, "sumset", sumset)
+    s = inst.bk
+    rep = theorems.restricted_pipeline(inst, s, 1)
+    assert operands.count((s, inst.a)) == 1
+    assert rep.sa_size == len(real_sumset(s, inst.a))
 
 
 @given(st.integers(0, 10_000))
