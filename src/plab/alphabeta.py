@@ -56,7 +56,8 @@ class BetaValue:
 def alpha_table(inst: Instance) -> AlphaTable:
     """All 2^k sumset sizes, each A+B_I built from A+B_(I minus its largest
     index) with one extra sumset, so that in a noncommutative group it is
-    A*B_i1*...*B_ij in increasing index order, as iterated_sumset takes it."""
+    A*B_i1*...*B_ij in increasing index order, the product that
+    iterated_sumset([A, B_i1, ..., B_ij]) forms."""
     k = inst.k
     if k > MAX_K:
         raise UsageError(f"alpha tables are capped at k <= {MAX_K}, got k={k}")

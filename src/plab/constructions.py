@@ -19,7 +19,8 @@ from operator import or_
 
 from .alphabeta import AlphaTable, instance_table
 from .errors import ResourceError, UsageError
-from .groups import GSet, Group, Instance, element_cap, make_abelian_group, sumset
+from .groups import (GSet, Group, Instance, element_cap, iterated_sumset, make_abelian_group,
+                     sumset)
 from .magnification import instance_gamma
 
 
@@ -107,13 +108,6 @@ def build_extension(inst: Instance, q: int) -> Lemma21Setup:
                         bprime=bprime, bi_prime=tuple(bi_prime))
 
 
-def _sum_size(acc: GSet, summands) -> int:
-    """|acc + s_1 + ... + s_n| over the summand sets in order."""
-    for s in summands:
-        acc = sumset(acc, s)
-    return len(acc)
-
-
 def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
     """Measure the construction at q: the k distinct-summand sums must all
     equal m*(beta*q)^l exactly; the (k-1)-fold sum of the union B' is
@@ -129,17 +123,17 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
     expected = _expected_at(table, inst.l, q)
 
     distinct_sizes = {
-        i: _sum_size(setup.aprime, (b for j, b in enumerate(setup.bi_prime, 1) if j != i))
+        i: len(iterated_sumset([setup.aprime, *setup.bi_prime[:i - 1], *setup.bi_prime[i:]]))
         for i in range(1, k + 1)}
 
-    union_size = _sum_size(setup.aprime, [setup.bprime] * (k - 1))
+    union_size = len(iterated_sumset([setup.aprime] + [setup.bprime] * (k - 1)))
     union_rhs = 2 * k * expected
     union_holds = union_size <= union_rhs
 
     first_q = None
     for cand in admissible_q(table, inst.group.order, count=8):
         st = setup if cand == q else build_extension(inst, cand)
-        size = _sum_size(st.aprime, [st.bprime] * (k - 1))
+        size = len(iterated_sumset([st.aprime] + [st.bprime] * (k - 1)))
         if size <= 2 * k * _expected_at(table, inst.l, cand):
             first_q = cand
             break
@@ -148,13 +142,13 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
     for multiset in combinations_with_replacement(range(1, k + 1), k - 1):
         if len(set(multiset)) == k - 1:
             continue  # distinct-summand terms reported separately
-        repeated_sizes[multiset] = _sum_size(setup.aprime,
-                                             (setup.bi_prime[j - 1] for j in multiset))
+        repeated_sizes[multiset] = len(iterated_sumset(
+            [setup.aprime, *(setup.bi_prime[j - 1] for j in multiset)]))
 
     bk = inst.bk
     witness = instance_gamma(inst).witness
     wprime = setup.gprime.set_of(x * h_order for x in witness)
-    apex_lhs = _sum_size(wprime, setup.bi_prime)
+    apex_lhs = len(iterated_sumset([wprime, *setup.bi_prime]))
     apex_rhs = h_order * len(sumset(witness, bk))
 
     return Lemma21Report(setup=setup, expected_distinct=expected,

@@ -150,9 +150,6 @@ class Group:
 
     # -- set constructors ----------------------------------------------------
 
-    def identity_set(self) -> "GSet":
-        return self.set_of((self.identity,))
-
     def set_of(self, elems: Iterable[int]) -> "GSet":
         order = self.order
         if order <= 64:  # the bitset is one machine word
@@ -395,19 +392,9 @@ def subset_sumsets(ground: GSet, bases: Sequence[GSet],
             frames.append([mask, size, unions, max(min_size - size - 1, 0), i])
 
 
-def iterated_sumset(bs: Sequence[GSet], idxs: Iterable[int]) -> GSet:
-    """Sum of the 1-based selection idxs from bs; the empty selection gives
-    the identity singleton."""
-    if not bs:
-        raise UsageError("need at least one set to sum over")
-    group = bs[0].group
-    chosen = sorted(set(int(i) for i in idxs))
-    if chosen and (chosen[0] < 1 or chosen[-1] > len(bs)):
-        raise UsageError(f"index selection {chosen} out of range 1..{len(bs)}")
-    acc = group.identity_set()
-    for i in chosen:
-        acc = sumset(acc, bs[i - 1])
-    return acc
+def iterated_sumset(sets: Iterable[GSet]) -> GSet:
+    """S_1 * S_2 * ... * S_n over one or more sets, multiplied left to right."""
+    return reduce(sumset, sets)
 
 
 # -- instances, and the Cartesian powers behind the tensor-power identities ---
@@ -460,7 +447,7 @@ class Instance:
     @property
     def bk(self) -> GSet:
         """The complete sum B_K = B_1 + ... + B_k."""
-        return self.cached("bk", lambda inst: iterated_sumset(inst.bs, inst.key_set))
+        return self.cached("bk", lambda inst: iterated_sumset(inst.bs))
 
     def cached(self, key: Hashable, compute: Callable[["Instance"], T]) -> T:
         """compute(self), stored under key on first use.  Only for values

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certificate import check_certificate
-from .errors import UsageError
-from .groups import GSet, Group, Instance, direct_powers
+from .errors import ResourceError, UsageError
+from .groups import GSet, Group, Instance, direct_powers, element_cap
 
 @dataclass(frozen=True)
 class PlunGraph:
@@ -68,6 +68,11 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     if a.group != bk.group:
         raise UsageError("A and B_K must live in the same group")
     g = a.group
+    # the images are |A| bitsets of |G| bits; the element cap budgets their words
+    words, limit = len(a) * ((g.order + 63) // 64), element_cap()
+    if words > limit:
+        raise ResourceError(f"graph images ({len(a)} x {g.order} bits) need {words} "
+                            f"64-bit words, over the element cap {limit}")
     return PlunGraph.of(g, {x: g.translate_bits(bk.bits, x) for x in a})
 
 

@@ -192,7 +192,7 @@ def plgen2_reference(inst, epsilon, *, samples: int = DEFAULT_SAMPLES,
               for size in range(inst.l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
     betas = [beta_value(table, j, inst.l) for j in j_sets]
-    b_sets = [iterated_sumset(inst.bs, sorted(j)) for j in j_sets]
+    b_sets = [iterated_sumset(inst.bs[i - 1] for i in sorted(j)) for j in j_sets]
 
     def c_of(size, image_sizes):
         top = None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plab import (EQ, GT, LT, Instance, UsageError, alpha_table, beta_value,
                   cmp_ratio_vs_beta, iterated_sumset, make_abelian_group,
-                  make_cayley_group, sumset)
+                  make_cayley_group)
 from plab.alphabeta import BetaValue
 
 from cayley_tables import bundled_tables
@@ -18,7 +18,7 @@ from oracles import beta_identity_holds, beta_reference, naive_iterated, naive_s
 
 def identity_instance(k=3):
     g = make_abelian_group([6])
-    e = g.identity_set()
+    e = g.set_of([g.identity])
     return Instance(g, g.set_of([0, 2, 5]), tuple(e for _ in range(k)), 1)
 
 
@@ -89,9 +89,11 @@ def test_alpha_table_matches_iterated_sumsets_in_noncommutative_groups(which, se
     k = rng.randint(2, 4)
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, 6)))
     bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, 3))) for _ in range(k))
-    t = alpha_table(Instance(g, a, bs, 1))
+    inst = Instance(g, a, bs, 1)
+    assert inst.bk == g.set_of(naive_iterated(g, [list(b) for b in bs], inst.key_set))
+    t = alpha_table(inst)
     for key, size in t.sizes.items():
-        assert size == len(sumset(a, iterated_sumset(bs, key)))
+        assert size == len(iterated_sumset([a, *(bs[i - 1] for i in sorted(key))]))
 
 
 # -- beta values -----------------------------------------------------------------

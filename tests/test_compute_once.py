@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plab.alphabeta as alphabeta
+import plab.groups as groups
 import plab.magnification as magnification
 import plab.theorems as theorems
 from plab import (Instance, check_pldiff, check_plgen, check_restricted_sum,
@@ -103,6 +104,20 @@ def test_restricted_pipeline_builds_s_plus_a_once(monkeypatch):
     rep = theorems.restricted_pipeline(inst, s, 1)
     assert operands.count((s, inst.a)) == 1
     assert rep.sa_size == len(real_sumset(s, inst.a))
+
+
+def test_complete_sum_takes_k_minus_1_sumsets(z9, monkeypatch):
+    calls = []
+    real_sumset = groups.sumset
+
+    def sumset(x, y):
+        calls.append((x, y))
+        return real_sumset(x, y)
+
+    monkeypatch.setattr(groups, "sumset", sumset)
+    inst = Instance(z9.group, z9.a, z9.bs, z9.l)
+    assert inst.k == 3 and inst.bk == real_sumset(real_sumset(*z9.bs[:2]), z9.bs[2])
+    assert len(calls) == 2
 
 
 @given(st.integers(0, 10_000))

@@ -20,7 +20,7 @@ def test_admissible_q_z9(z9):
 
 def test_admissible_q_integer_alphas():
     g = make_abelian_group([6])
-    e = g.identity_set()
+    e = g.set_of([g.identity])
     inst = Instance(g, g.set_of([0, 2]), (e, e), 1)
     assert admissible_q(alpha_table(inst), g.order, count=3) == [1, 2, 3]
 
@@ -121,7 +121,7 @@ def test_first_satisfying_q_is_the_first_in_a_plain_scan(seed):
 
 def test_demo_identity_summands():
     g = make_abelian_group([4])
-    e = g.identity_set()
+    e = g.set_of([g.identity])
     inst = Instance(g, g.set_of([0, 1]), (e, e), 1)
     rep = lemma21_demo(inst, 2)
     # all alphas are 1, so n_i = q and the distinct terms have size m*q

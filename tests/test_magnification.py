@@ -17,7 +17,7 @@ from oracles import (gamma_exhaustive, naive_gamma, naive_iterated, naive_power_
 
 
 def graph_of(inst):
-    bk = iterated_sumset(inst.bs, sorted(inst.key_set))
+    bk = iterated_sumset(inst.bs)
     return build_plun_graph(inst.a, bk), bk
 
 
@@ -95,7 +95,7 @@ def test_exhaustive_tie_break_smallest():
     # smallest member wins
     g = make_abelian_group([7])
     a = g.set_of([2, 4, 6])
-    res = gamma_exhaustive(build_plun_graph(a, g.identity_set()))
+    res = gamma_exhaustive(build_plun_graph(a, g.set_of([g.identity])))
     assert res.gamma == 1
     assert sorted(res.witness) == [2]
 
@@ -127,7 +127,7 @@ def test_flow_z5(z5):
 def test_flow_identity_bk():
     g = make_abelian_group([9])
     a = g.set_of([1, 5, 7])
-    res = gamma_flow(build_plun_graph(a, g.identity_set()))
+    res = gamma_flow(build_plun_graph(a, g.set_of([g.identity])))
     assert res.gamma == 1
     assert res.witness == a
 
@@ -148,7 +148,7 @@ def test_flow_needs_multiple_rounds():
 def test_flow_power_of_z5(z5):
     from plab import direct_powers
     a2, *bs2 = direct_powers((z5.a, *z5.bs), 2)
-    bk = iterated_sumset(bs2, [1, 2])
+    bk = iterated_sumset(bs2)
     res = gamma_flow(build_plun_graph(a2, bk))
     assert res.gamma == Fraction(25, 4)
 
