@@ -475,5 +475,5 @@ def direct_powers(sets: Sequence[GSet], r: int) -> tuple[GSet, ...]:
     powered, n = make_abelian_group(group.moduli * r), group.order
     powers = [s.bits for s in sets]
     for j in range(1, r):  # prefix a digit e: a copy of the bits so far shifted by e*n^j
-        powers = [reduce(or_, [bits << e * n ** j for e in s]) for bits, s in zip(powers, sets)]
+        powers = [reduce(or_, (bits << e * n ** j for e in s), 0) for bits, s in zip(powers, sets)]
     return tuple(GSet(powered, bits) for bits in powers)

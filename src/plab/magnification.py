@@ -22,29 +22,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .certificate import check_certificate
 from .errors import ResourceError, UsageError
-from .groups import GSet, Group, Instance, direct_powers, element_cap
+from .groups import GSet, Group, Instance, direct_powers, element_cap, sumset
 
 @dataclass(frozen=True)
 class PlunGraph:
-    """Left vertices x, each joined to its image, the bitset adj_bits[x]; in
-    the Plünnecke graph x runs over A and the image of a is a+B_K.  The
+    """Left vertices x, each joined to its image, the bitset adj_bits[x]: a+B_K
+    for a in A in the Plünnecke graph, B_1*x*B_2 in the noncomm check's.  The
     right vertices are right_bits, the union of the images."""
 
     group: Group = field(repr=False)
-    left: tuple[int, ...]
-    right_bits: int
     adj_bits: dict[int, int] = field(repr=False)
 
-    @classmethod
-    def of(cls, group: Group, adj_bits: dict[int, int]) -> "PlunGraph":
-        """The graph with left vertices adj_bits' keys, in order."""
-        right_bits = 0
-        for bits in adj_bits.values():
-            right_bits |= bits
-        return cls(group, tuple(adj_bits), right_bits, adj_bits)
+    @property
+    def left(self) -> tuple[int, ...]:
+        return tuple(self.adj_bits)
+
+    @property
+    def right_bits(self) -> int:
+        return reduce(or_, self.adj_bits.values(), 0)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ class MagResult:
     flow: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
 
 
-def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
+def build_plun_graph(a: GSet, bk: GSet, *, left: GSet | None = None) -> PlunGraph:
+    """The graph x -> x*B_K over x in A, or x -> L*x*B_K given left=L."""
     if not a or not bk:
         raise UsageError("both A and B_K must be nonempty")
     if a.group != bk.group:
@@ -73,7 +74,9 @@ def build_plun_graph(a: GSet, bk: GSet) -> PlunGraph:
     if words > limit:
         raise ResourceError(f"graph images ({len(a)} x {g.order} bits) need {words} "
                             f"64-bit words, over the element cap {limit}")
-    return PlunGraph.of(g, {x: g.translate_bits(bk.bits, x) for x in a})
+    if left is None:
+        return PlunGraph(g, {x: g.translate_bits(bk.bits, x) for x in a})
+    return PlunGraph(g, {x: sumset(left, GSet(g, g.translate_bits(bk.bits, x))).bits for x in a})
 
 
 def _max_flow(out_of: list[list[int]], sizes: list[int], p: int,
@@ -183,10 +186,10 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     """
     lefts = graph.left
     witness_bits = sum(1 << x for x in lefts)
-    t = Fraction(graph.right_bits.bit_count(), len(lefts))
     # classes[j] is a set of right vertices and owners[j] the mask of the
     # indices i whose image contains all of it; every other image misses it
     classes, owners = [graph.right_bits], [0]
+    t = Fraction(classes[0].bit_count(), len(lefts))
     for i, x in enumerate(lefts):
         adj = graph.adj_bits[x]
         for j in range(len(classes)):

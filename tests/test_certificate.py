@@ -30,7 +30,7 @@ def translate_graph(rng):
                                        [rng.randint(2, 6), rng.randint(2, 6)]]))
     a = rng.sample(range(g.order), rng.randint(1, min(g.order, 10)))
     bk = rng.sample(range(g.order), rng.randint(1, min(g.order, 6)))
-    return PlunGraph.of(g, {x: g.set_of(naive_sumset(g, [x], bk)).bits for x in a})
+    return PlunGraph(g, {x: g.set_of(naive_sumset(g, [x], bk)).bits for x in a})
 
 
 def arbitrary_graph(rng):
@@ -43,7 +43,7 @@ def arbitrary_graph(rng):
         for block in blocks:
             if rng.random() < 0.4:
                 adj[x] |= block
-    return PlunGraph.of(g, adj)
+    return PlunGraph(g, adj)
 
 
 def noncomm_graph(rng):
@@ -51,7 +51,7 @@ def noncomm_graph(rng):
     g = rng.choice(CAYLEY)
     a, b1, b2 = ([rng.randrange(g.order) for _ in range(rng.randint(1, size))]
                  for size in (10, 4, 4))
-    return PlunGraph.of(g, {x: g.set_of(naive_sumset(g, naive_sumset(g, b1, [x]), b2)).bits
+    return PlunGraph(g, {x: g.set_of(naive_sumset(g, naive_sumset(g, b1, [x]), b2)).bits
                             for x in a})
 
 
@@ -116,7 +116,7 @@ def _z40_graph():
 def _d3_graph():
     g = make_cayley_group(dict(bundled_tables(12))["D3"])
     b1, b2 = g.set_of([0, 4]), g.set_of([2, 5])
-    return PlunGraph.of(g, {x: sumset(sumset(b1, g.set_of([x])), b2).bits for x in (0, 1, 4)})
+    return PlunGraph(g, {x: sumset(sumset(b1, g.set_of([x])), b2).bits for x in (0, 1, 4)})
 
 
 @pytest.mark.parametrize("mutate", [_move_one_unit, _drop_class_bit, _drop_witness_element,

@@ -413,25 +413,32 @@ def test_demo_lemma21_rejects_q_below_1(capsys):
     assert capsys.readouterr() == ("", "error: q must be >= 1, got 0\n")
 
 
-@pytest.mark.parametrize("order, m, argv, err", [
-    (4096, 100, ["verify", "FILE", "--check", "plgen"], "(100 x 4096 bits) need 6400"),
-    (4096, 64, ["verify", "FILE", "--check", "plgen"], None),
-    (64, 10, ["demo", "power", "FILE", "-r", "2"], "(100 x 4096 bits) need 6400"),
-], ids=["plgen-over", "plgen-at-cap", "power-square-over"])
-def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys, order, m,
+def _line_instance(order, m):
+    return {"group": [order], "A": list(range(m)), "B": [[0, 1], [0, 2]], "l": 1}
+
+
+@pytest.mark.parametrize("cap, data, argv, err", [
+    ("4096", _line_instance(4096, 100), ["verify", "FILE", "--check", "plgen"],
+     "(100 x 4096 bits) need 6400 64-bit words, over the element cap 4096"),
+    ("4096", _line_instance(4096, 64), ["verify", "FILE", "--check", "plgen"], None),
+    ("4096", _line_instance(64, 10), ["demo", "power", "FILE", "-r", "2"],
+     "(100 x 4096 bits) need 6400 64-bit words, over the element cap 4096"),
+    # noncomm's x -> B_1*x*B_2 graph on S3: two images of one word each
+    ("1", json.loads((FIXTURES / "s3.json").read_text()), ["verify", "FILE", "--check", "noncomm"],
+     "(2 x 6 bits) need 2 64-bit words, over the element cap 1"),
+], ids=["plgen-over", "plgen-at-cap", "power-square-over", "noncomm-over"])
+def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys, cap, data,
                                                       argv, err):
     # a graph holds |A| images of ceil(|G|/64) words each; the square of Z_64
     # has 4,096 elements, inside the cap, but its 100 images take 6,400 words
-    monkeypatch.setenv("PLAB_MEM_CAP", "4096")
-    path = write_json(tmp_path, "inst.json", {"group": [order], "A": list(range(m)),
-                                              "B": [[0, 1], [0, 2]], "l": 1})
+    monkeypatch.setenv("PLAB_MEM_CAP", cap)
+    path = write_json(tmp_path, "inst.json", data)
     code = main([path if arg == "FILE" else arg for arg in argv])
     if err is None:
         assert code == 0
         return
     assert code == 2
-    assert capsys.readouterr() == (
-        "", f"error: graph images {err} 64-bit words, over the element cap 4096\n")
+    assert capsys.readouterr() == ("", f"error: graph images {err}\n")
 
 
 @pytest.mark.parametrize("argv", [[], ["--bogus"], ["demo"], ["find-x"],

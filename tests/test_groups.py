@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import tracemalloc
 from itertools import product
 from math import prod
 
@@ -325,6 +327,25 @@ def test_direct_power_cap(monkeypatch):
     monkeypatch.setenv("PLAB_MEM_CAP", "100")
     with pytest.raises(ResourceError):
         direct_powers((inst.a, *inst.bs), 2)
+
+
+def test_direct_power_of_the_empty_set_is_empty():
+    (e2,) = direct_powers((make_abelian_group([5]).set_of([]),), 2)
+    assert e2.group.order == 25
+    assert not e2
+
+
+def test_direct_power_peak_memory_stays_near_the_result():
+    # the shifted copies are ORed in one at a time, never held all at once
+    g = make_abelian_group([1024])
+    a = g.set_of(random.Random(0).sample(range(1024), 100))
+    tracemalloc.start()
+    try:
+        (a2,) = direct_powers((a,), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sys.getsizeof(a2.bits)
 
 
 @given(group_with_sets(), st.integers(1, 3))

@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plab import (PlunGraph, UsageError, build_plun_graph,
-                  gamma_flow, iterated_sumset, make_abelian_group,
+                  gamma_flow, iterated_sumset, make_abelian_group, make_cayley_group,
                   multiplicativity_check, sumset)
 from plab import magnification
 
+from cayley_tables import bundled_tables
 from gen import rand_instance
 from oracles import (gamma_exhaustive, naive_gamma, naive_iterated, naive_power_index_set,
                      naive_sumset)
@@ -51,6 +52,19 @@ def test_graph_errors():
     other = make_abelian_group([5])
     with pytest.raises(UsageError):
         build_plun_graph(g.set_of([0]), other.set_of([0]))
+
+
+@pytest.mark.parametrize("name, table", bundled_tables(12), ids=[n for n, _ in bundled_tables(12)])
+def test_two_sided_graph_matches_an_oracle(name, table):
+    # left=B_1 gives the noncomm check's graph x -> B_1*x*B_2
+    g = make_cayley_group(table)
+    rng = random.Random(name)
+    a, b1, b2 = (sorted(rng.sample(range(g.order), rng.randint(1, min(g.order, size))))
+                 for size in (8, 3, 3))
+    graph = build_plun_graph(g.set_of(a), g.set_of(b2), left=g.set_of(b1))
+    assert graph.adj_bits == {x: g.set_of(naive_sumset(g, naive_sumset(g, b1, [x]), b2)).bits
+                              for x in a}
+    assert graph.left == tuple(a)
 
 
 @given(st.integers(0, 10_000))
@@ -181,7 +195,7 @@ def test_flow_equals_exhaustive_on_arbitrary_adjacency(seed):
             if rng.random() < 0.5:
                 bits |= block
         adj[x] = bits
-    graph = PlunGraph.of(g, adj)
+    graph = PlunGraph(g, adj)
     fl = gamma_flow(graph)
     assert fl.gamma == gamma_exhaustive(graph).gamma
     assert fl.witness and fl.witness.issubset(g.set_of(graph.left))
@@ -253,7 +267,7 @@ def test_multiplicativity_matches_an_oracle_power_graph(seed, r):
     powered = make_abelian_group(group.moduli * r)
     bk = naive_iterated(group, [list(b) for b in inst.bs], inst.key_set)
     bk_r = naive_power_index_set(group.order, bk, r)
-    graph = PlunGraph.of(powered, {
+    graph = PlunGraph(powered, {
         x: sum(1 << y for y in naive_sumset(powered, [x], bk_r))
         for x in sorted(naive_power_index_set(group.order, list(inst.a), r))})
     gamma = naive_gamma(group, list(inst.a), bk)
