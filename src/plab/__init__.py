@@ -12,7 +12,7 @@ from .magnification import (MagResult, PlunGraph, build_plun_graph,
 from .theorems import (EmpiricalConstant, LargeSubsetResult, TheoremVerdict,
                        check_noncommutative, check_pldiff, check_plgen,
                        check_restricted_sum, check_single_summand,
-                       empirical_plgen2, ensure_holds, large_subset,
+                       empirical_plgen2, large_subset,
                        restricted_pipeline)
 from .constructions import (Lemma21Report, Lemma21Setup, admissible_q,
                             build_extension, lemma21_demo)
@@ -26,7 +26,7 @@ __all__ = [
     "build_extension", "build_plun_graph", "check_noncommutative", "check_pldiff",
     "check_plgen", "check_restricted_sum", "check_single_summand",
     "cmp_ratio_vs_beta", "direct_powers", "element_cap", "embed_integer_sets",
-    "empirical_plgen2", "ensure_holds", "gamma_flow",
+    "empirical_plgen2", "gamma_flow",
     "iterated_sumset", "large_subset", "lemma21_demo", "make_abelian_group",
     "make_cayley_group", "multiplicativity_check",
     "restricted_pipeline", "sumset",

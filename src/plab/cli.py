@@ -7,10 +7,10 @@ rationals serialize as "p/q" strings; sweep output is CSV with a fixed
 column order (see README) and is byte-identical across runs of the same
 config and seed.
 
-Exit codes: 0 all requested checks hold, 1 a guaranteed inequality failed
-(the instance is dumped to stderr for replay) or an internal error (a
-rejected gamma certificate, dumped to stderr likewise), 2 usage or parse
-error.
+Exit codes: 0 no proved check failed (a failed noncomm is a finding, not a
+violation), 1 a proved inequality failed (the instance is dumped to stderr
+for replay) or an internal error (a rejected gamma certificate, dumped to
+stderr likewise), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -141,15 +142,16 @@ def _float_str(x: float) -> str:
 # Each check is one function run(inst, opts) -> (results, line): one
 # (verdict, fields, cells) triple per verdict, where fields are the check's
 # verify --json result fields and cells its sweep CSV cells (gamma, beta_base,
-# beta_expo_den, detail), and the check's verify text line.  opts carries what
-# verify and sweep choose differently: the restricted subsets (s, all_subsets,
-# subset_seed), plgen2's epsilon, samples and seed, and large's mode and value.
+# beta_expo_den, detail), and the check's verify text line after its name.
+# opts carries what verify and sweep choose differently: the restricted
+# subsets (s, all_subsets, subset_seed), plgen2's epsilon, samples and seed,
+# and large's mode and value.
 
 def _holds(v: theorems.TheoremVerdict) -> str:
     return "HOLDS" if v.holds else "FAILS"
 
 
-def _bound(name: str, check):
+def _bound(check):
     """plgen, pldiff and single: the magnification ratio against beta."""
     def run(inst: Instance, opts):
         v = check(inst)
@@ -158,7 +160,7 @@ def _bound(name: str, check):
         fields = {"gamma": gamma, "beta_base": base, "beta_expo_den": expo,
                   "witness": list(v.witness)}
         return ([(v, fields, (gamma, base, str(expo), ""))],
-                f"{name}: gamma={gamma} beta={beta} {_holds(v)}")
+                f"gamma={gamma} beta={beta} {_holds(v)}")
     return run
 
 
@@ -170,7 +172,7 @@ def _restricted(inst: Instance, opts):
         results = [(v, {"S": members, "lhs": v.lhs, "rhs": v.rhs}, None)
                    for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)
-        return results, f"restricted: {held}/{len(results)} subset checks HOLD"
+        return results, f"{held}/{len(results)} subset checks HOLD"
     if opts.subset_seed is not None:  # the sweep's seeded random S
         rng = random.Random(opts.subset_seed)
         members = list(bk)
@@ -180,13 +182,12 @@ def _restricted(inst: Instance, opts):
     v = theorems.check_restricted_sum(inst, s)
     return ([(v, {"S": list(s), "lhs": v.lhs, "rhs": v.rhs},
               ("", "", "", f"s_size={len(s)};lhs={v.lhs};rhs={v.rhs}"))],
-            f"restricted: |S|={len(s)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}")
+            f"|S|={len(s)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}")
 
 
 def _power(inst: Instance, opts):
     rep = inst.cached(("power", 2), lambda i: multiplicativity_check(i, 2))
-    v = theorems.TheoremVerdict(theorem="power", holds=rep.equal, lhs=rep.gamma_power,
-                                rhs=rep.gamma_base ** 2)
+    v = theorems.TheoremVerdict(holds=rep.equal, lhs=rep.gamma_power, rhs=rep.gamma_base ** 2)
     return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
 
 
@@ -222,13 +223,12 @@ def _value(text: str) -> Decimal:
 def _plgen2(inst: Instance, opts):
     emp = theorems.empirical_plgen2(inst, _epsilon(opts.epsilon),
                                     samples=opts.samples, seed=opts.seed)
-    v = theorems.TheoremVerdict(theorem="plgen2", holds=True, lhs=emp.ratio, rhs=emp.beta,
-                                witness=emp.x)
+    v = theorems.TheoremVerdict(holds=True, lhs=emp.ratio, rhs=emp.beta, witness=emp.x)
     c_emp, argmax_j = _float_str(emp.c_emp), sorted(emp.argmax_j)
     fields = {"epsilon": str(emp.epsilon), "c_emp": c_emp, "argmax_j": argmax_j,
               "X": list(emp.x), "exhaustive": emp.exhaustive}
     cells = ("", "", "", f"epsilon={emp.epsilon};c_emp={c_emp};x_size={len(emp.x)}")
-    return [(v, fields, cells)], (f"plgen2: epsilon={emp.epsilon} c_emp~{c_emp} "
+    return [(v, fields, cells)], (f"epsilon={emp.epsilon} c_emp~{c_emp} "
                                   f"argmax_J={argmax_j} |X|={len(emp.x)} {_holds(v)}")
 
 
@@ -237,37 +237,49 @@ def _large(inst: Instance, opts):
     res = theorems.large_subset(inst, opts.mode, value)  # an error echoes value as typed
     # a value that a float holds exactly is shown as that float, so reports stay byte-stable
     shown = float(value) if Decimal(float(value)) == value else str(value)
-    v = theorems.TheoremVerdict(theorem="large", holds=res.holds, lhs=res.lhs,
-                                rhs=res.bound, witness=res.x)
+    v = theorems.TheoremVerdict(holds=res.holds, lhs=res.lhs, rhs=res.bound, witness=res.x)
     bound = _float_str(res.bound)
     fields = {"mode": opts.mode, "value": shown, "lhs": res.lhs, "bound": bound,
               "X": list(res.x), "iterations": res.iterations,
               "near_boundary": res.near_boundary}
-    return [(v, fields, None)], (f"large: mode={opts.mode} value={shown} "
+    return [(v, fields, None)], (f"mode={opts.mode} value={shown} "
                                  f"|X|={len(res.x)} lhs={res.lhs} bound={bound} {_holds(v)}")
 
 
 def _noncomm(inst: Instance, opts):
+    """Unproved for noncommutative groups: a failure is a finding."""
     v = theorems.check_noncommutative(inst)
+    notes = "" if v.holds else "candidate counterexample: no subset meets the bound"
     fields = {"ratio": str(v.lhs), "bound": str(v.rhs), "witness": list(v.witness),
-              "notes": v.notes}
-    tail = f" ({v.notes})" if v.notes else ""
-    return [(v, fields, None)], f"noncomm: ratio={v.lhs} bound={v.rhs} {_holds(v)}{tail}"
+              "notes": notes}
+    tail = f" ({notes})" if notes else ""
+    return [(v, fields, None)], f"ratio={v.lhs} bound={v.rhs} {_holds(v)}{tail}"
 
 
-# name -> (run, offered by verify, offered by sweep)
+# name -> (run, offered by verify, offered by sweep, proved).  The paper
+# proves a check for commutative groups only: verify refuses it on a
+# noncommutative one, and its failure is a violation.
 CHECKS = {
-    "plgen": (_bound("plgen", lambda inst: theorems.check_plgen(inst)), True, True),
-    "pldiff": (_bound("pldiff", lambda inst: theorems.check_pldiff(inst)), True, True),
-    "single": (_bound("single", lambda inst: theorems.check_single_summand(inst)), True, True),
-    "restricted": (_restricted, True, True),
-    "power": (_power, False, True),
-    "plgen2": (_plgen2, True, True),
-    "large": (_large, True, False),
-    "noncomm": (_noncomm, True, False),
+    "plgen": (_bound(lambda inst: theorems.check_plgen(inst)), True, True, True),
+    "pldiff": (_bound(lambda inst: theorems.check_pldiff(inst)), True, True, True),
+    "single": (_bound(lambda inst: theorems.check_single_summand(inst)), True, True, True),
+    "restricted": (_restricted, True, True, True),
+    "power": (_power, False, True, True),
+    "plgen2": (_plgen2, True, True, False),
+    "large": (_large, True, False, True),
+    "noncomm": (_noncomm, True, False, False),
 }
-VERIFY_CHECKS = tuple(name for name, (_, verify, _) in CHECKS.items() if verify)
-SWEEP_CHECKS = tuple(name for name, (_, _, sweep) in CHECKS.items() if sweep)
+VERIFY_CHECKS = tuple(name for name, (_, verify, _, _) in CHECKS.items() if verify)
+SWEEP_CHECKS = tuple(name for name, (_, _, sweep, _) in CHECKS.items() if sweep)
+
+
+def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance,
+                       s: GSet | None = None) -> None:
+    """Raise for a failed proved check, with the instance for replay."""
+    if not v.holds and CHECKS[check][3]:
+        raise TheoremViolationError(
+            f"guaranteed check {check!r} failed: lhs={v.lhs} rhs={v.rhs}",
+            instance_dump=serialize_instance(inst, s))
 
 
 # -- verify -----------------------------------------------------------------------
@@ -285,8 +297,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check in checks:
         if check not in VERIFY_CHECKS:
             raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
-        theorems.require_commutative(check, inst.group)
-        runs.append((check, *CHECKS[check][0](inst, opts)))
+        run, _, _, proved = CHECKS[check]
+        if proved and not inst.group.is_abelian:
+            raise UsageError(f"check {check!r} requires a commutative group")
+        runs.append((check, *run(inst, opts)))
     results = [{"check": check, "holds": v.holds, **fields}
                for check, batch, _ in runs for v, fields, _ in batch]
     if args.json:
@@ -295,12 +309,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
-    for _, _, line in runs:
-        print(line)
-    for _, batch, _ in runs:
+    for check, _, line in runs:
+        print(f"{check}: {line}")
+    for check, batch, _ in runs:
         for v, _, _ in batch:
-            if not v.holds:
-                theorems.ensure_holds(v, serialize_instance(inst, s))
+            _raise_if_violated(check, v, inst, s)
     return 0
 
 
@@ -423,8 +436,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
         for check in cfg.checks:
             start = time.perf_counter()
             [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
-            if not verdict.holds:
-                theorems.ensure_holds(verdict, serialize_instance(inst))
+            _raise_if_violated(check, verdict, inst)
             row = [str(index), moduli, str(inst.k), str(level), str(len(inst.a)),
                    b_sizes, check, gamma, base, expo,
                    "true" if verdict.holds else "false", detail]
@@ -442,7 +454,8 @@ def run_sweep(cfg: SweepConfig, *, workers: int = 1, timing: bool = False) -> st
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS + (("ms",) if timing else ()))
     rows_of = partial(sweep_rows_for_index, cfg, timing=timing)
-    workers = min(workers, cfg.count)
+    # more workers than CPUs only add interpreters
+    workers = min(workers, cfg.count, os.cpu_count() or 1)
     if workers <= 1:
         for index in range(cfg.count):
             writer.writerows(rows_of(index))

@@ -1,11 +1,10 @@
 """Verdict operations: each inequality the library checks, with witnesses.
 
-Guaranteed inequalities (every commutative instance must satisfy them) are
-checked exactly; a False verdict from one of those means an implementation
-bug or a genuine counterexample, and ensure_holds raises it with the
-instance for replay.  The two-sided-summand inequality over
-noncommutative groups is unproved territory: a failing check there is a
-reportable finding, never an assertion.
+Each check returns its verdict and leaves its consequences to the caller:
+which checks the paper proves, and so which failures are violations and
+which are findings, is recorded once, in ``cli.CHECKS``.  Verdicts are
+exact, except the float bounds of ``large_subset`` and the restricted proof
+chain, which are checked at a fixed relative tolerance.
 """
 
 from __future__ import annotations
@@ -18,42 +17,20 @@ from itertools import combinations
 
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction)
-from .errors import TheoremViolationError, UsageError
-from .groups import (GSet, Group, Instance, direct_powers, iterated_sumset, subset_sumsets,
-                     sumset)
+from .errors import UsageError
+from .groups import GSet, Instance, direct_powers, iterated_sumset, subset_sumsets, sumset
 from .magnification import build_plun_graph, gamma_flow, instance_gamma
 
 REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
 
-#: checks whose failure is fatal rather than reportable
-GUARANTEED = frozenset({"plgen", "pldiff", "single", "restricted", "large", "power"})
-
-
-def require_commutative(theorem: str, group: Group) -> None:
-    """Refuse a guaranteed check on a noncommutative group: the paper proves
-    those inequalities for commutative groups only."""
-    if theorem in GUARANTEED and not group.is_abelian:
-        raise UsageError(f"check {theorem!r} requires a commutative group")
-
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    theorem: str
     holds: bool
     lhs: object
     rhs: object
     witness: GSet | None = None
-    notes: str = ""
-
-
-def ensure_holds(verdict: TheoremVerdict, instance_dump: dict | None = None) -> TheoremVerdict:
-    """Raise for a failed guaranteed check; pass every other verdict through."""
-    if not verdict.holds and verdict.theorem in GUARANTEED:
-        raise TheoremViolationError(
-            f"guaranteed check {verdict.theorem!r} failed: lhs={verdict.lhs} rhs={verdict.rhs}",
-            instance_dump=instance_dump)
-    return verdict
 
 
 def check_plgen(inst: Instance) -> TheoremVerdict:
@@ -62,8 +39,7 @@ def check_plgen(inst: Instance) -> TheoremVerdict:
     beta = beta_value(instance_table(inst), inst.key_set, inst.l)
     mag = instance_gamma(inst)
     holds = cmp_ratio_vs_beta(mag.gamma, beta) != GT
-    return TheoremVerdict(theorem="plgen", holds=holds, lhs=mag.gamma, rhs=beta,
-                          witness=mag.witness)
+    return TheoremVerdict(holds=holds, lhs=mag.gamma, rhs=beta, witness=mag.witness)
 
 
 def check_single_summand(inst: Instance) -> TheoremVerdict:
@@ -72,13 +48,13 @@ def check_single_summand(inst: Instance) -> TheoremVerdict:
     with every B_i = B_1, which is kept in the memo like B_K, so every level
     shares its gamma and alpha table."""
     equal = inst.cached("single", lambda i: Instance(i.group, i.a, (i.bs[0],) * i.k, i.l))
-    return replace(check_plgen(replace(equal, l=inst.l)), theorem="single")
+    return check_plgen(replace(equal, l=inst.l))
 
 
 def check_pldiff(inst: Instance) -> TheoremVerdict:
     """Product-of-alphas case (level forced to 1): the bound is the plain
     rational alpha_1 * ... * alpha_k."""
-    return replace(check_plgen(replace(inst, l=1)), theorem="pldiff")
+    return check_plgen(replace(inst, l=1))
 
 
 # -- empirical large-subset constant ------------------------------------------
@@ -256,7 +232,7 @@ def _leave_one_out_product(inst: Instance, s: GSet) -> int:
 
 def _restricted_verdict(k: int, s_size: int, sa_size: int, s_prod: int) -> TheoremVerdict:
     lhs, rhs = sa_size ** k, s_size * s_prod
-    return TheoremVerdict(theorem="restricted", holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+    return TheoremVerdict(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
 def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
@@ -313,7 +289,8 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     instance: branch on |S| against the threshold, evaluate every
     intermediate inequality, and confirm the tensor-power identity
     |S^r + A^r| = |S+A|^r for r up to r_max."""
-    require_commutative("restricted", inst.group)
+    if not inst.group.is_abelian:  # the chain is proved for commutative groups only
+        raise UsageError("check 'restricted' requires a commutative group")
     s_prod = _leave_one_out_product(inst, s)
     k, m = inst.k, len(inst.a)
     s_size, sa_size = len(s), len(sumset(s, inst.a))
@@ -380,7 +357,5 @@ def check_noncommutative(inst: Instance) -> TheoremVerdict:
     a, (b1, b2) = inst.a, inst.bs
     mag = gamma_flow(build_plun_graph(a, b2, left=b1))
     bound = Fraction(len(sumset(b1, a)) * len(sumset(a, b2)), len(a) ** 2)
-    holds = mag.gamma <= bound
-    return TheoremVerdict(
-        theorem="noncomm", holds=holds, lhs=mag.gamma, rhs=bound, witness=mag.witness,
-        notes="" if holds else "candidate counterexample: no subset meets the bound")
+    return TheoremVerdict(holds=mag.gamma <= bound, lhs=mag.gamma, rhs=bound,
+                          witness=mag.witness)

@@ -4,15 +4,16 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from plab.alphabeta import alpha_table, beta_value
-from plab.cli import (SweepConfig, build_parser, generate_base, load_sweep_config, main,
-                      parse_instance, run_sweep, serialize_instance, sweep_config_from_dict,
-                      sweep_rows_for_index)
-from plab.theorems import TheoremVerdict, ensure_holds
+from plab.cli import (VERIFY_CHECKS, SweepConfig, _raise_if_violated, build_parser,
+                      generate_base, load_sweep_config, main, parse_instance, run_sweep,
+                      serialize_instance, sweep_config_from_dict, sweep_rows_for_index)
+from plab.theorems import TheoremVerdict
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -230,14 +231,41 @@ def test_verify_large_on_noncommutative_group_rejected(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: check 'large' requires a commutative group\n")
 
 
+# the checks that the paper does not prove, and so run on a noncommutative group
+UNPROVED = ("plgen2", "noncomm")
+
+
 @pytest.mark.parametrize("fixture, checks, err", [
     ("s3.json", "noncomm,plgen", "error: check 'plgen' requires a commutative group\n"),
     ("z5.json", "plgen,bogus", "error: unknown check 'bogus'; valid: "
-                               "plgen, pldiff, single, restricted, plgen2, large, noncomm\n")],
-    ids=["s3-noncomm-plgen", "z5-plgen-bogus"])
+                               "plgen, pldiff, single, restricted, plgen2, large, noncomm\n"),
+    *[("s3.json", check,
+       None if check in UNPROVED else f"error: check {check!r} requires a commutative group\n")
+      for check in VERIFY_CHECKS]],
+    ids=["s3-noncomm-plgen", "z5-plgen-bogus", *[f"s3-{check}" for check in VERIFY_CHECKS]])
 def test_verify_usage_error_prints_no_verdict(capsys, fixture, checks, err):
-    assert main(["verify", str(FIXTURES / fixture), "--check", checks]) == 2
-    assert capsys.readouterr() == ("", err)
+    code = main(["verify", str(FIXTURES / fixture), "--check", checks])
+    out, got = capsys.readouterr()
+    if err is None:
+        assert (code, got) == (0, "") and out.startswith(f"{checks}: ")
+    else:
+        assert (code, out, got) == (2, "", err)
+
+
+def test_verify_failed_noncomm_is_a_finding(tmp_path, monkeypatch, capsys):
+    import plab.theorems as theorems_mod
+    real = theorems_mod.check_noncommutative
+    monkeypatch.setattr(theorems_mod, "check_noncommutative",
+                        lambda inst: replace(real(inst), holds=False))
+    report_path = tmp_path / "r.json"
+    assert main(["verify", str(FIXTURES / "s3.json"), "--check", "noncomm",
+                 "--json", str(report_path)]) == 0
+    out, err = capsys.readouterr()
+    note = "candidate counterexample: no subset meets the bound"
+    assert err == "" and out.endswith(f" FAILS ({note})\n")
+    report = json.loads(report_path.read_text())
+    assert report["all_hold"] is False
+    assert [r["notes"] for r in report["checks"]] == [note]
 
 
 # |B_K| = 16, above the --all-subsets limit of 12
@@ -323,7 +351,7 @@ def test_verify_violation_exit_code(monkeypatch, capsys):
     import plab.theorems as theorems_mod
 
     def fake_check(inst, **kwargs):
-        return TheoremVerdict(theorem="plgen", holds=False, lhs=2,
+        return TheoremVerdict(holds=False, lhs=2,
                               rhs=beta_value(alpha_table(inst), inst.key_set, inst.l),
                               witness=inst.a)
 
@@ -497,6 +525,32 @@ def test_sweep_matches_golden_bytes(workers):
     assert text.encode("utf-8") == golden
 
 
+def test_sweep_workers_are_capped_by_the_cpus(monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = sweep_config_from_dict(BASE_CFG)
+    assert run_sweep(cfg, workers=10_000) == run_sweep(cfg)
+    assert sizes == [2]
+
+
 def test_sweep_config_defaults_spelled_out():
     assert sweep_config_from_dict({}) == SweepConfig(
         seed=0, count=100, k_range=(2, 4), l_rule="all", group_size_range=(4, 64),
@@ -591,8 +645,7 @@ def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
 
     def fake_check(inst, **kwargs):
         v = real(inst, **kwargs)
-        return TheoremVerdict(theorem="plgen", holds=False, lhs=v.lhs, rhs=v.rhs,
-                              witness=v.witness)
+        return TheoremVerdict(holds=False, lhs=v.lhs, rhs=v.rhs, witness=v.witness)
 
     monkeypatch.setattr(theorems_mod, "check_plgen", fake_check)
     cfg_path = write_json(tmp_path, "cfg.json", {**BASE_CFG, "checks": ["plgen"]})
@@ -606,8 +659,8 @@ def violating_rows(cfg, index, timing):
     module level so that a worker process can load it."""
     if index < 3:
         return sweep_rows_for_index(cfg, index, timing)
-    verdict = TheoremVerdict(theorem="plgen", holds=False, lhs=1, rhs=0)
-    ensure_holds(verdict, serialize_instance(generate_base(cfg, index)))
+    _raise_if_violated("plgen", TheoremVerdict(holds=False, lhs=1, rhs=0),
+                       generate_base(cfg, index))
 
 
 def test_sweep_worker_violation_exit(tmp_path, monkeypatch, capsys):

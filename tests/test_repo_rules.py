@@ -1,0 +1,59 @@
+"""Rules about the source tree itself, read from its syntax trees."""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def at_root(monkeypatch):
+    """The scans name their paths relative to the repository root."""
+    monkeypatch.chdir(ROOT)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, and invariants must survive it
+    found = [f"{path}:{node.lineno}" for path in sorted(pathlib.Path("src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, "\n".join(found)
+
+
+def test_library_names_have_library_callers():
+    # a name in plab.__all__, or a public method or property of a class
+    # in it, that only tests use belongs in tests/, and a module-level
+    # function, class or constant of src/plab that nothing outside tests
+    # reads is dead.  Dataclass fields are data, not API, and are not
+    # scanned.  The scan is by name, so a method that shares its name
+    # with another one in use (list.index) passes
+    import plab
+    paths = [p for d in ("src/plab", "scripts", "perfbench") for p in sorted(pathlib.Path(d).rglob("*.py"))
+             if p != pathlib.Path("src/plab/__init__.py")]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
+    loaded = {node.attr if isinstance(node, ast.Attribute) else node.id for node in nodes
+              if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load)}
+    # a method is called as an attribute; a function or class may also be called by name
+    unused = {name for name in plab.__all__ if name not in names} | {
+        name for cls in map(plab.__dict__.get, plab.__all__) if isinstance(cls, type)
+        for name, value in vars(cls).items()
+        if (callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+        and not name.startswith("_") and name not in attrs}
+    for path, tree in trees.items():
+        if path.parts[:2] != ("src", "plab"):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused.update(f"{path}:{node.lineno} {name}" for name in defined if name not in loaded)
+    assert not unused, "\n".join(sorted(unused))

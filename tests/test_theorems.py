@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageError,
                   alpha_table, beta_value, build_plun_graph, check_noncommutative,
                   check_pldiff, check_plgen, check_restricted_sum, check_single_summand,
-                  cmp_ratio_vs_beta, empirical_plgen2, ensure_holds,
+                  cmp_ratio_vs_beta, empirical_plgen2,
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
+from plab.cli import _raise_if_violated, serialize_instance
 from plab.theorems import TheoremVerdict
 
 from cayley_tables import bundled_tables, cyclic_table, dihedral_table, symmetric_table
@@ -61,15 +62,15 @@ def test_exhaustive_method_agrees(z5):
 def test_plgen_always_holds(seed):
     inst = rand_instance(random.Random(seed), n_range=(2, 64), k_range=(2, 4),
                          a_range=(1, 8), b_range=(1, 8))
-    ensure_holds(check_plgen(inst))
+    assert check_plgen(inst).holds
 
 
-def test_ensure_holds_raises_on_guaranteed_failure():
-    fake = TheoremVerdict(theorem="plgen", holds=False, lhs=2, rhs=1)
-    with pytest.raises(TheoremViolationError):
-        ensure_holds(fake, {"marker": True})
-    soft = TheoremVerdict(theorem="noncomm", holds=False, lhs=2, rhs=1)
-    assert ensure_holds(soft) is soft
+def test_ensure_holds_raises_on_guaranteed_failure(z5):
+    fake = TheoremVerdict(holds=False, lhs=2, rhs=1)
+    with pytest.raises(TheoremViolationError) as exc:
+        _raise_if_violated("plgen", fake, z5)
+    assert exc.value.instance_dump == serialize_instance(z5)
+    _raise_if_violated("noncomm", fake, z5)  # unproved: a finding, not a violation
 
 
 # -- equal summands -------------------------------------------------------------------
