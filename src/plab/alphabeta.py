@@ -7,7 +7,7 @@ of every index subset I, so alpha_I = |A+B_I| / |A| is exact.  The bound
 
 is irrational in general, so it is kept as an exact (base, root) pair and
 every order decision is made by raising to the integer root and
-cross-multiplying big integers; floats appear only as display values.
+cross-multiplying big integers; a float is only derived, for display.
 """
 
 from __future__ import annotations
@@ -41,11 +41,17 @@ class AlphaTable:
 
 @dataclass(frozen=True)
 class BetaValue:
-    """Exact root bound base ** (1 / expo_den), plus a float display."""
+    """Exact root bound base ** (1 / expo_den); approx is for display."""
 
     base: Fraction
     expo_den: int
-    approx: float
+
+    @property
+    def approx(self) -> float:
+        """The root as a float, for display only."""
+        if self.expo_den == 1:
+            return float(self.base)
+        return math.exp(log_fraction(self.base) / self.expo_den)
 
     def __repr__(self) -> str:
         if self.expo_den == 1:
@@ -97,15 +103,10 @@ def beta_value(table: AlphaTable, j_set: frozenset[int] | set[int], l: int) -> B
     sizes = table.sizes
     base = Fraction(math.prod(sizes[frozenset(combo)] for combo in combinations(j_key, l)),
                     table.m ** math.comb(j, l))
-    expo_den = math.comb(j - 1, l - 1)
-    if expo_den == 1:
-        approx = float(base)
-    else:
-        approx = math.exp(log_fraction(base) / expo_den)
-    return BetaValue(base=base, expo_den=expo_den, approx=approx)
+    return BetaValue(base=base, expo_den=math.comb(j - 1, l - 1))
 
 
-_UNIT = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
+_UNIT = BetaValue(base=Fraction(1), expo_den=1)
 
 
 def cmp_ratio_vs_beta(ratio: Fraction, b: BetaValue,

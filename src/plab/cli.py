@@ -35,8 +35,7 @@ from . import constructions, theorems
 from .alphabeta import beta_value, instance_table, log_fraction
 from .errors import (CertificateError, ResourceError, TheoremViolationError,
                      UsageError, ValidationError)
-from .groups import (GSet, Instance, embed_integer_sets, make_abelian_group,
-                     make_cayley_group, sumset)
+from .groups import GSet, Instance, embed_integer_sets, make_abelian_group, make_cayley_group
 from .magnification import instance_gamma, multiplicativity_check
 
 CSV_COLUMNS = ("index", "group", "k", "l", "m", "b_sizes", "check",
@@ -279,7 +278,7 @@ def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance,
     if not v.holds and CHECKS[check][3]:
         raise TheoremViolationError(
             f"guaranteed check {check!r} failed: lhs={v.lhs} rhs={v.rhs}",
-            instance_dump=serialize_instance(inst, s))
+            serialize_instance(inst, s))
 
 
 # -- verify -----------------------------------------------------------------------
@@ -527,31 +526,29 @@ def cmd_demo(args: argparse.Namespace) -> int:
         all_equal = all(rep.equal for rep in reps)
         print(f"all powers exact: {'yes' if all_equal else 'NO'}")
         return 0 if all_equal else 1
-    if args.what == "pipeline":
-        subset = s if s is not None else inst.bk
-        rep = theorems.restricted_pipeline(inst, subset, args.r)
-        print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "
-              f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
-        for st in rep.steps:
-            kind = "exact" if st.exact else "float"
-            print(f"  {st.name}: {st.lhs} <= {st.rhs if st.exact else _float_str(st.rhs)} "
-                  f"[{kind}] {'HOLDS' if st.holds else 'FAILS'}")
-        for row in rep.power_rows:
-            print(f"  r={row.r}: |S^r+A^r|={row.power_size} "
-                  f"identity {'HOLDS' if row.identity_holds else 'FAILS'}; "
-                  f"bound k^(1/r)(s|S|)^(1/k)={_float_str(row.bound)} "
-                  f"{'HOLDS' if row.bound_holds else 'FAILS'}")
-        print(f"pipeline: {'ALL HOLD' if rep.all_hold else 'SOME STEP FAILED'}")
-        return 0 if rep.all_hold else 1
-    raise UsageError(f"unknown demo {args.what!r}")
+    subset = s if s is not None else inst.bk
+    rep = theorems.restricted_pipeline(inst, subset, args.r)
+    print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "
+          f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
+    for st in rep.steps:
+        kind = "exact" if st.exact else "float"
+        print(f"  {st.name}: {st.lhs} <= {st.rhs if st.exact else _float_str(st.rhs)} "
+              f"[{kind}] {'HOLDS' if st.holds else 'FAILS'}")
+    for row in rep.power_rows:
+        print(f"  r={row.r}: |S^r+A^r|={row.power_size} "
+              f"identity {'HOLDS' if row.identity_holds else 'FAILS'}; "
+              f"bound k^(1/r)(s|S|)^(1/k)={_float_str(row.bound)} "
+              f"{'HOLDS' if row.bound_holds else 'FAILS'}")
+    print(f"pipeline: {'ALL HOLD' if rep.all_hold else 'SOME STEP FAILED'}")
+    return 0 if rep.all_hold else 1
 
 
 def cmd_find_x(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.instance)
     res = instance_gamma(inst)
-    image = sumset(res.witness, inst.bk)
+    size = len(res.witness)  # the certificate proved |X+B_K| = gamma*|X|
     print(f"X = {sorted(res.witness)}")
-    print(f"|X| = {len(res.witness)}  |X+B_K| = {len(image)}  ratio = {res.gamma}")
+    print(f"|X| = {size}  |X+B_K| = {res.gamma * size}  ratio = {res.gamma}")
     return 0
 
 
@@ -631,16 +628,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TheoremViolationError as exc:
-        print(f"VIOLATION: {exc}", file=sys.stderr)
-        if exc.instance_dump is not None:
-            json.dump(exc.instance_dump, sys.stderr)
+    except (TheoremViolationError, CertificateError) as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        if exc.dump is not None:
+            json.dump(exc.dump, sys.stderr)
             print(file=sys.stderr)
-        return 1
-    except CertificateError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        json.dump(exc.dump, sys.stderr)
-        print(file=sys.stderr)
         return 1
     except (UsageError, ValidationError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

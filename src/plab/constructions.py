@@ -19,21 +19,20 @@ from operator import or_
 
 from .alphabeta import AlphaTable, instance_table
 from .errors import ResourceError, UsageError
-from .groups import (GSet, Group, Instance, element_cap, iterated_sumset, make_abelian_group,
-                     sumset)
+from .groups import GSet, Group, Instance, element_cap, iterated_sumset, make_abelian_group
 from .magnification import instance_gamma
 
 
-def admissible_q(table: AlphaTable, base_order: int, *, count: int = 6) -> list[int]:
-    """First few q making every n_i = alpha_(K minus i) * q an integer,
-    filtered by the element cap on the extended group."""
+def admissible_q(table: AlphaTable, base_order: int) -> list[int]:
+    """The first eight q making every n_i = alpha_(K minus i) * q an integer,
+    cut short where the extended group would exceed the element cap."""
     sizes, m = table.leave_one_out_sizes(), table.m
     # size / m in lowest terms has denominator m / gcd(size, m)
     step = math.lcm(*(m // math.gcd(size, m) for size in sizes))
     limit = element_cap()
     out: list[int] = []
     q = step
-    while len(out) < count:
+    while len(out) < 8:
         ext_order = base_order * math.prod(size * q // m for size in sizes)
         if ext_order > limit:
             break
@@ -126,14 +125,16 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
         i: len(iterated_sumset([setup.aprime, *setup.bi_prime[:i - 1], *setup.bi_prime[i:]]))
         for i in range(1, k + 1)}
 
-    union_size = len(iterated_sumset([setup.aprime] + [setup.bprime] * (k - 1)))
+    def union_size_of(st: Lemma21Setup) -> int:
+        return len(iterated_sumset([st.aprime] + [st.bprime] * (k - 1)))
+
+    union_size = union_size_of(setup)
     union_rhs = 2 * k * expected
     union_holds = union_size <= union_rhs
 
     first_q = None
-    for cand in admissible_q(table, inst.group.order, count=8):
-        st = setup if cand == q else build_extension(inst, cand)
-        size = len(iterated_sumset([st.aprime] + [st.bprime] * (k - 1)))
+    for cand in admissible_q(table, inst.group.order):
+        size = union_size if cand == q else union_size_of(build_extension(inst, cand))
         if size <= 2 * k * _expected_at(table, inst.l, cand):
             first_q = cand
             break
@@ -145,11 +146,10 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
         repeated_sizes[multiset] = len(iterated_sumset(
             [setup.aprime, *(setup.bi_prime[j - 1] for j in multiset)]))
 
-    bk = inst.bk
-    witness = instance_gamma(inst).witness
-    wprime = setup.gprime.set_of(x * h_order for x in witness)
+    res = instance_gamma(inst)  # its certificate proved |X+B_K| = gamma*|X|
+    wprime = setup.gprime.set_of(x * h_order for x in res.witness)
     apex_lhs = len(iterated_sumset([wprime, *setup.bi_prime]))
-    apex_rhs = h_order * len(sumset(witness, bk))
+    apex_rhs = h_order * int(res.gamma * len(res.witness))
 
     return Lemma21Report(setup=setup, expected_distinct=expected,
                          distinct_sizes=distinct_sizes, union_size=union_size,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The two that exit 1 carry
+their stderr prefix and, for replay, an optional JSON dump."""
 
 from __future__ import annotations
 
@@ -21,16 +22,20 @@ class ValidationError(PlabError):
 
 class TheoremViolationError(PlabError):
     """A guaranteed inequality failed: implementation bug or a genuine
-    counterexample.  Carries the offending instance for replay."""
+    counterexample.  dump holds the offending instance for replay."""
 
-    def __init__(self, message: str, instance_dump: dict | None = None):
+    prefix = "VIOLATION"
+
+    def __init__(self, message: str, dump: dict | None = None):
         super().__init__(message)
-        self.instance_dump = instance_dump
+        self.dump = dump
 
 
 class CertificateError(PlabError):
     """gamma's certificate was rejected: a bug in the flow engine, never a
     verdict.  dump holds the graph and the certificate for replay."""
+
+    prefix = "internal error"
 
     def __init__(self, message: str, dump: dict | None = None):
         super().__init__(message)

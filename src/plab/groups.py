@@ -276,8 +276,9 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
     """Group from an explicit N x N multiplication table (N <= 64).
 
     The table is checked for well-formedness, cancellativity (rows and
-    columns are permutations), a two-sided identity, associativity of every
-    triple, and two-sided inverses; the first failure raises ValidationError.
+    columns are permutations), a two-sided identity and associativity of
+    every triple; the first failure raises ValidationError.  Inverses follow:
+    rows give a*b = e and b*d = e, so a = a*(b*d) = (a*b)*d = d and b*a = e.
     """
     rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
@@ -313,10 +314,6 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
                     raise ValidationError(
                         f"associativity fails at triple ({a}, {b}, {c}): "
                         f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {row_a[rows[b][c]]}")
-    for a in range(n):
-        inv = rows[a].index(identity)
-        if rows[inv][a] != identity:
-            raise ValidationError(f"element {a} has no two-sided inverse")
     abelian = rows == columns
     return Group(table=rows, identity=identity, is_abelian=abelian)
 
@@ -470,6 +467,9 @@ def direct_powers(sets: Sequence[GSet], r: int) -> tuple[GSet, ...]:
     if r < 1:
         raise UsageError(f"power must be >= 1, got {r}")
     limit = element_cap()
+    if r > limit.bit_length():  # the order check's bound, for a one-element group too
+        raise ResourceError(f"power {r} exceeds {limit.bit_length()}, the bit length "
+                            f"of the element cap {limit}")
     if group.order ** r > limit:
         raise ResourceError(f"group order {group.order}^{r} exceeds element cap {limit}")
     powered, n = make_abelian_group(group.moduli * r), group.order

@@ -97,6 +97,20 @@ def first_associativity_failure(rows) -> str | None:
     return None
 
 
+def is_group_table(rows) -> bool:
+    """Whether an n x n table over 0..n-1 is a group's, by the axioms
+    alone: a two-sided identity, a two-sided inverse of every element, and
+    associativity of every triple."""
+    n = len(rows)
+    elems = range(n)
+    identity = next((e for e in elems
+                     if all(rows[e][x] == x == rows[x][e] for x in elems)), None)
+    return (identity is not None
+            and all(any(rows[a][b] == identity == rows[b][a] for b in elems) for a in elems)
+            and all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+                    for a in elems for b in elems for c in elems))
+
+
 def naive_power_index_set(base_order, elems, r) -> set[int]:
     """Indices of the r-fold cartesian power under concatenated-radix indexing."""
     out = {0}
@@ -142,9 +156,9 @@ def gamma_exhaustive(graph) -> MagResult:
     return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members), iterations=0)
 
 
-def beta_reference(table, j_set, l) -> BetaValue:
+def beta_reference(table, j_set, l) -> tuple[BetaValue, float]:
     """beta_value as the product of one Fraction alpha_L per l-subset L of
-    J, with the same display float."""
+    J, beside the display float that its approx must give."""
     j = len(j_set)
     base = Fraction(1)
     for combo in combinations(sorted(j_set), l):
@@ -154,7 +168,7 @@ def beta_reference(table, j_set, l) -> BetaValue:
         approx = float(base)
     else:
         approx = math.exp((math.log(base.numerator) - math.log(base.denominator)) / expo_den)
-    return BetaValue(base=base, expo_den=expo_den, approx=approx)
+    return BetaValue(base=base, expo_den=expo_den), approx
 
 
 def beta_identity_holds(table, j_set, l) -> bool:

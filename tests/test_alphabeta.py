@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -128,9 +129,9 @@ def test_beta_value_matches_fraction_product(t):
     for l in full:
         for size in range(l, t.k + 1):
             for j in _subsets_of_size(full, size):
-                got, want = beta_value(t, j, l), beta_reference(t, j, l)
+                got, (want, want_approx) = beta_value(t, j, l), beta_reference(t, j, l)
                 assert (got.base, got.expo_den, got.approx.hex()) == (
-                    want.base, want.expo_den, want.approx.hex()), (sorted(j), l)
+                    want.base, want.expo_den, want_approx.hex()), (sorted(j), l)
 
 
 def test_beta_z5_level1(z5):
@@ -156,6 +157,12 @@ def test_beta_identity_sets():
 def test_beta_degenerate_j_equals_l(z9):
     b = beta_value(alpha_table(z9), frozenset({1, 2}), 2)
     assert b.base == Fraction(5, 2) and b.expo_den == 1
+
+
+def test_beta_value_holds_only_the_exact_pair(z9):
+    assert [f.name for f in dataclasses.fields(BetaValue)] == ["base", "expo_den"]
+    got, want = beta_value(alpha_table(z9), z9.key_set, 2), BetaValue(Fraction(30), 2)
+    assert got == want and hash(got) == hash(want)
 
 
 def test_beta_errors(z9):
@@ -185,25 +192,25 @@ def test_equal_summand_reduction():
 # -- exact comparisons --------------------------------------------------------------
 
 def test_cmp_plain_rational():
-    b = BetaValue(base=Fraction(3), expo_den=1, approx=3.0)
+    b = BetaValue(base=Fraction(3), expo_den=1)
     assert cmp_ratio_vs_beta(Fraction(5, 2), b) == LT
     assert cmp_ratio_vs_beta(Fraction(3), b) == EQ
     assert cmp_ratio_vs_beta(Fraction(7, 2), b) == GT
 
 
 def test_cmp_square_root():
-    b = BetaValue(base=Fraction(30), expo_den=2, approx=math.sqrt(30))
+    b = BetaValue(base=Fraction(30), expo_den=2)
     assert cmp_ratio_vs_beta(Fraction(9, 2), b) == LT   # 81/4 < 30
     assert cmp_ratio_vs_beta(Fraction(6), b) == GT      # 36 > 30
 
 
 def test_cmp_identity_case():
-    b = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
+    b = BetaValue(base=Fraction(1), expo_den=1)
     assert cmp_ratio_vs_beta(Fraction(1), b) == EQ
 
 
 def test_cmp_requires_positive():
-    b = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
+    b = BetaValue(base=Fraction(1), expo_den=1)
     with pytest.raises(UsageError):
         cmp_ratio_vs_beta(Fraction(0), b)
 
@@ -212,11 +219,11 @@ def test_cmp_requires_positive():
        st.fractions(min_value="1/100", max_value="100"),
        st.integers(1, 6))
 def test_cmp_agrees_with_floats_off_boundary(ratio, base, root):
-    b = BetaValue(base=base, expo_den=root,
-                  approx=math.exp((math.log(base.numerator) - math.log(base.denominator)) / root))
-    gap = abs(float(ratio) - b.approx)
-    if gap > 1e-6 * max(b.approx, 1.0):
-        expected = LT if float(ratio) < b.approx else GT
+    b = BetaValue(base=base, expo_den=root)
+    approx = math.exp((math.log(base.numerator) - math.log(base.denominator)) / root)
+    gap = abs(float(ratio) - approx)
+    if gap > 1e-6 * max(approx, 1.0):
+        expected = LT if float(ratio) < approx else GT
         assert cmp_ratio_vs_beta(ratio, b) == expected
 
 

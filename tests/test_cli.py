@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from plab import cli
 from plab.alphabeta import alpha_table, beta_value
 from plab.cli import (VERIFY_CHECKS, SweepConfig, _raise_if_violated, build_parser,
                       generate_base, load_sweep_config, main, parse_instance, run_sweep,
                       serialize_instance, sweep_config_from_dict, sweep_rows_for_index)
+from plab.errors import CertificateError, TheoremViolationError
 from plab.theorems import TheoremVerdict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -366,6 +368,20 @@ def test_verify_violation_exit_code(monkeypatch, capsys):
 
 # -- find-x ------------------------------------------------------------------------
 
+@pytest.mark.parametrize("exc, err", [
+    (TheoremViolationError("m", {"A": [0]}), 'VIOLATION: m\n{"A": [0]}\n'),
+    (TheoremViolationError("m"), "VIOLATION: m\n"),
+    (CertificateError("m", {"gamma": "1"}), 'internal error: m\n{"gamma": "1"}\n'),
+], ids=["violation", "violation-no-dump", "certificate"])
+def test_exit_1_errors_print_their_prefix_and_dump(monkeypatch, capsys, exc, err):
+    def load_instance(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_instance", load_instance)
+    assert main(["find-x", str(FIXTURES / "z5.json")]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 def test_find_x(capsys):
     assert main(["find-x", str(FIXTURES / "z5.json")]) == 0
     out = capsys.readouterr().out
@@ -434,6 +450,25 @@ def test_demo_pipeline_on_noncommutative_group_prints_nothing(tmp_path, capsys):
 def test_demo_rejects_r_below_1(capsys, what, r):
     assert main(["demo", what, str(FIXTURES / "z5.json"), "-r", r]) == 2
     assert capsys.readouterr() == ("", f"error: r_max must be >= 1, got {r}\n")
+
+
+def test_demo_lemma21_needs_an_abelian_product_group(capsys):
+    assert main(["demo", "lemma21", str(FIXTURES / "s3.json"), "--q", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the extension construction needs an abelian product group\n")
+
+
+@pytest.mark.parametrize("what", ["power", "pipeline"])
+def test_demo_powers_of_a_one_element_group_are_budgeted(tmp_path, monkeypatch, capsys, what):
+    # the powers of Z_1 never outgrow the element cap, so r itself is capped
+    # at the cap's bit length, 27 at the default 2**26
+    monkeypatch.delenv("PLAB_MEM_CAP", raising=False)
+    path = write_json(tmp_path, "z1.json", {"group": [1], "A": [0], "B": [[0], [0]], "l": 1})
+    assert main(["demo", what, path, "-r", "27"]) == 0
+    capsys.readouterr()
+    assert main(["demo", what, path, "-r", "28"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: power 28 exceeds 27, the bit length of the element cap {2 ** 26}\n")
 
 
 def test_demo_lemma21_rejects_q_below_1(capsys):

@@ -15,8 +15,9 @@ from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
 from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets
 
 from cayley_tables import bundled_tables, cyclic_table, symmetric_table
-from oracles import (first_associativity_failure, integer_iterated, naive_iterated,
-                     naive_members, naive_power_index_set, naive_sumset, naive_translate)
+from oracles import (first_associativity_failure, integer_iterated, is_group_table,
+                     naive_iterated, naive_members, naive_power_index_set, naive_sumset,
+                     naive_translate)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -367,8 +368,9 @@ def test_power_law_and_power_of_sumset(gs, r):
     ("cayley", 0, UsageError, "direct powers are only supported for abelian product groups"),
     ("z5", 0, UsageError, "power must be >= 1, got 0"),
     ("z64", 5, ResourceError, "group order 64^5 exceeds element cap"),
+    ("z5", 10 ** 7, ResourceError, "power 10000000 exceeds 27, the bit length of the element cap"),
     ("mixed", 2, UsageError, "set operands belong to different groups"),
-], ids=["cayley", "cayley-r0", "r0", "cap", "mixed-groups"])
+], ids=["cayley", "cayley-r0", "r0", "cap", "r-over-cap-bits", "mixed-groups"])
 def test_direct_powers_rejects(sets, r, error, message):
     z5, z64 = make_abelian_group([5]), make_abelian_group([64])
     c6 = make_cayley_group(cyclic_table(6))
@@ -482,6 +484,32 @@ def test_cayley_associativity_failure_matches_triple_loop(table):
         with pytest.raises(ValidationError) as exc:
             make_cayley_group(table)
         assert str(exc.value) == expected
+
+
+def test_cayley_accepts_exactly_the_group_tables_of_order_up_to_3():
+    # all 1 + 16 + 19,683 tables with entries in 0..n-1, against the axioms
+    # checked triple by triple
+    accepted = 0
+    for n in (1, 2, 3):
+        for cells in product(range(n), repeat=n * n):
+            table = [cells[i * n:(i + 1) * n] for i in range(n)]
+            if is_group_table(table):
+                assert make_cayley_group(table).order == n
+                accepted += 1
+            else:
+                with pytest.raises(ValidationError):
+                    make_cayley_group(table)
+    assert accepted == 1 + 2 + 3  # the labelled groups Z1, Z2 and Z3
+
+
+@pytest.mark.parametrize("table, message", [
+    ([], "empty multiplication table"),
+    ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+], ids=["empty", "short-row"])
+def test_cayley_rejects_malformed_table(table, message):
+    with pytest.raises(ValidationError) as exc:
+        make_cayley_group(table)
+    assert str(exc.value) == message
 
 
 def test_cayley_rejects_non_permutation_row():

@@ -57,3 +57,24 @@ def test_library_names_have_library_callers():
                 continue
             unused.update(f"{path}:{node.lineno} {name}" for name in defined if name not in loaded)
     assert not unused, "\n".join(sorted(unused))
+
+
+def test_readme_plab_lines_parse():
+    # every plab command in the README's code blocks parses, so a renamed
+    # flag or subcommand fails here rather than leaving the README wrong;
+    # parsing opens no file
+    import shlex
+
+    from plab.cli import build_parser
+    lines, fenced = [], False
+    for line in pathlib.Path("README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("plab "):
+            lines.append(line)
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

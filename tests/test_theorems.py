@@ -69,7 +69,7 @@ def test_ensure_holds_raises_on_guaranteed_failure(z5):
     fake = TheoremVerdict(holds=False, lhs=2, rhs=1)
     with pytest.raises(TheoremViolationError) as exc:
         _raise_if_violated("plgen", fake, z5)
-    assert exc.value.instance_dump == serialize_instance(z5)
+    assert exc.value.dump == serialize_instance(z5)
     _raise_if_violated("noncomm", fake, z5)  # unproved: a finding, not a violation
 
 
@@ -203,9 +203,9 @@ def test_empirical_always_finite_with_admissible_witness(seed):
 
 def test_root_ratio_ordering():
     # 2/sqrt(2) = sqrt(2) < 3/2, and 3/sqrt(4) = 3/2 exactly
-    root2 = BetaValue(base=Fraction(2), expo_den=2, approx=math.sqrt(2))
-    one = BetaValue(base=Fraction(1), expo_den=1, approx=1.0)
-    four = BetaValue(base=Fraction(4), expo_den=2, approx=2.0)
+    root2 = BetaValue(base=Fraction(2), expo_den=2)
+    one = BetaValue(base=Fraction(1), expo_den=1)
+    four = BetaValue(base=Fraction(4), expo_den=2)
     assert cmp_ratio_vs_beta(Fraction(2), root2, Fraction(3, 2), one) == LT
     assert cmp_ratio_vs_beta(Fraction(3, 2), one, Fraction(2), root2) == GT
     assert cmp_ratio_vs_beta(Fraction(2), root2, Fraction(2), root2) == EQ
@@ -511,7 +511,7 @@ def test_plgen2_ties_go_to_the_lowest_mask():
     inst = Instance(g, g.set_of([0, 1, 4, 8]), (b, b), 1)
     emp = empirical_plgen2(inst, Fraction(1, 2))
     assert (emp.ratio, emp.argmax_j, list(emp.x)) == (Fraction(5, 3), frozenset({1}), [0, 1, 4])
-    assert cmp_ratio_vs_beta(emp.ratio, emp.beta, Fraction(20, 21), BetaValue(Fraction(1), 1, 1.0)) == EQ
+    assert cmp_ratio_vs_beta(emp.ratio, emp.beta, Fraction(20, 21), BetaValue(Fraction(1), 1)) == EQ
     # B_i = {0}: every X ties with A, which is examined first and stays
     one = g.set_of([0])
     inst = Instance(g, g.set_of([1, 4, 9]), (one, one), 1)
