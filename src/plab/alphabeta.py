@@ -13,9 +13,9 @@ cross-multiplying big integers; a float is only derived, for display.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import UsageError
 from .groups import Instance, sumset
@@ -25,8 +25,7 @@ MAX_K = 8
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(frozen=True)
-class AlphaTable:
+class AlphaTable(NamedTuple):
     """The integer sizes |A+B_I| for every I subset of {1..k}, with m = |A|."""
 
     k: int
@@ -39,8 +38,7 @@ class AlphaTable:
         return [self.sizes[full - {i}] for i in range(1, self.k + 1)]
 
 
-@dataclass(frozen=True)
-class BetaValue:
+class BetaValue(NamedTuple):
     """Exact root bound base ** (1 / expo_den); approx is for display."""
 
     base: Fraction

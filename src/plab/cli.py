@@ -25,11 +25,10 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import constructions, theorems
 from .alphabeta import beta_value, instance_table, log_fraction
@@ -318,8 +317,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- sweep ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     seed: int
     count: int
     k_range: tuple[int, int]
@@ -431,7 +429,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
                               subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
                               epsilon="0.5", samples=128, seed=cfg.seed * 1009 + index)
     for level in _levels(cfg, inst0.k):
-        inst = inst0 if level == inst0.l else replace(inst0, l=level)
+        inst = inst0 if level == inst0.l else inst0.at_level(level)
         for check in cfg.checks:
             start = time.perf_counter()
             [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)

@@ -11,11 +11,11 @@ a factor of q slower, which is the point of the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from operator import or_
+from typing import NamedTuple
 
 from .alphabeta import AlphaTable, instance_table
 from .errors import ResourceError, UsageError
@@ -44,24 +44,22 @@ def admissible_q(table: AlphaTable, base_order: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Lemma21Setup:
+class Lemma21Setup(NamedTuple):
     """The extended group with its per-summand cyclic paddings."""
 
     q: int
     n: tuple[int, ...]
-    gprime: Group = field(repr=False)
-    aprime: GSet = field(repr=False)
-    bprime: GSet = field(repr=False)
-    bi_prime: tuple[GSet, ...] = field(repr=False)
+    gprime: Group
+    aprime: GSet
+    bprime: GSet
+    bi_prime: tuple[GSet, ...]
 
     @property
     def h_order(self) -> int:
         return math.prod(self.n)
 
 
-@dataclass(frozen=True)
-class Lemma21Report:
+class Lemma21Report(NamedTuple):
     setup: Lemma21Setup
     expected_distinct: int
     distinct_sizes: dict[int, int]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count
 from math import prod
@@ -396,41 +395,57 @@ def iterated_sumset(sets: Iterable[GSet]) -> GSet:
 
 # -- instances, and the Cartesian powers behind the tensor-power identities ---
 
-@dataclass(frozen=True)
 class Instance:
     """A base set A, summand sets B_1..B_k, and a level l with 1 <= l < k.
 
     memo holds values that depend on (A, B_1..B_k) only, filled on first use
     through cached(); it takes no part in equality, hashing or repr, and
-    dataclasses.replace(inst, l=...) shares it, so every level of one
-    instance computes B_K, its alpha table and gamma once.  A copy whose
-    group or sets differ starts an empty memo of its own.  Every copy runs
-    the validation again, so a caller that walks the levels uses the
-    instance itself for its own level and copies only for the others.
+    at_level(l) shares it, so every level of one instance computes B_K, its
+    alpha table and gamma once, while a new Instance starts an empty memo.
+    at_level validates again, so a caller that walks the levels uses the
+    instance itself for its own level and at_level only for the others.
     """
 
-    group: Group
-    a: GSet
-    bs: tuple[GSet, ...]
-    l: int
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("group", "a", "bs", "l", "memo")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bs", tuple(self.bs))
-        if len(self.bs) < 2:
+    def __init__(self, group: Group, a: GSet, bs: Iterable[GSet], l: int):
+        bs = tuple(bs)
+        if len(bs) < 2:
             raise UsageError("need at least two summand sets")
-        if not 1 <= self.l < len(self.bs):
-            raise UsageError(f"level must satisfy 1 <= l < k, got l={self.l}, k={len(self.bs)}")
-        if not self.a:
+        if not 1 <= l < len(bs):
+            raise UsageError(f"level must satisfy 1 <= l < k, got l={l}, k={len(bs)}")
+        if not a:
             raise UsageError("base set A must be nonempty")
-        if any(not b for b in self.bs):
+        if any(not b for b in bs):
             raise UsageError("every summand set must be nonempty")
-        for gs in (self.a, *self.bs):
-            if gs.group != self.group:
+        for gs in (a, *bs):
+            if gs.group != group:
                 raise UsageError("all sets must live in the instance's group")
-        sets = (self.group, self.a, self.bs)
-        if self.memo.setdefault("sets", sets) != sets:
-            object.__setattr__(self, "memo", {"sets": sets})
+        for name, value in zip(Instance.__slots__, (group, a, bs, l, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of an Instance")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.group, self.a, self.bs, self.l
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Instance) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Instance(group={self.group!r}, a={self.a!r}, bs={self.bs!r}, l={self.l!r})"
+
+    def at_level(self, l: int) -> "Instance":
+        """The same sets at level l, sharing this instance's memo."""
+        inst = Instance(self.group, self.a, self.bs, l)
+        object.__setattr__(inst, "memo", self.memo)
+        return inst
 
     @property
     def k(self) -> int:

@@ -20,23 +20,22 @@ accepted its witness and flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .certificate import check_certificate
 from .errors import ResourceError, UsageError
 from .groups import GSet, Group, Instance, direct_powers, element_cap, sumset
 
-@dataclass(frozen=True)
-class PlunGraph:
+class PlunGraph(NamedTuple):
     """Left vertices x, each joined to its image, the bitset adj_bits[x]: a+B_K
     for a in A in the Plünnecke graph, B_1*x*B_2 in the noncomm check's.  The
     right vertices are right_bits, the union of the images."""
 
-    group: Group = field(repr=False)
-    adj_bits: dict[int, int] = field(repr=False)
+    group: Group
+    adj_bits: dict[int, int]
 
     @property
     def left(self) -> tuple[int, ...]:
@@ -47,8 +46,7 @@ class PlunGraph:
         return reduce(or_, self.adj_bits.values(), 0)
 
 
-@dataclass(frozen=True)
-class MagResult:
+class MagResult(NamedTuple):
     """An exact magnification ratio with a subset that attains it.  classes
     (bitsets of right vertices) and flow ((left vertex, class index, amount)
     triples, positive amounts only) are the final round's flow, which sends
@@ -58,8 +56,8 @@ class MagResult:
     gamma: Fraction
     witness: GSet
     iterations: int = 0
-    classes: tuple[int, ...] = field(default=(), repr=False)
-    flow: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
+    classes: tuple[int, ...] = ()
+    flow: tuple[tuple[int, int, int], ...] = ()
 
 
 def build_plun_graph(a: GSet, bk: GSet, *, left: GSet | None = None) -> PlunGraph:
@@ -183,6 +181,11 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
 
     The final round's flow and the witness go to check_certificate before
     the result is returned; a rejected certificate raises CertificateError.
+
+    The middle edges, one per left vertex and class inside its image, are
+    what each round's flow dicts grow with, and build_plun_graph's budget
+    on image words does not bound them: more than element_cap() raise
+    ResourceError before the first round.
     """
     lefts = graph.left
     witness_bits = sum(1 << x for x in lefts)
@@ -208,6 +211,9 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
             low = mask & -mask
             out_of[low.bit_length() - 1].append(j)
             mask ^= low
+    edges, limit = sum(map(len, out_of)), element_cap()
+    if edges > limit:
+        raise ResourceError(f"flow network has {edges} middle edges, over the element cap {limit}")
     sizes = [bits.bit_count() for bits in classes]
     iterations = 0
     while True:
@@ -234,8 +240,7 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
         witness_bits = z_bits
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
+class MultiplicativityReport(NamedTuple):
     gamma_base: Fraction
     gamma_power: Fraction
     equal: bool

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction)
@@ -25,8 +25,7 @@ REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     holds: bool
     lhs: object
     rhs: object
@@ -48,19 +47,18 @@ def check_single_summand(inst: Instance) -> TheoremVerdict:
     with every B_i = B_1, which is kept in the memo like B_K, so every level
     shares its gamma and alpha table."""
     equal = inst.cached("single", lambda i: Instance(i.group, i.a, (i.bs[0],) * i.k, i.l))
-    return check_plgen(replace(equal, l=inst.l))
+    return check_plgen(equal.at_level(inst.l))
 
 
 def check_pldiff(inst: Instance) -> TheoremVerdict:
     """Product-of-alphas case (level forced to 1): the bound is the plain
     rational alpha_1 * ... * alpha_k."""
-    return check_plgen(replace(inst, l=1))
+    return check_plgen(inst.at_level(1))
 
 
 # -- empirical large-subset constant ------------------------------------------
 
-@dataclass(frozen=True)
-class EmpiricalConstant:
+class EmpiricalConstant(NamedTuple):
     """Smallest observed c with |X+B_J| <= c * beta_J * |X| for all J with
     |J| >= l, over subsets X larger than (1-epsilon) * |A|.  The constant
     is exactly ratio / beta, with ratio = |X+B_J| / |X| at the binding J."""
@@ -155,8 +153,7 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
 
 # -- constructive large subsets -------------------------------------------------
 
-@dataclass(frozen=True)
-class LargeSubsetResult:
+class LargeSubsetResult(NamedTuple):
     x: GSet
     bound: float
     holds: bool
@@ -254,8 +251,7 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
             for mask, (union,) in subset_sumsets(s, [inst.a])]
 
 
-@dataclass(frozen=True)
-class PipelineStep:
+class PipelineStep(NamedTuple):
     name: str
     lhs: float
     rhs: float
@@ -263,8 +259,7 @@ class PipelineStep:
     exact: bool
 
 
-@dataclass(frozen=True)
-class PowerRow:
+class PowerRow(NamedTuple):
     r: int
     power_size: int
     identity_holds: bool
@@ -272,8 +267,7 @@ class PowerRow:
     bound_holds: bool
 
 
-@dataclass(frozen=True)
-class RestrictedPipelineReport:
+class RestrictedPipelineReport(NamedTuple):
     branch: str
     s_size: int
     sa_size: int
@@ -310,7 +304,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     else:
         branch = "large"
         t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
-        res = large_subset(replace(inst, l=k - 1), "t", t)
+        res = large_subset(inst.at_level(k - 1), "t", t)
         x = res.x
         r_x = len(x)
         sx = len(sumset(s, x)) if r_x < m else sa_size

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -258,7 +257,7 @@ def test_verify_failed_noncomm_is_a_finding(tmp_path, monkeypatch, capsys):
     import plab.theorems as theorems_mod
     real = theorems_mod.check_noncommutative
     monkeypatch.setattr(theorems_mod, "check_noncommutative",
-                        lambda inst: replace(real(inst), holds=False))
+                        lambda inst: real(inst)._replace(holds=False))
     report_path = tmp_path / "r.json"
     assert main(["verify", str(FIXTURES / "s3.json"), "--check", "noncomm",
                  "--json", str(report_path)]) == 0
@@ -504,6 +503,19 @@ def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, cap
     assert capsys.readouterr() == ("", f"error: graph images {err}\n")
 
 
+def test_flow_network_edges_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys):
+    # 32 images of one word each fit a cap of 64, but each image meets 8 of
+    # the 32 two-element classes: 256 middle edges
+    path = write_json(tmp_path, "inst.json", {"group": [64], "A": list(range(0, 64, 2)),
+                                              "B": [[0, 1, 2, 3], [0, 4, 8, 12]], "l": 1})
+    monkeypatch.setenv("PLAB_MEM_CAP", "64")
+    assert main(["verify", path, "--check", "plgen"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: flow network has 256 middle edges, over the element cap 64\n")
+    monkeypatch.setenv("PLAB_MEM_CAP", "256")
+    assert main(["verify", path, "--check", "plgen"]) == 0
+
+
 @pytest.mark.parametrize("argv", [[], ["--bogus"], ["demo"], ["find-x"],
                                   ["demo", "nope", str(FIXTURES / "z5.json")]])
 def test_argparse_errors_are_one_line(capsys, argv):
@@ -624,7 +636,7 @@ def test_sweep_count_zero(tmp_path, capsys):
 def test_sweep_overrides_change_output(tmp_path):
     cfg_path = write_json(tmp_path, "cfg.json", BASE_CFG)
     cfg = load_sweep_config(cfg_path)
-    assert run_sweep(SweepConfig(**{**cfg.__dict__, "seed": 99})) != run_sweep(cfg)
+    assert run_sweep(SweepConfig(**{**cfg._asdict(), "seed": 99})) != run_sweep(cfg)
 
 
 def test_sweep_fixed_l_rule(tmp_path):

@@ -1,13 +1,12 @@
 """Level-independent values are computed once per instance.
 
 B_K, the alpha table, gamma and the power report depend on (A, B_1..B_k)
-only; every level of an instance, made with dataclasses.replace, reads them
+only; every level of an instance, made with Instance.at_level, reads them
 from the instance's memo.
 """
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,8 +52,8 @@ def test_memo_is_not_part_of_the_value(z9):
     assert "gamma" in z9.memo and "gamma" not in fresh.memo
     assert z9 == fresh and hash(z9) == hash(fresh)
     assert "memo" not in repr(z9)
-    assert replace(z9, l=1).memo is z9.memo
-    other = replace(z9, a=z9.group.set_of([0, 3]))
+    assert z9.at_level(1).memo is z9.memo
+    other = Instance(z9.group, z9.group.set_of([0, 3]), z9.bs, z9.l)
     assert other.memo is not z9.memo
     assert check_plgen(other) == check_plgen(Instance(z9.group, other.a, z9.bs, z9.l))
 
@@ -127,7 +126,7 @@ def test_levels_made_by_replace_match_fresh_instances(seed):
     s = inst.bk
     check_plgen(inst)  # fill the memo before the other levels read it
     for level in range(1, inst.k):
-        shared, fresh = replace(inst, l=level), Instance(inst.group, inst.a, inst.bs, level)
+        shared, fresh = inst.at_level(level), Instance(inst.group, inst.a, inst.bs, level)
         assert shared.memo is inst.memo and "gamma" not in fresh.memo
         assert check_plgen(shared) == check_plgen(fresh)
         assert check_pldiff(shared) == check_pldiff(fresh)

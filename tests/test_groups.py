@@ -549,3 +549,27 @@ def test_instance_validation():
     other = make_abelian_group([7])
     with pytest.raises(UsageError):
         Instance(g, a, (b, other.set_of([0])), 1)
+
+
+def test_instance_is_a_read_only_value_whose_levels_share_memo():
+    g = make_abelian_group([5])
+    a, b = g.set_of([0]), g.set_of([0, 1])
+    inst = Instance(g, a, [b, b, b], 1)
+    assert inst.bs == (b, b, b)
+    for level in (0, 3):  # l < 1 and l = k
+        with pytest.raises(UsageError):
+            inst.at_level(level)
+    inst.memo["x"] = 1
+    up = inst.at_level(2)
+    assert up.l == 2 and up.memo is inst.memo and up != inst
+    assert inst.at_level(1) == inst and hash(inst.at_level(1)) == hash(inst)
+    fresh = Instance(g, g.set_of([0, 2]), inst.bs, 1)
+    assert fresh.memo == {} and fresh != inst
+    assert inst != (g, a, (b, b, b), 1)
+    for name in ("a", "l", "memo", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, None)
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+    assert inst.a is a and inst.memo == {"x": 1}
+    assert repr(inst) == f"Instance(group=Z5, a={a!r}, bs={(b, b, b)!r}, l=1)"

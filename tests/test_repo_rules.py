@@ -1,7 +1,10 @@
-"""Rules about the source tree itself, read from its syntax trees."""
+"""Rules about the source tree itself, read from its syntax trees and a fresh import."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -22,12 +25,29 @@ def test_no_assert_statements_in_src():
     assert not found, "\n".join(found)
 
 
+def test_importing_plab_loads_no_dataclasses():
+    # every plab process imports the library before it reads its input.
+    # dataclasses builds each class's methods with exec and loads inspect,
+    # ast, dis and tokenize, which cost more than a small check; the records
+    # are NamedTuples.  The rule counts modules, not time, so it cannot flake
+    found = [f"{path}:{node.lineno}" for path in sorted(pathlib.Path("src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+             or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)]
+    assert not found, "\n".join(found)
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, plab.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": "src"},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "\n", out
+
+
 def test_library_names_have_library_callers():
     # a name in plab.__all__, or a public method or property of a class
     # in it, that only tests use belongs in tests/, and a module-level
     # function, class or constant of src/plab that nothing outside tests
-    # reads is dead.  Dataclass fields are data, not API, and are not
-    # scanned.  The scan is by name, so a method that shares its name
+    # reads is dead.  Record fields are data, not API, and are not scanned:
+    # a NamedTuple's field getters are neither callables nor properties.  The scan is by name, so a method that shares its name
     # with another one in use (list.index) passes
     import plab
     paths = [p for d in ("src/plab", "scripts", "perfbench") for p in sorted(pathlib.Path(d).rglob("*.py"))
