@@ -58,25 +58,24 @@ class BetaValue(NamedTuple):
 
 
 def alpha_table(inst: Instance) -> AlphaTable:
-    """All 2^k sumset sizes, each A+B_I built from A+B_(I minus its largest
-    index) with one extra sumset, so that in a noncommutative group it is
-    A*B_i1*...*B_ij in increasing index order, the product that
-    iterated_sumset([A, B_i1, ..., B_ij]) forms."""
+    """All 2^k sumset sizes, walked depth first: a child of I adds one index
+    above max I with one extra sumset, so that in a noncommutative group
+    A+B_I is A*B_i1*...*B_ij in increasing index order, the product that
+    iterated_sumset([A, B_i1, ..., B_ij]) forms.  The table keeps only
+    sizes, so at most the k+1 sets of one path are alive."""
     k = inst.k
     if k > MAX_K:
         raise UsageError(f"alpha tables are capped at k <= {MAX_K}, got k={k}")
-    m = len(inst.a)
-    sets = {frozenset(): inst.a}
-    sizes = {frozenset(): m}
-    indices = list(range(1, k + 1))
-    for size in range(1, k + 1):
-        for combo in combinations(indices, size):
-            key = frozenset(combo)
-            prev = key - {combo[-1]}
-            cur = sumset(sets[prev], inst.bs[combo[-1] - 1])
-            sets[key] = cur
-            sizes[key] = len(cur)
-    return AlphaTable(k=k, m=m, sizes=sizes)
+    sizes = {frozenset(): len(inst.a)}
+    # (I, A+B_(I minus max I)) for the index sets still to walk; each holds
+    # a set of the current path, so the stack keeps no other set alive
+    stack = [((i,), inst.a) for i in range(k, 0, -1)]
+    while stack:
+        combo, parent = stack.pop()
+        cur = sumset(parent, inst.bs[combo[-1] - 1])
+        sizes[frozenset(combo)] = len(cur)
+        stack.extend((combo + (i,), cur) for i in range(k, combo[-1], -1))
+    return AlphaTable(k=k, m=len(inst.a), sizes=sizes)
 
 
 def instance_table(inst: Instance) -> AlphaTable:

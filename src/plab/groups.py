@@ -99,23 +99,34 @@ class Group:
     # -- bitset translation ------------------------------------------------
 
     def _axis_combs(self) -> tuple[int, ...]:
+        """Per axis, bit 0 of every block of n*s bits; the blocks tile the
+        bitset.  Each comb doubles its teeth by a shift and an OR until it
+        spans the bitset, then drops the teeth past the top."""
         if self._combs is None:
-            # bit 0 of every block of n*s bits; the blocks tile the bitset
-            self._combs = tuple(self._full // ((1 << (n * s)) - 1)
-                                for n, s in zip(self.moduli, self._strides))
+            combs = []
+            for n, s in zip(self.moduli, self._strides):
+                comb, width = 1, n * s
+                while width < self.order:
+                    comb |= comb << width
+                    width <<= 1
+                combs.append(comb & self._full)
+            self._combs = tuple(combs)
         return self._combs
 
     def _axis_masks(self, axis: int, c: int) -> tuple[int, int]:
+        """The masks of a shift by c along an axis of n coordinates and
+        stride s: low takes the coordinates below n-c of every block, which
+        move up by c*s, and high the c places they wrap down into.  The low
+        w bits of every block are (1 << w) - 1 at each tooth of the comb,
+        that is (comb << w) - comb, with no big-int product."""
         key = (axis, c)
         cached = self._masks.get(key)
         if cached is None:
             n = self.moduli[axis]
             s = self._strides[axis]
             comb = self._axis_combs()[axis]
-            # low part: coordinates < n-c shift up by c*s inside each block;
-            # high part wraps down by (n-c)*s
-            low = ((1 << ((n - c) * s)) - 1) * comb
-            high = ((1 << (c * s)) - 1) * comb
+            low = (comb << (n - c) * s) - comb
+            high = (comb << c * s) - comb
             cached = (low, high)
             self._masks[key] = cached
         return cached
@@ -275,9 +286,14 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
     """Group from an explicit N x N multiplication table (N <= 64).
 
     The table is checked for well-formedness, cancellativity (rows and
-    columns are permutations), a two-sided identity and associativity of
-    every triple; the first failure raises ValidationError.  Inverses follow:
-    rows give a*b = e and b*d = e, so a = a*(b*d) = (a*b)*d = d and b*a = e.
+    columns are permutations), a two-sided identity and associativity; the
+    first failure raises ValidationError.  Inverses follow: rows give
+    a*b = e and b*d = e, so a = a*(b*d) = (a*b)*d = d and b*a = e.
+
+    Associativity is Light's test: the b with (a*b)*c = a*(b*c) for all a, c
+    include e and are closed, as (a*bd)*c = ((a*b)*d)*c = (a*b)*(d*c) =
+    a*(b*(d*c)) = a*(bd*c), so checking b over generators checks every b.
+    Only a failure runs the scan of all triples, which names the first.
     """
     rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
@@ -299,22 +315,50 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
     identity = next((e for e in range(n) if rows[e] == plain and columns[e] == plain), None)
     if identity is None:
         raise ValidationError("no two-sided identity element")
-    # (a*b)*c = a*(b*c) for every c says that row a*b is row b sent through
-    # row a; compare whole rows, and scan c only in a row that differs.  An
-    # order-1 table is ((0,),), associative, and itemgetter(0) returns a scalar.
-    compose = [itemgetter(*row) for row in rows] if n > 1 else []
-    for a, row_a in enumerate(rows):
-        for b, through_b in enumerate(compose):
-            ab = row_a[b]
-            if rows[ab] == through_b(row_a):
-                continue
-            for c in range(n):
-                if rows[ab][c] != row_a[rows[b][c]]:
-                    raise ValidationError(
-                        f"associativity fails at triple ({a}, {b}, {c}): "
-                        f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {row_a[rows[b][c]]}")
+
+    def associates(b: int) -> bool:
+        # (a*b)*c = a*(b*c) for every c says that row a*b is row b sent
+        # through row a; n > 1 here, so itemgetter returns a tuple
+        through_b = itemgetter(*rows[b])
+        return all(rows[row_a[b]] == through_b(row_a) for row_a in rows)
+
+    if not all(map(associates, _generators(rows, identity))):
+        for a, row_a in enumerate(rows):
+            for b in range(n):
+                for c in range(n):
+                    if rows[row_a[b]][c] != row_a[rows[b][c]]:
+                        raise ValidationError(
+                            f"associativity fails at triple ({a}, {b}, {c}): "
+                            f"({a}*{b})*{c} = {rows[row_a[b]][c]} but "
+                            f"{a}*({b}*{c}) = {row_a[rows[b][c]]}")
     abelian = rows == columns
     return Group(table=rows, identity=identity, is_abelian=abelian)
+
+
+def _generators(rows: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
+    """Elements whose left-to-right products reach every element but the
+    identity: each is the smallest element not yet reached, and the reached
+    set is closed under right multiplication by the generators so far, with
+    one table lookup per element and generator."""
+    seen = [False] * len(rows)
+    seen[identity] = True
+    reached: list[int] = []
+    gens: list[int] = []
+    for g in range(len(rows)):
+        if seen[g]:
+            continue
+        seen[g] = True
+        gens.append(g)
+        work = [(x, g) for x in reached] + [(g, h) for h in gens]
+        reached.append(g)
+        while work:
+            x, h = work.pop()
+            y = rows[x][h]
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+                work.extend((y, h) for h in gens)
+    return gens
 
 
 def embed_integer_sets(a: Iterable[int],

@@ -87,8 +87,11 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
 
     Exhaustive over all admissible subsets when |A| <= 16, otherwise seeded
     random sampling; X = A is always examined, so the result is finite.
-    Every inner comparison is exact, and an X is compared only up to the
-    first J that does not beat the best so far.
+    X beats the best on J exactly when |X+B_J| lies below a limit that
+    depends only on |X|, J and the best, so an X costs integer compares up
+    to the first J that it does not beat.  Each limit is found once per best
+    by exact comparisons, and c_of, also exact, runs only on an X that beats
+    the best on every J.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
@@ -111,17 +114,43 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
                 top = (ratio, beta, j)
         return top
 
-    def c_if_better(size: int, image_sizes) -> tuple[Fraction, BetaValue, frozenset[int]] | None:
-        """c_of of an X if it lies strictly below the best, else None.  The
-        max lies below the best only if every J does, so the lazy
-        image_sizes are read and compared in j_sets order up to the first J
-        that does not."""
+    # limits[|X|, i]: the least |X+B_J| with J = j_sets[i] at which an X no
+    # longer beats the best on J; filled lazily, emptied when the best changes
+    limits: dict[tuple[int, int], int] = {}
+
+    def limit(size: int, i: int) -> int:
+        """Binary search, every step an exact comparison, over the sizes
+        X+B_J can take: at most |X|*|B_J| and |A+B_J|, as X lies in A, and
+        at least |X| and |A+B_J| - |A minus X|*|B_J|.  A limit at either end
+        of that range decides every X of this size alike."""
+        key = (size, i)
+        if key not in limits:
+            b_size, a_image = len(b_sets[i]), table.sizes[j_sets[i]]
+            lo = max(size, a_image - (m - size) * b_size)
+            hi = min(size * b_size, a_image) + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cmp_ratio_vs_beta(Fraction(mid, size), betas[i], best[0], best[1]) == LT:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            limits[key] = lo
+        return limits[key]
+
+    def improves(size: int, image_sizes) -> bool:
+        """Whether c_of of an X lies strictly below the best, and if so make
+        it the best.  The max lies below the best only if every J does, so
+        the lazy image_sizes are read and tested against their limits in
+        j_sets order up to the first J that does not."""
+        nonlocal best
         seen = []
-        for beta, image_size in zip(betas, image_sizes):
-            if cmp_ratio_vs_beta(Fraction(image_size, size), beta, best[0], best[1]) != LT:
-                return None
+        for i, image_size in enumerate(image_sizes):
+            if image_size >= limit(size, i):
+                return False
             seen.append(image_size)
-        return c_of(size, seen)
+        best = c_of(size, seen)
+        limits.clear()
+        return True
 
     # X = A first, whose |A+B_J| the alpha table holds; a later X replaces
     # the best only when strictly smaller
@@ -133,19 +162,16 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
     if exhaustive:
         full = best_mask = (1 << m) - 1
         for mask, unions in subset_sumsets(inst.a, b_sets, min_size):
-            if mask != full:
-                c = c_if_better(mask.bit_count(), map(int.bit_count, unions))
-                if c is not None:
-                    best, best_mask = c, mask
+            if mask != full and improves(mask.bit_count(), map(int.bit_count, unions)):
+                best_mask = mask
         if best_mask != full:
             x = inst.group.set_of(members[i] for i in range(m) if best_mask >> i & 1)
     else:
         rng = random.Random(seed)
         for _ in range(samples):
             sample = inst.group.set_of(rng.sample(members, rng.randint(min_size, m)))
-            c = c_if_better(len(sample), (len(sumset(sample, b)) for b in b_sets))
-            if c is not None:
-                best, x = c, sample
+            if improves(len(sample), (len(sumset(sample, b)) for b in b_sets)):
+                x = sample
     ratio, beta, j = best
     return EmpiricalConstant(epsilon=eps, ratio=ratio, beta=beta, x=x, argmax_j=j,
                              exhaustive=exhaustive)

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -52,6 +54,24 @@ def test_alpha_table_matches_oracle(z9):
         expected = naive_sumset(z9.group, list(z9.a),
                                 naive_iterated(z9.group, b_lists, key))
         assert size == len(expected)
+
+
+def test_alpha_table_keeps_only_one_path_of_sets_alive():
+    # each A+B_I here spans 2^20 bits (0.125 MB), since A holds the top
+    # element; all 2^8 sets at once take 32 MB, the 9 of one path 1.1 MB
+    g = make_abelian_group([1 << 20])
+    b = g.set_of([0, 1])
+    inst = Instance(g, g.set_of([0, (1 << 20) - 1]), [b] * 8, 1)
+    tracemalloc.start()
+    try:
+        table = alpha_table(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A+B_I = {-1, 0, ..., |I|}
+    assert table.sizes == {frozenset(c): len(c) + 2
+                           for size in range(9) for c in combinations(range(1, 9), size)}
+    assert peak < 4 * 2 ** 20
 
 
 def test_alpha_table_k_cap():

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from itertools import product
 from math import prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   direct_powers, element_cap, embed_integer_sets, iterated_sumset,
                   make_abelian_group, make_cayley_group, sumset)
+from plab import groups
 from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets
 
-from cayley_tables import bundled_tables, cyclic_table, symmetric_table
+from cayley_tables import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 from oracles import (first_associativity_failure, integer_iterated, is_group_table,
                      naive_iterated, naive_members, naive_power_index_set, naive_sumset,
                      naive_translate)
@@ -230,7 +232,8 @@ def test_translate_matches_oracle(g, data):
     assert sorted(got) == sorted(naive_translate(g, elems, a))
 
 
-@pytest.mark.parametrize("moduli", [(65,), (128,), (2, 64), (3, 1, 50), (1, 7), (256, 256)])
+@pytest.mark.parametrize("moduli", [(65,), (128,), (2, 64), (3, 1, 50), (1, 7), (256, 256),
+                                    (5, 3, 7)])
 def test_translate_matches_oracle_above_one_word(moduli):
     # the outer axis rotates the whole bitset, here wider than a machine
     # word; an axis of size 1 has only the coordinate 0.  Every a whose
@@ -500,6 +503,62 @@ def test_cayley_accepts_exactly_the_group_tables_of_order_up_to_3():
                 with pytest.raises(ValidationError):
                     make_cayley_group(table)
     assert accepted == 1 + 2 + 3  # the labelled groups Z1, Z2 and Z3
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1, so 0
+    is a two-sided identity and only associativity can fail."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in rows]
+            return
+        i, j = cells[k]
+        for x in range(n):
+            if x not in rows[i][:j] and all(rows[r][j] != x for r in range(i)):
+                rows[i][j] = x
+                yield from fill(k + 1)
+        rows[i][j] = None
+
+    return fill(0)
+
+
+def test_cayley_accepts_exactly_the_group_tables_among_reduced_latin_squares():
+    # Light's test checks associativity on generators only; against every
+    # reduced Latin square of order 4 to 6, checked triple by triple, it
+    # accepts the groups and names the first failing triple of the rest
+    for n, squares, group_tables in ((4, 4, 4), (5, 56, 6), (6, 9408, 80)):
+        seen = accepted = 0
+        for table in _reduced_latin_squares(n):
+            seen += 1
+            if is_group_table(table):
+                assert make_cayley_group(table).order == n
+                accepted += 1
+            else:
+                with pytest.raises(ValidationError) as exc:
+                    make_cayley_group(table)
+                assert str(exc.value) == first_associativity_failure(table)
+        assert (seen, accepted) == (squares, group_tables)
+
+
+def test_cayley_validation_composes_rows_per_generator(monkeypatch):
+    # D12 (order 24) is generated by a rotation and a reflection, so Light's
+    # test composes 2 * 24 row pairs where a scan of every b would compose 24^2
+    composed = []
+
+    def counting_itemgetter(*items):
+        getter = itemgetter(*items)
+
+        def compose(row):
+            composed.append(row)
+            return getter(row)
+        return compose
+
+    monkeypatch.setattr(groups, "itemgetter", counting_itemgetter)
+    assert make_cayley_group(dihedral_table(12)).order == 24
+    assert len(composed) == 2 * 24
 
 
 @pytest.mark.parametrize("table, message", [

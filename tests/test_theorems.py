@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageError,
@@ -478,6 +478,7 @@ def _plgen2_by_enumeration(inst, eps):
 
 
 @given(st.integers(0, 100_000))
+@example(seed=2434)  # its best changes after limits against the old best were found
 def test_subset_lattice_matches_per_subset_sumsets(seed):
     rng = random.Random(seed)
     inst = _small_instance(rng)
