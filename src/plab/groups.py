@@ -18,7 +18,10 @@ table.
 
 Converting between members and bitsets is linear in the set and the group,
 not in their product.  set_of fills a byte buffer and converts it once in
-groups of more than 64 elements, O(|S| + N/8); iterating a set wider than
+groups of more than 64 elements, O(|S| + N/8), and there it keeps the
+members it was given if they are strictly increasing, as instance files
+list them: iterating that set returns them, O(|S|).  Sets computed from
+other sets keep none.  Iterating any other set wider than
 WORD_WALK_MIN_BITS bits with more than WORD_WALK_MIN_MEMBERS members
 converts it once to 64-bit words and walks those, O(|S| + N/64).  Narrower
 or sparser sets are scanned by clearing the lowest bit of the whole int,
@@ -30,9 +33,9 @@ from __future__ import annotations
 import os
 import struct
 from functools import reduce
-from itertools import compress, count
+from itertools import compress, count, islice
 from math import prod
-from operator import itemgetter, or_
+from operator import itemgetter, lt, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceError, UsageError, ValidationError
@@ -161,22 +164,39 @@ class Group:
     # -- set constructors ----------------------------------------------------
 
     def set_of(self, elems: Iterable[int]) -> "GSet":
+        """The set of elems, in any order and with repeats.  In a group
+        wider than one machine word, strictly increasing elems are kept as
+        the set's members, so that iterating the set returns them instead of
+        walking its bits."""
         order = self.order
-        if order <= 64:  # the bitset is one machine word
+        if order <= 64:  # the bitset is one machine word, cheap to walk
             bits = 0
             for e in elems:
                 if not 0 <= e < order:
-                    raise UsageError(f"element index {e} out of range 0..{order - 1}")
+                    raise _out_of_range(e, order)
                 bits |= 1 << e
             return GSet(self, bits)
+        if not isinstance(elems, (list, tuple)):
+            elems = tuple(elems)
         # ORing 1 << e into a growing int costs O(order) per member; set the
         # bits in a little-endian byte buffer and convert once instead
         buf = bytearray((order + 7) >> 3)
+        if not all(map(lt, elems, islice(elems, 1, None))):
+            for e in elems:
+                if not 0 <= e < order:
+                    raise _out_of_range(e, order)
+                buf[e >> 3] |= 1 << (e & 7)
+            return GSet(self, int.from_bytes(buf, "little"))
+        # strictly increasing: an element out of range sits at an end, and
+        # is the first element or the first of those past the top
+        if elems and not (0 <= elems[0] and elems[-1] < order):
+            raise _out_of_range(elems[0] if elems[0] < 0 else
+                                next(e for e in elems if e >= order), order)
         for e in elems:
-            if not 0 <= e < order:
-                raise UsageError(f"element index {e} out of range 0..{order - 1}")
             buf[e >> 3] |= 1 << (e & 7)
-        return GSet(self, int.from_bytes(buf, "little"))
+        gs = GSet(self, int.from_bytes(buf, "little"))
+        gs._members = tuple(elems)
+        return gs
 
     # -- identity / equality -------------------------------------------------
 
@@ -197,9 +217,18 @@ class Group:
 
 
 class GSet:
-    """An immutable subset of a finite group, stored as a bitset."""
+    """An immutable subset of a finite group, stored as a bitset.
 
-    __slots__ = ("group", "bits", "_card")
+    A set that Group.set_of built from strictly increasing members, in a
+    group of more than 64 elements, also keeps them as a tuple, which
+    __iter__ returns.  Every other set keeps none and walks its bits:
+    sumsets, translates, unions, differences and powers among them.  The
+    tuple costs 8 bytes a member and keeps the caller's int objects alive,
+    about 36 bytes a member in all; the element cap bounds it as it bounds
+    the bitset.  Equality, hashing and len read the bits only.
+    """
+
+    __slots__ = ("group", "bits", "_card", "_members")
 
     def __init__(self, group: Group, bits: int):
         if bits < 0 or bits >> group.order:
@@ -207,6 +236,7 @@ class GSet:
         self.group = group
         self.bits = bits
         self._card = bits.bit_count()
+        self._members = None
 
     def __len__(self) -> int:
         return self._card
@@ -215,9 +245,16 @@ class GSet:
         return self.bits != 0
 
     def __iter__(self) -> Iterator[int]:
-        """Members in increasing order.  Clearing the lowest bit of the whole
-        int costs O(N/64) per member; a wide set with many members is instead
-        converted once and walked word by word, O(|S| + N/64) in all."""
+        """Members in increasing order: those that set_of kept, else a walk
+        of the bits."""
+        if self._members is not None:
+            return iter(self._members)
+        return self._walk()
+
+    def _walk(self) -> Iterator[int]:
+        """Clearing the lowest bit of the whole int costs O(N/64) per member;
+        a wide set with many members is instead converted once and walked
+        word by word, O(|S| + N/64) in all."""
         bits = self.bits
         if self._card > WORD_WALK_MIN_MEMBERS and bits.bit_length() > WORD_WALK_MIN_BITS:
             nwords = (bits.bit_length() + 63) >> 6
@@ -259,6 +296,10 @@ class GSet:
         else:
             inner = f"...{self._card} elements..."
         return f"GSet({{{inner}}} in {self.group!r})"
+
+
+def _out_of_range(e: int, order: int) -> UsageError:
+    return UsageError(f"element index {e} out of range 0..{order - 1}")
 
 
 def _require_same_group(s: GSet, t: GSet) -> None:

@@ -15,11 +15,11 @@ from plab import (PlunGraph, build_plun_graph, gamma_flow, make_abelian_group,
                   make_cayley_group, sumset)
 from plab import magnification
 from plab.certificate import check_certificate
-from plab.cli import main
+from plab.cli import main, parse_instance
 from plab.errors import CertificateError
 
 from cayley_tables import bundled_tables
-from oracles import gamma_exhaustive, naive_sumset
+from oracles import gamma_exhaustive, naive_members, naive_sumset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CAYLEY = [make_cayley_group(table) for _, table in bundled_tables(12)]
@@ -166,6 +166,36 @@ def test_rejected_certificate_exits_1_with_a_replayable_dump(flow_short_by_one_u
         check_certificate(adj_bits, Fraction(dump["gamma"]),
                           sum(1 << x for x in dump["witness"]), classes,
                           [tuple(f) for f in dump["flow"]])
+
+
+def test_rejected_certificate_dumps_a_wide_graph_by_its_members(flow_short_by_one_unit,
+                                                                tmp_path, capsys):
+    # 250 left vertices in Z_256^2: every list in the dump names the members
+    # of a 65,536-bit set, read off its set bits
+    rng = random.Random(23)
+    data = {"group": [256, 256], "A": sorted(rng.sample(range(1 << 16), 250)),
+            "B": [[0, 1, 256], [0, 2, 515]], "l": 1}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--check", "plgen"]) == 1
+    dump = json.loads(capsys.readouterr().err.split("\n")[1])
+    inst, _ = parse_instance(data)
+    adj_bits = build_plun_graph(inst.a, inst.bk).adj_bits
+    assert dump["left"] == data["A"]
+    assert dump["images"] == [naive_members(adj_bits[x]) for x in data["A"]]
+    # the classes are the right vertices grouped by the left vertices that reach them
+    owners = {}
+    for x, image in zip(dump["left"], dump["images"]):
+        for y in image:
+            owners.setdefault(y, set()).add(x)
+    by_owners = {}
+    for y in sorted(owners):
+        by_owners.setdefault(frozenset(owners[y]), []).append(y)
+    assert sorted(dump["classes"]) == sorted(by_owners.values())
+    witness = dump["witness"]
+    assert witness == sorted(set(witness)) and set(witness) <= set(data["A"])
+    image = {y for y, xs in owners.items() if xs & set(witness)}
+    assert Fraction(len(image), len(witness)) == Fraction(dump["gamma"])
 
 
 def test_rejected_certificate_stops_a_sweep_without_rows(flow_short_by_one_unit, tmp_path, capsys):

@@ -324,6 +324,26 @@ def test_verify_json_report_round_trips(tmp_path, capsys, z5):
     assert plgen_row["beta_base"] == "3"
 
 
+def test_verify_json_report_does_not_depend_on_member_order(tmp_path, capsys):
+    # sorted members are kept and echoed as given, shuffled and repeated ones
+    # are read back off the bits; both give the same report bytes
+    rng = random.Random(23)
+    a, s = sorted(rng.sample(range(1 << 16), 300)), [1, 3, 256, 515, 771]  # S inside B_K
+    base = {"group": [256, 256], "B": [[0, 1, 256], [0, 2, 515]], "l": 1}
+    shuffled_a, shuffled_s = a + a[::7], s + s[::3]
+    rng.shuffle(shuffled_a)
+    rng.shuffle(shuffled_s)
+    outputs = []
+    for name, members in (("sorted", (a, s)), ("shuffled", (shuffled_a, shuffled_s))):
+        path = write_json(tmp_path, f"{name}.json", {**base, "A": members[0], "S": members[1]})
+        report = tmp_path / f"{name}.report.json"
+        assert main(["verify", path, "--check", "restricted,plgen", "--json", str(report)]) == 0
+        outputs.append((capsys.readouterr(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    echoed = json.loads(outputs[0][1])["instance"]
+    assert echoed["A"] == a and echoed["S"] == s
+
+
 @pytest.mark.parametrize("instance, flags, golden", [
     ("z5.json", ["--check", "plgen,restricted"], "report_z5_plgen_restricted.json"),
     ("z9.json", ["--check", "large,plgen2", "--epsilon", "0.6"], "report_z9_large_plgen2.json")])

@@ -147,6 +147,17 @@ def test_set_of_and_iteration_round_trip(groups, data):
     assert len(gs) == len(set(elems))
     assert list(GSet(g, gs.bits)) == list(gs)
     assert g.set_of(gs) == gs
+    # past one machine word, strictly increasing members are kept and
+    # iterated as given; any other input, and a set made from bits, walks
+    # the bits to the same members
+    ordered = g.set_of(sorted(set(elems)))
+    wide = g.order > 64
+    assert ordered._members == (tuple(sorted(set(elems))) if wide else None)
+    assert (gs._members is not None) == (wide and elems == sorted(set(elems)))
+    for other in (gs, GSet(g, gs.bits)):
+        assert ordered == other and hash(ordered) == hash(other)
+        assert list(ordered) == list(other) and len(ordered) == len(other)
+        assert repr(ordered) == repr(other)
 
 
 @pytest.mark.parametrize("top", [WORD_WALK_MIN_BITS - 1, WORD_WALK_MIN_BITS])
@@ -171,6 +182,14 @@ def test_set_of_names_the_first_element_out_of_range(g):
     with pytest.raises(UsageError) as exc:
         g.set_of([top, -1, g.order])
     assert str(exc.value) == f"element index -1 out of range 0..{top}"
+    # strictly increasing input is checked at its two ends, and names the same
+    # element as a scan in order
+    with pytest.raises(UsageError) as exc:
+        g.set_of([0, 1, g.order, g.order + 1])
+    assert str(exc.value) == f"element index {g.order} out of range 0..{top}"
+    with pytest.raises(UsageError) as exc:
+        g.set_of([-2, -1, 0])
+    assert str(exc.value) == f"element index -2 out of range 0..{top}"
 
 
 # -- sumsets -----------------------------------------------------------------------
