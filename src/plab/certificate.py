@@ -8,32 +8,20 @@ disjoint sets of right vertices each inside adj_bits[x], with at most
 q*|C| into each class C, shows no Z does better: Z's p*|Z| units land in
 classes inside N(Z), which hold at most q*|N(Z)|.  See McConnell,
 Mehlhorn, Näher and Schweitzer, "Certifying algorithms", Computer Science
-Review 5(2), 2011.  Nothing here comes from the solver that made them.
+Review 5(2), 2011.
+
+The checks read only the ints they are given and use nothing from the
+solver that made them.  Only a rejection's dump, which lists each bitset's
+members for replay, reads them with the set layer's groups.walk_bits.
 """
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
-from itertools import compress, count
 from typing import Sequence
 
 from .errors import CertificateError
-
-
-def _elements(bits: int) -> list[int]:
-    """The set bits in increasing order, from one conversion to 64-bit words
-    of which only the nonzero ones are walked: O(|set| + N/64), not N
-    shifts of the whole int."""
-    nwords = (bits.bit_length() + 63) >> 6
-    words = struct.unpack(f"<{nwords}Q", bits.to_bytes(nwords * 8, "little"))
-    out = []
-    for base, word in compress(zip(count(0, 64), words), words):
-        while word:
-            lsb = word & -word
-            out.append(base + lsb.bit_length() - 1)
-            word ^= lsb
-    return out
+from .groups import walk_bits
 
 
 def check_certificate(adj_bits: dict[int, int], gamma: Fraction, witness_bits: int,
@@ -41,10 +29,12 @@ def check_certificate(adj_bits: dict[int, int], gamma: Fraction, witness_bits: i
     """Raise CertificateError unless witness and flow prove gamma; flow holds
     (left vertex, index into classes, amount) triples."""
     def reject(why: str):
+        def members(bits: int) -> list[int]:
+            return list(walk_bits(bits, bits.bit_count()))
         raise CertificateError(f"gamma certificate rejected: {why}", {
-            "left": list(adj_bits), "images": [_elements(b) for b in adj_bits.values()],
-            "gamma": str(gamma), "witness": _elements(witness_bits),
-            "classes": [_elements(c) for c in classes], "flow": [list(f) for f in flow]})
+            "left": list(adj_bits), "images": [members(b) for b in adj_bits.values()],
+            "gamma": str(gamma), "witness": members(witness_bits),
+            "classes": [members(c) for c in classes], "flow": [list(f) for f in flow]})
 
     p, q = gamma.numerator, gamma.denominator
     union = 0

@@ -28,12 +28,12 @@ import time
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache, partial
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import constructions, theorems
 from .alphabeta import beta_value, instance_table, log_fraction
-from .errors import (CertificateError, ResourceError, TheoremViolationError,
-                     UsageError, ValidationError)
+from .errors import (ExitOneError, ResourceError, TheoremViolationError, UsageError,
+                     ValidationError)
 from .groups import GSet, Instance, embed_integer_sets, make_abelian_group, make_cayley_group
 from .magnification import instance_gamma, multiplicativity_check
 
@@ -102,7 +102,7 @@ def parse_instance(data: dict) -> tuple[Instance, GSet | None]:
     return inst, s
 
 
-def serialize_instance(inst: Instance, s: GSet | None = None) -> dict:
+def serialize_instance(inst: Instance, s: Iterable[int] | None = None) -> dict:
     out: dict = {}
     if inst.group.table is not None:
         out["cayley"] = [list(row) for row in inst.group.table]
@@ -272,8 +272,8 @@ SWEEP_CHECKS = tuple(name for name, (_, _, sweep, _) in CHECKS.items() if sweep)
 
 
 def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance,
-                       s: GSet | None = None) -> None:
-    """Raise for a failed proved check, with the instance for replay."""
+                       s: Iterable[int] | None = None) -> None:
+    """Raise for a failed proved check, with the instance and S for replay."""
     if not v.holds and CHECKS[check][3]:
         raise TheoremViolationError(
             f"guaranteed check {check!r} failed: lhs={v.lhs} rhs={v.rhs}",
@@ -318,20 +318,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 class SweepConfig(NamedTuple):
-    seed: int
-    count: int
-    k_range: tuple[int, int]
-    l_rule: str | int
-    group_size_range: tuple[int, int]
-    set_size_range: tuple[int, int]
-    checks: tuple[str, ...]
-    insert_identity: bool
-
-
-# the value of every field that a sweep config file leaves out
-SWEEP_DEFAULTS = {"seed": 0, "count": 100, "k_range": (2, 4), "l_rule": "all",
-                  "group_size_range": (4, 64), "set_size_range": (1, 8),
-                  "checks": ("plgen",), "insert_identity": True}
+    """A sweep config; a field that its file leaves out takes its default."""
+    seed: int = 0
+    count: int = 100
+    k_range: tuple[int, int] = (2, 4)
+    l_rule: str | int = "all"
+    group_size_range: tuple[int, int] = (4, 64)
+    set_size_range: tuple[int, int] = (1, 8)
+    checks: tuple[str, ...] = ("plgen",)
+    insert_identity: bool = True
 
 
 def load_sweep_config(path: str, **overrides) -> SweepConfig:
@@ -349,8 +344,8 @@ def sweep_config_from_dict(data: dict, **overrides) -> SweepConfig:
     """Parse and validate a sweep config.  overrides, keyed like the file's
     fields, replace them before anything is checked, so a value from the
     command line is held to the same rules as the same value in the file."""
-    _require_keys(data, "sweep config", SWEEP_DEFAULTS)
-    data = {**SWEEP_DEFAULTS, **data, **overrides}
+    _require_keys(data, "sweep config", SweepConfig._fields)
+    data = {**SweepConfig._field_defaults, **data, **overrides}
     k_range = _range(data, "k_range")
     g_range = _range(data, "group_size_range")
     s_range = _range(data, "set_size_range")
@@ -432,8 +427,8 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
         inst = inst0 if level == inst0.l else inst0.at_level(level)
         for check in cfg.checks:
             start = time.perf_counter()
-            [(verdict, _, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
-            _raise_if_violated(check, verdict, inst)
+            [(verdict, fields, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
+            _raise_if_violated(check, verdict, inst, fields.get("S"))
             row = [str(index), moduli, str(inst.k), str(level), str(len(inst.a)),
                    b_sizes, check, gamma, base, expo,
                    "true" if verdict.holds else "false", detail]
@@ -626,7 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TheoremViolationError, CertificateError) as exc:
+    except ExitOneError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         if exc.dump is not None:
             json.dump(exc.dump, sys.stderr)

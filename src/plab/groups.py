@@ -21,11 +21,12 @@ not in their product.  set_of fills a byte buffer and converts it once in
 groups of more than 64 elements, O(|S| + N/8), and there it keeps the
 members it was given if they are strictly increasing, as instance files
 list them: iterating that set returns them, O(|S|).  Sets computed from
-other sets keep none.  Iterating any other set wider than
-WORD_WALK_MIN_BITS bits with more than WORD_WALK_MIN_MEMBERS members
-converts it once to 64-bit words and walks those, O(|S| + N/64).  Narrower
-or sparser sets are scanned by clearing the lowest bit of the whole int,
-O(N/64) per member, which is the faster loop at those sizes.
+other sets keep none.  Every other set is iterated by walk_bits, which
+also lists the members of the bitsets in a rejected certificate's dump: an
+int wider than WORD_WALK_MIN_BITS bits with more than WORD_WALK_MIN_MEMBERS
+set bits is converted once to 64-bit words and those are walked, O(|S| +
+N/64).  Narrower or sparser ints are scanned by clearing the lowest bit of
+the whole int, O(N/64) per member, which is the faster loop at those sizes.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .errors import ResourceError, UsageError, ValidationError
 DEFAULT_ELEMENT_CAP = 1 << 26
 CAP_ENV_VAR = "PLAB_MEM_CAP"
 CAYLEY_MAX_ORDER = 64
-# GSet.__iter__ walks a set 64-bit word by word once it is wider than this
-# many bits and has more than this many members; below either, scanning the
-# whole int member by member is faster
+# walk_bits walks an int 64-bit word by word once it is wider than this many
+# bits and has more than this many members; below either, scanning the whole
+# int member by member is faster
 WORD_WALK_MIN_BITS = 2048
 WORD_WALK_MIN_MEMBERS = 16
 
@@ -241,34 +242,12 @@ class GSet:
     def __len__(self) -> int:
         return self._card
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def __iter__(self) -> Iterator[int]:
         """Members in increasing order: those that set_of kept, else a walk
         of the bits."""
         if self._members is not None:
             return iter(self._members)
-        return self._walk()
-
-    def _walk(self) -> Iterator[int]:
-        """Clearing the lowest bit of the whole int costs O(N/64) per member;
-        a wide set with many members is instead converted once and walked
-        word by word, O(|S| + N/64) in all."""
-        bits = self.bits
-        if self._card > WORD_WALK_MIN_MEMBERS and bits.bit_length() > WORD_WALK_MIN_BITS:
-            nwords = (bits.bit_length() + 63) >> 6
-            words = struct.unpack(f"<{nwords}Q", bits.to_bytes(nwords * 8, "little"))
-            for base, word in compress(zip(count(0, 64), words), words):
-                while word:
-                    lsb = word & -word
-                    yield base + lsb.bit_length() - 1
-                    word ^= lsb
-            return
-        while bits:
-            lsb = bits & -bits
-            yield lsb.bit_length() - 1
-            bits ^= lsb
+        return walk_bits(self.bits, self._card)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GSet):
@@ -300,6 +279,26 @@ class GSet:
 
 def _out_of_range(e: int, order: int) -> UsageError:
     return UsageError(f"element index {e} out of range 0..{order - 1}")
+
+
+def walk_bits(bits: int, card: int) -> Iterator[int]:
+    """The card set bits of bits in increasing order.  Clearing the lowest
+    bit of the whole int costs O(N/64) per member; a wide int with many
+    members is instead converted once and walked word by word, O(card +
+    N/64) in all."""
+    if card > WORD_WALK_MIN_MEMBERS and bits.bit_length() > WORD_WALK_MIN_BITS:
+        nwords = (bits.bit_length() + 63) >> 6
+        words = struct.unpack(f"<{nwords}Q", bits.to_bytes(nwords * 8, "little"))
+        for base, word in compress(zip(count(0, 64), words), words):
+            while word:
+                lsb = word & -word
+                yield base + lsb.bit_length() - 1
+                word ^= lsb
+        return
+    while bits:
+        lsb = bits & -bits
+        yield lsb.bit_length() - 1
+        bits ^= lsb
 
 
 def _require_same_group(s: GSet, t: GSet) -> None:

@@ -706,6 +706,14 @@ def test_sweep_rejects_unknown_check(tmp_path):
     assert main(["sweep", cfg_path]) == 2
 
 
+def test_sweep_unknown_key_error_lists_the_valid_keys(tmp_path, capsys):
+    # the valid keys are SweepConfig's fields, in their order
+    assert main(["sweep", write_json(tmp_path, "cfg.json", {"check": ["power"]})]) == 2
+    assert capsys.readouterr() == ("", 'error: unknown sweep config key "check"; valid: seed, '
+                                   "count, k_range, l_rule, group_size_range, set_size_range, "
+                                   "checks, insert_identity\n")
+
+
 def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
     import plab.theorems as theorems_mod
     real = theorems_mod.check_plgen
@@ -719,6 +727,28 @@ def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
     assert main(["sweep", cfg_path]) == 1
     err = capsys.readouterr().err
     assert "VIOLATION" in err and '"A":' in err
+
+
+def test_sweep_restricted_violation_replays_its_s(tmp_path, monkeypatch, capsys):
+    # the dump carries the S that the sweep drew, so verify checks that S
+    # and reports the same failure, not one for S = B_K
+    import plab.theorems as theorems_mod
+    real = theorems_mod._restricted_verdict
+
+    def failing(*args):
+        v = real(*args)
+        return TheoremVerdict(holds=False, lhs=v.lhs, rhs=v.rhs)
+
+    monkeypatch.setattr(theorems_mod, "_restricted_verdict", failing)
+    cfg_path = write_json(tmp_path, "cfg.json", {"seed": 3, "count": 5, "k_range": [2, 3],
+                                                 "checks": ["restricted"]})
+    assert main(["sweep", cfg_path]) == 1
+    violation, dump_line, end = capsys.readouterr().err.split("\n")
+    assert violation.startswith("VIOLATION: ") and end == ""
+    dump = json.loads(dump_line)
+    assert "S" in dump
+    assert main(["verify", write_json(tmp_path, "dump.json", dump), "--check", "restricted"]) == 1
+    assert capsys.readouterr().err.split("\n")[0] == violation
 
 
 def violating_rows(cfg, index, timing):

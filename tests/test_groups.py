@@ -14,7 +14,7 @@ from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   direct_powers, element_cap, embed_integer_sets, iterated_sumset,
                   make_abelian_group, make_cayley_group, sumset)
 from plab import groups
-from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets
+from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets, walk_bits
 
 from cayley_tables import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 from oracles import (first_associativity_failure, integer_iterated, is_group_table,
@@ -169,6 +169,9 @@ def test_iteration_on_both_sides_of_the_word_walk(top, members):
     assert len(set(elems)) == members
     gs = g.set_of(elems)
     assert list(gs) == sorted(elems) == naive_members(gs.bits)
+    # the same walk lists a raw int, as a certificate dump does
+    bits = sum(1 << e for e in elems)
+    assert list(walk_bits(bits, members)) == naive_members(bits)
 
 
 @pytest.mark.parametrize("g", [make_abelian_group([64]), make_abelian_group([65]),
