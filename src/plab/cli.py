@@ -171,12 +171,22 @@ def _restricted(inst: Instance, opts):
                    for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)
         return results, f"{held}/{len(results)} subset checks HOLD"
-    if opts.subset_seed is not None:  # the sweep's seeded random S
-        rng = random.Random(opts.subset_seed)
-        members = list(bk)
-        s = inst.group.set_of(rng.sample(members, rng.randint(1, len(members))))
-    else:
-        s = bk if opts.s is None else opts.s
+    seed = opts.subset_seed
+    if seed is None:
+        return _restricted_on(inst, bk if opts.s is None else opts.s)
+    # the sweep's seeded random S: the draw and its verdict do not depend on
+    # the level, so they are made once per instance, as power's
+    return inst.cached(("restricted", seed), lambda i: _restricted_on(i, _draw(bk, seed)))
+
+
+def _draw(bk: GSet, seed: int) -> GSet:
+    """The sweep's random nonempty S inside B_K, drawn from Random(seed)."""
+    rng = random.Random(seed)
+    members = list(bk)
+    return bk.group.set_of(rng.sample(members, rng.randint(1, len(members))))
+
+
+def _restricted_on(inst: Instance, s: GSet):
     v = theorems.check_restricted_sum(inst, s)
     return ([(v, {"S": list(s), "lhs": v.lhs, "rhs": v.rhs},
               ("", "", "", f"s_size={len(s)};lhs={v.lhs};rhs={v.rhs}"))],
@@ -310,8 +320,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check, _, line in runs:
         print(f"{check}: {line}")
     for check, batch, _ in runs:
-        for v, _, _ in batch:
-            _raise_if_violated(check, v, inst, s)
+        for v, fields, _ in batch:  # a verdict's own S is the one it checked
+            _raise_if_violated(check, v, inst, fields.get("S", s))
     return 0
 
 

@@ -482,12 +482,14 @@ def iterated_sumset(sets: Iterable[GSet]) -> GSet:
 class Instance:
     """A base set A, summand sets B_1..B_k, and a level l with 1 <= l < k.
 
-    memo holds values that depend on (A, B_1..B_k) only, filled on first use
-    through cached(); it takes no part in equality, hashing or repr, and
-    at_level(l) shares it, so every level of one instance computes B_K, its
-    alpha table and gamma once, while a new Instance starts an empty memo.
-    at_level validates again, so a caller that walks the levels uses the
-    instance itself for its own level and at_level only for the others.
+    memo holds values fixed by (A, B_1..B_k) and by their key, filled on
+    first use through cached(); it takes no part in equality, hashing or
+    repr, and at_level(l) shares it, so every level of one instance computes
+    B_K, its alpha table and gamma once, and a value that depends on a level
+    names that level in its key, as ("plgen", l) does.  A new Instance
+    starts an empty memo.  at_level validates again, so a caller that walks
+    the levels uses the instance itself for its own level and at_level only
+    for the others.
     """
 
     __slots__ = ("group", "a", "bs", "l", "memo")
@@ -546,8 +548,9 @@ class Instance:
         return self.cached("bk", lambda inst: iterated_sumset(inst.bs))
 
     def cached(self, key: Hashable, compute: Callable[["Instance"], T]) -> T:
-        """compute(self), stored under key on first use.  Only for values
-        that do not depend on the level l, since every level shares memo."""
+        """compute(self), stored under key on first use.  Every level shares
+        memo, so the value must be fixed by the sets and the key: one that
+        depends on the level l names l in its key."""
         memo = self.memo
         if key not in memo:
             memo[key] = compute(self)

@@ -32,13 +32,21 @@ class TheoremVerdict(NamedTuple):
     witness: GSet | None = None
 
 
+def _plgen_at(inst: Instance, l: int) -> TheoremVerdict:
+    """check_plgen's verdict at level l, kept in the memo under ("plgen", l)
+    so that every level of the instance shares it."""
+    def compare(inst: Instance) -> TheoremVerdict:
+        beta = beta_value(instance_table(inst), inst.key_set, l)
+        mag = instance_gamma(inst)
+        holds = cmp_ratio_vs_beta(mag.gamma, beta) != GT
+        return TheoremVerdict(holds=holds, lhs=mag.gamma, rhs=beta, witness=mag.witness)
+    return inst.cached(("plgen", l), compare)
+
+
 def check_plgen(inst: Instance) -> TheoremVerdict:
     """Some nonempty X in A has |X+B_K| <= beta * |X|: verified by comparing
     the exact magnification ratio against beta."""
-    beta = beta_value(instance_table(inst), inst.key_set, inst.l)
-    mag = instance_gamma(inst)
-    holds = cmp_ratio_vs_beta(mag.gamma, beta) != GT
-    return TheoremVerdict(holds=holds, lhs=mag.gamma, rhs=beta, witness=mag.witness)
+    return _plgen_at(inst, inst.l)
 
 
 def check_single_summand(inst: Instance) -> TheoremVerdict:
@@ -52,8 +60,9 @@ def check_single_summand(inst: Instance) -> TheoremVerdict:
 
 def check_pldiff(inst: Instance) -> TheoremVerdict:
     """Product-of-alphas case (level forced to 1): the bound is the plain
-    rational alpha_1 * ... * alpha_k."""
-    return check_plgen(inst.at_level(1))
+    rational alpha_1 * ... * alpha_k, so the verdict is plgen's at level 1,
+    which every level of the instance reads from the memo."""
+    return _plgen_at(inst, 1)
 
 
 # -- empirical large-subset constant ------------------------------------------
@@ -102,7 +111,10 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
               for size in range(inst.l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
     betas = [beta_value(table, j, inst.l) for j in j_sets]
-    b_sets = [iterated_sumset(inst.bs[i - 1] for i in sorted(j)) for j in j_sets]
+    # each B_J is kept in the memo, so the levels of an instance share it
+    b_sets = [inst.cached(("B_J", j),
+                          lambda i, j=j: iterated_sumset(i.bs[x - 1] for x in sorted(j)))
+              for j in j_sets]
 
     def c_of(size: int, image_sizes: list[int]) -> tuple[Fraction, BetaValue, frozenset[int]]:
         """The max over J of |X+B_J| / (beta_J |X|), from |X| and each |X+B_J|

@@ -751,6 +751,27 @@ def test_sweep_restricted_violation_replays_its_s(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.split("\n")[0] == violation
 
 
+def test_all_subsets_violation_replays_the_failing_subset(tmp_path, monkeypatch, capsys):
+    # z5's file S is [0, 3], but the first subset to fail is [0, 1]: the dump
+    # carries that subset, so verify on the dump reports the same failure
+    import plab.theorems as theorems_mod
+    real = theorems_mod._restricted_verdict
+
+    def failing_pairs(k, s_size, sa_size, s_prod):
+        v = real(k, s_size, sa_size, s_prod)
+        return v._replace(holds=s_size != 2)
+
+    monkeypatch.setattr(theorems_mod, "_restricted_verdict", failing_pairs)
+    assert main(["verify", str(FIXTURES / "z5.json"), "--check", "restricted",
+                 "--all-subsets"]) == 1
+    violation, dump_line, end = capsys.readouterr().err.split("\n")
+    assert violation == "VIOLATION: guaranteed check 'restricted' failed: lhs=9 rhs=24"
+    dump = json.loads(dump_line)
+    assert dump["S"] == [0, 1] and end == ""
+    assert main(["verify", write_json(tmp_path, "dump.json", dump), "--check", "restricted"]) == 1
+    assert capsys.readouterr().err.split("\n")[0] == violation
+
+
 def violating_rows(cfg, index, timing):
     """sweep_rows_for_index as if plgen failed from index 3 on; defined at
     module level so that a worker process can load it."""

@@ -1,8 +1,10 @@
-"""Level-independent values are computed once per instance.
+"""Values are computed once per instance and key.
 
-B_K, the alpha table, gamma and the power report depend on (A, B_1..B_k)
-only; every level of an instance, made with Instance.at_level, reads them
-from the instance's memo.
+B_K, the alpha table, gamma, the power report, pldiff's verdict, the
+sweep's restricted S and verdict and plgen2's B_J sums depend on
+(A, B_1..B_k) only; plgen's verdict depends on the level too and is kept
+under ("plgen", l).  Every level of an instance, made with
+Instance.at_level, reads them from the instance's memo.
 """
 
 import random
@@ -15,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plab.alphabeta as alphabeta
+import plab.cli as cli
 import plab.groups as groups
 import plab.magnification as magnification
 import plab.theorems as theorems
@@ -70,6 +73,65 @@ def test_sweep_runs_one_base_gamma_per_instance(calls):
     assert calls == Counter({("gamma_flow", base.group.order): 1,
                              ("gamma_flow", base.group.order ** 2): 1,
                              "alpha_table": 1})
+
+
+def counting(monkeypatch, module, name, counts):
+    """Replace module.name by a wrapper that counts its calls in counts[name]."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_sweep_levels_reuse_the_verdicts_that_do_not_depend_on_the_level(monkeypatch):
+    cfg = sweep_config_from_dict({
+        "seed": 3, "count": 1, "k_range": [4, 4], "l_rule": "all",
+        "group_size_range": [12, 12], "set_size_range": [2, 3],
+        "checks": ["plgen", "pldiff", "restricted", "power"]})
+    counts = Counter()
+    for module, name in ((theorems, "beta_value"), (theorems, "cmp_ratio_vs_beta"),
+                         (theorems, "check_restricted_sum"), (cli, "_draw")):
+        counting(monkeypatch, module, name, counts)
+    rows = [row.split(",") for row in run_sweep(cfg).splitlines()[1:]]
+    assert [(row[3], row[6]) for row in rows] == [
+        (str(level), check) for level in (1, 2, 3)
+        for check in ("plgen", "pldiff", "restricted", "power")]
+    # plgen compares once per level, and pldiff reads plgen's level 1; the
+    # restricted S is drawn and checked once for all three levels
+    assert counts == Counter({"beta_value": 3, "cmp_ratio_vs_beta": 3,
+                              "check_restricted_sum": 1, "_draw": 1})
+    assert len({row[-1] for row in rows if row[6] == "restricted"}) == 1
+
+
+def test_plgen2_sweep_sums_each_b_j_once(monkeypatch):
+    cfg = sweep_config_from_dict({
+        "seed": 4, "count": 1, "k_range": [4, 4], "l_rule": "all",
+        "group_size_range": [24, 24], "set_size_range": [2, 4], "checks": ["plgen2"]})
+    sums = Counter()
+    real = theorems.iterated_sumset
+
+    def iterated_sumset(sets):
+        sets = tuple(sets)
+        sums[tuple(map(id, sets))] += 1
+        return real(sets)
+
+    monkeypatch.setattr(theorems, "iterated_sumset", iterated_sumset)
+    assert len(run_sweep(cfg).splitlines()) == 1 + 3  # levels 1, 2 and 3
+    # levels 1, 2 and 3 need the B_J of |J| >= 1, >= 2 and >= 3: 15 + 11 + 5
+    # sums when each level makes its own, 15 when the levels share them
+    assert len(sums) == 15 and set(sums.values()) == {1}
+
+
+def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):
+    counts = Counter()
+    counting(monkeypatch, theorems, "cmp_ratio_vs_beta", counts)
+    assert main(["verify", str(FIXTURES / "z5.json"), "--check", "plgen,pldiff"]) == 0
+    assert capsys.readouterr().out == ("plgen: gamma=5/2 beta=3 HOLDS\n"
+                                       "pldiff: gamma=5/2 beta=3 HOLDS\n")
+    assert counts == Counter({"cmp_ratio_vs_beta": 1})
 
 
 def test_sweep_single_runs_one_gamma_per_instance(calls):
