@@ -320,8 +320,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check, _, line in runs:
         print(f"{check}: {line}")
     for check, batch, _ in runs:
-        for v, fields, _ in batch:  # a verdict's own S is the one it checked
-            _raise_if_violated(check, v, inst, fields.get("S", s))
+        for v, fields, _ in batch:  # each of --all-subsets' verdicts checked its own S
+            _raise_if_violated(check, v, inst, fields.get("S", s) if args.all_subsets else s)
     return 0
 
 

@@ -111,10 +111,7 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
               for size in range(inst.l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
     betas = [beta_value(table, j, inst.l) for j in j_sets]
-    # each B_J is kept in the memo, so the levels of an instance share it
-    b_sets = [inst.cached(("B_J", j),
-                          lambda i, j=j: iterated_sumset(i.bs[x - 1] for x in sorted(j)))
-              for j in j_sets]
+    b_sets = [iterated_sumset(inst.bs[i - 1] for i in sorted(j)) for j in j_sets]
 
     def c_of(size: int, image_sizes: list[int]) -> tuple[Fraction, BetaValue, frozenset[int]]:
         """The max over J of |X+B_J| / (beta_J |X|), from |X| and each |X+B_J|

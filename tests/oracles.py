@@ -8,9 +8,8 @@ exceptions are gamma_exhaustive, which enumerates the subsets of a
 PlunGraph's left side to check the flow engine on the same graph,
 plgen2_reference, which checks empirical_plgen2's search on the same
 sumsets and exact comparisons, beta_reference, which checks beta_value's
-integer arithmetic on the same alpha table, beta_identity_holds, which
-checks an identity between beta_value's results, and tensor_certificate,
-which squares a gamma_flow certificate.
+integer arithmetic on the same alpha table, and beta_identity_holds, which
+checks an identity between beta_value's results.
 """
 
 from __future__ import annotations
@@ -155,27 +154,6 @@ def gamma_exhaustive(graph) -> MagResult:
     visit(0, 0, 0, 0)
     p, q, members = best
     return MagResult(gamma=Fraction(p, q), witness=GSet(graph.group, members), iterations=0)
-
-
-def tensor_certificate(base: MagResult, n: int
-                       ) -> tuple[Fraction, int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """gamma^2 of the square of base's graph, as check_certificate's
-    (gamma, witness_bits, classes, flow), built from base's certificate
-    alone.  base lives in a group of order n, and (e1, e2) of its square
-    has index e1*n + e2, as in direct_powers.  spread(C) puts each e of C
-    at bit e*n, so spread(C_i) * C_j is the class C_i x C_j in one
-    multiplication (C_j lies below bit n, so no shifted copies overlap),
-    and it gets index i*|classes| + j.  The flow f(x) f(y) goes from
-    (x1, x2) to C_i x C_j, and the witness is W x W."""
-    def spread(bits: int) -> int:
-        return sum(1 << e * n for e in naive_members(bits))
-
-    count = len(base.classes)
-    classes = tuple(spread(ci) * cj for ci in base.classes for cj in base.classes)
-    flow = tuple((x1 * n + x2, i * count + j, f1 * f2)
-                 for x1, i, f1 in base.flow for x2, j, f2 in base.flow)
-    w = base.witness.bits
-    return base.gamma ** 2, spread(w) * w, classes, flow
 
 
 def beta_reference(table, j_set, l) -> tuple[BetaValue, float]:

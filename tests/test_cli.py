@@ -772,6 +772,21 @@ def test_all_subsets_violation_replays_the_failing_subset(tmp_path, monkeypatch,
     assert capsys.readouterr().err.split("\n")[0] == violation
 
 
+def test_restricted_violation_without_file_s_dumps_no_s(tmp_path, monkeypatch, capsys):
+    # z9 names no S, so verify checks S = B_K and its dump names none either
+    import plab.theorems as theorems_mod
+    real = theorems_mod._restricted_verdict
+    monkeypatch.setattr(theorems_mod, "_restricted_verdict",
+                        lambda *args: real(*args)._replace(holds=False))
+    assert main(["verify", str(FIXTURES / "z9.json"), "--check", "restricted"]) == 1
+    violation, dump_line, end = capsys.readouterr().err.split("\n")
+    assert violation.startswith("VIOLATION: ") and end == ""
+    dump = json.loads(dump_line)
+    assert "S" not in dump
+    assert main(["verify", write_json(tmp_path, "dump.json", dump), "--check", "restricted"]) == 1
+    assert capsys.readouterr().err.split("\n")[0] == violation
+
+
 def violating_rows(cfg, index, timing):
     """sweep_rows_for_index as if plgen failed from index 3 on; defined at
     module level so that a worker process can load it."""

@@ -1,10 +1,10 @@
 """Values are computed once per instance and key.
 
-B_K, the alpha table, gamma, the power report, pldiff's verdict, the
-sweep's restricted S and verdict and plgen2's B_J sums depend on
-(A, B_1..B_k) only; plgen's verdict depends on the level too and is kept
-under ("plgen", l).  Every level of an instance, made with
-Instance.at_level, reads them from the instance's memo.
+B_K, the alpha table, gamma, the power report, pldiff's verdict and the
+sweep's restricted S and verdict depend on (A, B_1..B_k) only; plgen's
+verdict depends on the level too and is kept under ("plgen", l).  Every
+level of an instance, made with Instance.at_level, reads them from the
+instance's memo.
 """
 
 import random
@@ -104,25 +104,6 @@ def test_sweep_levels_reuse_the_verdicts_that_do_not_depend_on_the_level(monkeyp
     assert counts == Counter({"beta_value": 3, "cmp_ratio_vs_beta": 3,
                               "check_restricted_sum": 1, "_draw": 1})
     assert len({row[-1] for row in rows if row[6] == "restricted"}) == 1
-
-
-def test_plgen2_sweep_sums_each_b_j_once(monkeypatch):
-    cfg = sweep_config_from_dict({
-        "seed": 4, "count": 1, "k_range": [4, 4], "l_rule": "all",
-        "group_size_range": [24, 24], "set_size_range": [2, 4], "checks": ["plgen2"]})
-    sums = Counter()
-    real = theorems.iterated_sumset
-
-    def iterated_sumset(sets):
-        sets = tuple(sets)
-        sums[tuple(map(id, sets))] += 1
-        return real(sets)
-
-    monkeypatch.setattr(theorems, "iterated_sumset", iterated_sumset)
-    assert len(run_sweep(cfg).splitlines()) == 1 + 3  # levels 1, 2 and 3
-    # levels 1, 2 and 3 need the B_J of |J| >= 1, >= 2 and >= 3: 15 + 11 + 5
-    # sums when each level makes its own, 15 when the levels share them
-    assert len(sums) == 15 and set(sums.values()) == {1}
 
 
 def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):

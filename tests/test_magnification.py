@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plab import (PlunGraph, UsageError, build_plun_graph, direct_powers,
+from plab import (PlunGraph, UsageError, build_plun_graph,
                   gamma_flow, iterated_sumset, make_abelian_group, make_cayley_group,
                   multiplicativity_check, sumset)
 from plab import magnification
-from plab.certificate import check_certificate
 
 from cayley_tables import bundled_tables
 from gen import rand_instance
 from oracles import (gamma_exhaustive, naive_gamma, naive_iterated, naive_power_index_set,
-                     naive_sumset, tensor_certificate)
+                     naive_sumset)
 
 
 def graph_of(inst):
@@ -275,19 +274,6 @@ def test_multiplicativity_matches_an_oracle_power_graph(seed, r):
     rep = multiplicativity_check(inst, r)
     assert rep.gamma_base == gamma
     assert rep.gamma_power == gamma_exhaustive(graph).gamma == gamma ** r
-
-
-@given(st.integers(0, 100_000))
-def test_tensored_certificate_proves_gamma_squared(seed):
-    # the square of a certificate, built without max-flow, is accepted on
-    # the power graph, and its classes are the ones gamma_flow refines there
-    inst = rand_instance(random.Random(seed), n_range=(2, 24), k_range=(2, 3),
-                         a_range=(1, 6), b_range=(1, 4))
-    base = gamma_flow(build_plun_graph(inst.a, inst.bk))
-    graph = build_plun_graph(*direct_powers((inst.a, inst.bk), 2))
-    gamma, witness_bits, classes, flow = tensor_certificate(base, inst.group.order)
-    check_certificate(graph.adj_bits, gamma, witness_bits, classes, flow)
-    assert sorted(gamma_flow(graph).classes) == sorted(classes)
 
 
 # -- translates that coincide: one class -------------------------------------------
