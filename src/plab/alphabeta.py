@@ -1,6 +1,6 @@
 """Exact normalized sumset ratios and their fractional-power bounds.
 
-For an instance (A, B_1..B_k, l) the table keeps the integer size |A+B_I|
+For an instance (A, B_1..B_k) the table keeps the integer size |A+B_I|
 of every index subset I, so alpha_I = |A+B_I| / |A| is exact.  The bound
 
     beta_J = (prod of alpha_L over L subset of J, |L| = l) ** (1 / C(|J|-1, l-1))
@@ -85,6 +85,12 @@ def instance_table(inst: Instance) -> AlphaTable:
 
 def log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
+
+
+def require_level(k: int, l: int) -> None:
+    """The rule on a level: 1 <= l < k, for k summand sets."""
+    if not 1 <= l < k:
+        raise UsageError(f"level must satisfy 1 <= l < k, got l={l}, k={k}")
 
 
 def beta_value(table: AlphaTable, j_set: frozenset[int] | set[int], l: int) -> BetaValue:

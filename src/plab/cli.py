@@ -31,7 +31,7 @@ from functools import cache, partial
 from typing import Iterable, NamedTuple, Sequence
 
 from . import constructions, theorems
-from .alphabeta import beta_value, instance_table, log_fraction
+from .alphabeta import log_fraction, require_level
 from .errors import (ExitOneError, ResourceError, TheoremViolationError, UsageError,
                      ValidationError)
 from .groups import GSet, Instance, embed_integer_sets, make_abelian_group, make_cayley_group
@@ -72,8 +72,8 @@ def _require_keys(data, what: str, valid) -> None:
             raise UsageError(f"unknown {what} key {json.dumps(key)}; valid: {', '.join(valid)}")
 
 
-def parse_instance(data: dict) -> tuple[Instance, GSet | None]:
-    """Build an Instance (and optional restricted set S) from parsed JSON."""
+def parse_instance(data: dict) -> tuple[Instance, int, GSet | None]:
+    """An Instance, its level l and the optional restricted set S, from parsed JSON."""
     _require_keys(data, "instance file", ("group", "cayley", "A", "B", "l", "S"))
     if "A" not in data or "B" not in data or "l" not in data:
         raise UsageError('instance file needs "A", "B" and "l" fields')
@@ -97,12 +97,13 @@ def parse_instance(data: dict) -> tuple[Instance, GSet | None]:
             bs = [group.set_of(b) for b in b_lists]
         else:
             raise UsageError('"group" must be a moduli list or "integers"')
-    inst = Instance(group, a, tuple(bs), level)
+    inst = Instance(group, a, bs)
+    require_level(inst.k, level)
     s = group.set_of(_ints(data["S"], '"S"')) if "S" in data else None
-    return inst, s
+    return inst, level, s
 
 
-def serialize_instance(inst: Instance, s: Iterable[int] | None = None) -> dict:
+def serialize_instance(inst: Instance, l: int, s: Iterable[int] | None = None) -> dict:
     out: dict = {}
     if inst.group.table is not None:
         out["cayley"] = [list(row) for row in inst.group.table]
@@ -110,7 +111,7 @@ def serialize_instance(inst: Instance, s: Iterable[int] | None = None) -> dict:
         out["group"] = list(inst.group.moduli)
     out["A"] = list(inst.a)
     out["B"] = [list(b) for b in inst.bs]
-    out["l"] = inst.l
+    out["l"] = l
     if s is not None:
         out["S"] = list(s)
     return out
@@ -127,7 +128,7 @@ def _load_json(path: str):
             raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def load_instance(path: str) -> tuple[Instance, GSet | None]:
+def load_instance(path: str) -> tuple[Instance, int, GSet | None]:
     return parse_instance(_load_json(path))
 
 
@@ -137,7 +138,7 @@ def _float_str(x: float) -> str:
 
 # -- the check table ---------------------------------------------------------------
 #
-# Each check is one function run(inst, opts) -> (results, line): one
+# Each check is one function run(inst, l, opts) -> (results, line): one
 # (verdict, fields, cells) triple per verdict, where fields are the check's
 # verify --json result fields and cells its sweep CSV cells (gamma, beta_base,
 # beta_expo_den, detail), and the check's verify text line after its name.
@@ -151,8 +152,8 @@ def _holds(v: theorems.TheoremVerdict) -> str:
 
 def _bound(check):
     """plgen, pldiff and single: the magnification ratio against beta."""
-    def run(inst: Instance, opts):
-        v = check(inst)
+    def run(inst: Instance, l: int, opts):
+        v = check(inst, l)
         gamma, base, expo = str(v.lhs), str(v.rhs.base), v.rhs.expo_den
         beta = base if expo == 1 else f"{base}^(1/{expo})"
         fields = {"gamma": gamma, "beta_base": base, "beta_expo_den": expo,
@@ -162,7 +163,7 @@ def _bound(check):
     return run
 
 
-def _restricted(inst: Instance, opts):
+def _restricted(inst: Instance, l: int, opts):
     bk = inst.bk
     if opts.all_subsets:
         if len(bk) > ALL_SUBSETS_MAX:
@@ -193,7 +194,7 @@ def _restricted_on(inst: Instance, s: GSet):
             f"|S|={len(s)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}")
 
 
-def _power(inst: Instance, opts):
+def _power(inst: Instance, l: int, opts):
     rep = inst.cached(("power", 2), lambda i: multiplicativity_check(i, 2))
     v = theorems.TheoremVerdict(holds=rep.equal, lhs=rep.gamma_power, rhs=rep.gamma_base ** 2)
     return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
@@ -228,8 +229,8 @@ def _value(text: str) -> Decimal:
     return value
 
 
-def _plgen2(inst: Instance, opts):
-    emp = theorems.empirical_plgen2(inst, _epsilon(opts.epsilon),
+def _plgen2(inst: Instance, l: int, opts):
+    emp = theorems.empirical_plgen2(inst, l, _epsilon(opts.epsilon),
                                     samples=opts.samples, seed=opts.seed)
     v = theorems.TheoremVerdict(holds=True, lhs=emp.ratio, rhs=emp.beta, witness=emp.x)
     c_emp, argmax_j = _float_str(emp.c_emp), sorted(emp.argmax_j)
@@ -240,9 +241,9 @@ def _plgen2(inst: Instance, opts):
                                   f"argmax_J={argmax_j} |X|={len(emp.x)} {_holds(v)}")
 
 
-def _large(inst: Instance, opts):
+def _large(inst: Instance, l: int, opts):
     value = _value(opts.value)
-    res = theorems.large_subset(inst, opts.mode, value)  # an error echoes value as typed
+    res = theorems.large_subset(inst, l, opts.mode, value)  # an error echoes value as typed
     # a value that a float holds exactly is shown as that float, so reports stay byte-stable
     shown = float(value) if Decimal(float(value)) == value else str(value)
     v = theorems.TheoremVerdict(holds=res.holds, lhs=res.lhs, rhs=res.bound, witness=res.x)
@@ -254,7 +255,7 @@ def _large(inst: Instance, opts):
                                  f"|X|={len(res.x)} lhs={res.lhs} bound={bound} {_holds(v)}")
 
 
-def _noncomm(inst: Instance, opts):
+def _noncomm(inst: Instance, l: int, opts):
     """Unproved for noncommutative groups: a failure is a finding."""
     v = theorems.check_noncommutative(inst)
     notes = "" if v.holds else "candidate counterexample: no subset meets the bound"
@@ -266,11 +267,12 @@ def _noncomm(inst: Instance, opts):
 
 # name -> (run, offered by verify, offered by sweep, proved).  The paper
 # proves a check for commutative groups only: verify refuses it on a
-# noncommutative one, and its failure is a violation.
+# noncommutative one, and its failure is a violation.  The lambdas read
+# theorems.check_* at each call, so a tracer or test that replaces one sees it.
 CHECKS = {
-    "plgen": (_bound(lambda inst: theorems.check_plgen(inst)), True, True, True),
-    "pldiff": (_bound(lambda inst: theorems.check_pldiff(inst)), True, True, True),
-    "single": (_bound(lambda inst: theorems.check_single_summand(inst)), True, True, True),
+    "plgen": (_bound(lambda inst, l: theorems.check_plgen(inst, l)), True, True, True),
+    "pldiff": (_bound(lambda inst, l: theorems.check_pldiff(inst)), True, True, True),
+    "single": (_bound(lambda inst, l: theorems.check_single_summand(inst, l)), True, True, True),
     "restricted": (_restricted, True, True, True),
     "power": (_power, False, True, True),
     "plgen2": (_plgen2, True, True, False),
@@ -281,19 +283,19 @@ VERIFY_CHECKS = tuple(name for name, (_, verify, _, _) in CHECKS.items() if veri
 SWEEP_CHECKS = tuple(name for name, (_, _, sweep, _) in CHECKS.items() if sweep)
 
 
-def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance,
+def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance, l: int,
                        s: Iterable[int] | None = None) -> None:
-    """Raise for a failed proved check, with the instance and S for replay."""
+    """Raise for a failed proved check, with the instance, l and S for replay."""
     if not v.holds and CHECKS[check][3]:
         raise TheoremViolationError(
             f"guaranteed check {check!r} failed: lhs={v.lhs} rhs={v.rhs}",
-            serialize_instance(inst, s))
+            serialize_instance(inst, l, s))
 
 
 # -- verify -----------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst, s = load_instance(args.instance)
+    inst, l, s = load_instance(args.instance)
     opts = argparse.Namespace(**vars(args), s=s, subset_seed=None,
                               samples=theorems.DEFAULT_SAMPLES, seed=0)
     checks = []
@@ -308,11 +310,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         run, _, _, proved = CHECKS[check]
         if proved and not inst.group.is_abelian:
             raise UsageError(f"check {check!r} requires a commutative group")
-        runs.append((check, *run(inst, opts)))
+        runs.append((check, *run(inst, l, opts)))
     results = [{"check": check, "holds": v.holds, **fields}
                for check, batch, _ in runs for v, fields, _ in batch]
     if args.json:
-        report = {"instance": serialize_instance(inst, s), "checks": results,
+        report = {"instance": serialize_instance(inst, l, s), "checks": results,
                   "all_hold": all(r["holds"] for r in results)}
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -321,7 +323,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{check}: {line}")
     for check, batch, _ in runs:
         for v, fields, _ in batch:  # each of --all-subsets' verdicts checked its own S
-            _raise_if_violated(check, v, inst, fields.get("S", s) if args.all_subsets else s)
+            _raise_if_violated(check, v, inst, l, fields.get("S", s) if args.all_subsets else s)
     return 0
 
 
@@ -388,8 +390,8 @@ def sweep_config_from_dict(data: dict, **overrides) -> SweepConfig:
     return cfg
 
 
-def generate_base(cfg: SweepConfig, index: int) -> Instance | None:
-    """Deterministic random instance #index; None when l_rule makes it empty.
+def generate_base(cfg: SweepConfig, index: int) -> Instance:
+    """Deterministic random instance #index, read at every level of the sweep.
 
     Draw order is fixed: k, then N, then A's size and elements, then each
     B_i's size and elements.  Set sizes are drawn from the set range
@@ -411,8 +413,7 @@ def generate_base(cfg: SweepConfig, index: int) -> Instance | None:
         else:
             elems = rng.sample(range(n), size)
         bs.append(group.set_of(elems))
-    levels = _levels(cfg, k)
-    return Instance(group, a, tuple(bs), levels[0]) if levels else None
+    return Instance(group, a, bs)
 
 
 def _levels(cfg: SweepConfig, k: int) -> list[int]:
@@ -424,22 +425,19 @@ def _levels(cfg: SweepConfig, k: int) -> list[int]:
 def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[list[str]]:
     """CSV rows of instance #index; raises TheoremViolationError with a
     replayable instance dump when a guaranteed check fails."""
-    inst0 = generate_base(cfg, index)
-    if inst0 is None:
-        return []
+    inst = generate_base(cfg, index)
     rows = []
-    moduli = "x".join(str(n) for n in inst0.group.moduli)
-    b_sizes = ";".join(str(len(b)) for b in inst0.bs)
+    moduli = "x".join(str(n) for n in inst.group.moduli)
+    b_sizes = ";".join(str(len(b)) for b in inst.bs)
     opts = argparse.Namespace(s=None, all_subsets=False,
                               subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
                               epsilon="0.5", samples=128, seed=cfg.seed * 1009 + index)
-    for level in _levels(cfg, inst0.k):
-        inst = inst0 if level == inst0.l else inst0.at_level(level)
+    for l in _levels(cfg, inst.k):
         for check in cfg.checks:
             start = time.perf_counter()
-            [(verdict, fields, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, opts)
-            _raise_if_violated(check, verdict, inst, fields.get("S"))
-            row = [str(index), moduli, str(inst.k), str(level), str(len(inst.a)),
+            [(verdict, fields, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, l, opts)
+            _raise_if_violated(check, verdict, inst, l, fields.get("S"))
+            row = [str(index), moduli, str(inst.k), str(l), str(len(inst.a)),
                    b_sizes, check, gamma, base, expo,
                    "true" if verdict.holds else "false", detail]
             if timing:
@@ -494,13 +492,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # -- demo -------------------------------------------------------------------------
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    inst, s = load_instance(args.instance)
+    inst, l, s = load_instance(args.instance)
     if args.what != "lemma21" and args.r < 1:  # power and pipeline
         raise UsageError(f"r_max must be >= 1, got {args.r}")
     if args.what == "lemma21":
         if args.q is None:
             raise UsageError("demo lemma21 needs --q")
-        rep = constructions.lemma21_demo(inst, args.q)
+        rep = constructions.lemma21_demo(inst, l, args.q)
         setup = rep.setup
         print(f"q={setup.q} n={list(setup.n)} |H|={setup.h_order} "
               f"|G'|={setup.gprime.order}")
@@ -519,7 +517,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
         return 0
     if args.what == "power":
-        beta = beta_value(instance_table(inst), inst.key_set, inst.l)
+        beta = theorems.check_plgen(inst, l).rhs
         reps = [multiplicativity_check(inst, r) for r in range(1, args.r + 1)]
         for r, rep in enumerate(reps, 1):
             root = math.exp(log_fraction(rep.gamma_power) / r)
@@ -547,7 +545,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_find_x(args: argparse.Namespace) -> int:
-    inst, _ = load_instance(args.instance)
+    inst, _, _ = load_instance(args.instance)
     res = instance_gamma(inst)
     size = len(res.witness)  # the certificate proved |X+B_K| = gamma*|X|
     print(f"X = {sorted(res.witness)}")

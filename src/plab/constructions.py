@@ -1,7 +1,7 @@
 """Proof-machinery constructions made concrete.
 
-The cyclic-extension device turns a different-summands instance with
-k = l+1 into an equal-summands one: append cyclic factors H_1..H_k of
+The cyclic-extension device turns a different-summands instance read at
+level l = k-1 into an equal-summands one: append cyclic factors H_1..H_k of
 orders n_i = alpha_(K minus i) * q to the group and replace each B_i by
 B_i x H_i.  All distinct-summand sums A + B'_(K minus i) then share the
 exact cardinality m * (beta*q)^l, while every repeated-summand term grows
@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from operator import or_
 from typing import NamedTuple
 
-from .alphabeta import AlphaTable, instance_table
+from .alphabeta import AlphaTable, instance_table, require_level
 from .errors import ResourceError, UsageError
 from .groups import GSet, Group, Instance, element_cap, iterated_sumset, make_abelian_group
 from .magnification import instance_gamma
@@ -78,14 +78,15 @@ class Lemma21Report(NamedTuple):
                         sum(self.distinct_sizes.values()))
 
 
-def build_extension(inst: Instance, q: int) -> Lemma21Setup:
-    """Extend the instance's group by the cyclic paddings for a given q."""
+def build_extension(inst: Instance, l: int, q: int) -> Lemma21Setup:
+    """Extend the instance's group by the cyclic paddings for q, at level l = k-1."""
+    require_level(inst.k, l)
     if q < 1:
         raise UsageError(f"q must be >= 1, got {q}")
     if inst.group.table is not None:
         raise UsageError("the extension construction needs an abelian product group")
-    if inst.l != inst.k - 1:
-        raise UsageError(f"construction requires k = l+1, got k={inst.k}, l={inst.l}")
+    if l != inst.k - 1:
+        raise UsageError(f"construction requires k = l+1, got k={inst.k}, l={l}")
     table = instance_table(inst)
     n = []
     for size in table.leave_one_out_sizes():
@@ -105,19 +106,19 @@ def build_extension(inst: Instance, q: int) -> Lemma21Setup:
                         bprime=bprime, bi_prime=tuple(bi_prime))
 
 
-def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
+def lemma21_demo(inst: Instance, l: int, q: int) -> Lemma21Report:
     """Measure the construction at q: the k distinct-summand sums must all
     equal m*(beta*q)^l exactly; the (k-1)-fold sum of the union B' is
     compared against twice their total, and the first of the first eight
     admissible q satisfying that bound is reported alongside the
     repeated-summand diagnostics and the apex identity
     |X + (B_K x H)| = |H| * |X + B_K|."""
-    setup = build_extension(inst, q)
+    setup = build_extension(inst, l, q)
     k = inst.k
     table = instance_table(inst)
     h_order = setup.h_order
 
-    expected = _expected_at(table, inst.l, q)
+    expected = _expected_at(table, l, q)
 
     distinct_sizes = {
         i: len(iterated_sumset([setup.aprime, *setup.bi_prime[:i - 1], *setup.bi_prime[i:]]))
@@ -132,8 +133,8 @@ def lemma21_demo(inst: Instance, q: int) -> Lemma21Report:
 
     first_q = None
     for cand in admissible_q(table, inst.group.order):
-        size = union_size if cand == q else union_size_of(build_extension(inst, cand))
-        if size <= 2 * k * _expected_at(table, inst.l, cand):
+        size = union_size if cand == q else union_size_of(build_extension(inst, l, cand))
+        if size <= 2 * k * _expected_at(table, l, cand):
             first_q = cand
             break
 

@@ -480,26 +480,23 @@ def iterated_sumset(sets: Iterable[GSet]) -> GSet:
 # -- instances, and the Cartesian powers behind the tensor-power identities ---
 
 class Instance:
-    """A base set A, summand sets B_1..B_k, and a level l with 1 <= l < k.
+    """A base set A and summand sets B_1..B_k with k >= 2.
 
-    memo holds values fixed by (A, B_1..B_k) and by their key, filled on
-    first use through cached(); it takes no part in equality, hashing or
-    repr, and at_level(l) shares it, so every level of one instance computes
-    B_K, its alpha table and gamma once, and a value that depends on a level
-    names that level in its key, as ("plgen", l) does.  A new Instance
-    starts an empty memo.  at_level validates again, so a caller that walks
-    the levels uses the instance itself for its own level and at_level only
-    for the others.
+    The level l that a bound reads is not part of an instance: the checks
+    that read one take it as an argument.  memo holds values fixed by
+    (A, B_1..B_k) and by their key, filled on first use through cached();
+    it takes no part in equality, hashing or repr.  Every level of one
+    instance reads B_K, its alpha table and gamma from it, and a value that
+    depends on a level names that level in its key, as ("plgen", l) does.
+    A new Instance starts an empty memo.
     """
 
-    __slots__ = ("group", "a", "bs", "l", "memo")
+    __slots__ = ("group", "a", "bs", "memo")
 
-    def __init__(self, group: Group, a: GSet, bs: Iterable[GSet], l: int):
+    def __init__(self, group: Group, a: GSet, bs: Iterable[GSet]):
         bs = tuple(bs)
         if len(bs) < 2:
             raise UsageError("need at least two summand sets")
-        if not 1 <= l < len(bs):
-            raise UsageError(f"level must satisfy 1 <= l < k, got l={l}, k={len(bs)}")
         if not a:
             raise UsageError("base set A must be nonempty")
         if any(not b for b in bs):
@@ -507,7 +504,7 @@ class Instance:
         for gs in (a, *bs):
             if gs.group != group:
                 raise UsageError("all sets must live in the instance's group")
-        for name, value in zip(Instance.__slots__, (group, a, bs, l, {})):
+        for name, value in zip(Instance.__slots__, (group, a, bs, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -516,7 +513,7 @@ class Instance:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return self.group, self.a, self.bs, self.l
+        return self.group, self.a, self.bs
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Instance) and self._key() == other._key()
@@ -525,13 +522,7 @@ class Instance:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"Instance(group={self.group!r}, a={self.a!r}, bs={self.bs!r}, l={self.l!r})"
-
-    def at_level(self, l: int) -> "Instance":
-        """The same sets at level l, sharing this instance's memo."""
-        inst = Instance(self.group, self.a, self.bs, l)
-        object.__setattr__(inst, "memo", self.memo)
-        return inst
+        return f"Instance(group={self.group!r}, a={self.a!r}, bs={self.bs!r})"
 
     @property
     def k(self) -> int:
@@ -548,9 +539,9 @@ class Instance:
         return self.cached("bk", lambda inst: iterated_sumset(inst.bs))
 
     def cached(self, key: Hashable, compute: Callable[["Instance"], T]) -> T:
-        """compute(self), stored under key on first use.  Every level shares
-        memo, so the value must be fixed by the sets and the key: one that
-        depends on the level l names l in its key."""
+        """compute(self), stored under key on first use.  The value must be
+        fixed by the sets and the key: one that depends on a level l names l
+        in its key."""
         memo = self.memo
         if key not in memo:
             memo[key] = compute(self)

@@ -2,9 +2,10 @@
 
 Each check returns its verdict and leaves its consequences to the caller:
 which checks the paper proves, and so which failures are violations and
-which are findings, is recorded once, in ``cli.CHECKS``.  Verdicts are
-exact, except the float bounds of ``large_subset`` and the restricted proof
-chain, which are checked at a fixed relative tolerance.
+which are findings, is recorded once, in ``cli.CHECKS``.  A check whose
+bound reads a level l takes it as an argument.  Verdicts are exact, except
+the float bounds of ``large_subset`` and the restricted proof chain, which
+are checked at a fixed relative tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
-                        instance_table, log_fraction)
+                        instance_table, log_fraction, require_level)
 from .errors import UsageError
 from .groups import GSet, Instance, direct_powers, iterated_sumset, subset_sumsets, sumset
 from .magnification import build_plun_graph, gamma_flow, instance_gamma
@@ -32,9 +33,11 @@ class TheoremVerdict(NamedTuple):
     witness: GSet | None = None
 
 
-def _plgen_at(inst: Instance, l: int) -> TheoremVerdict:
-    """check_plgen's verdict at level l, kept in the memo under ("plgen", l)
-    so that every level of the instance shares it."""
+def check_plgen(inst: Instance, l: int) -> TheoremVerdict:
+    """Some nonempty X in A has |X+B_K| <= beta * |X|, beta at level l:
+    verified by comparing the exact magnification ratio against beta.  The
+    verdict is kept in the memo under ("plgen", l)."""
+    require_level(inst.k, l)
     def compare(inst: Instance) -> TheoremVerdict:
         beta = beta_value(instance_table(inst), inst.key_set, l)
         mag = instance_gamma(inst)
@@ -43,26 +46,19 @@ def _plgen_at(inst: Instance, l: int) -> TheoremVerdict:
     return inst.cached(("plgen", l), compare)
 
 
-def check_plgen(inst: Instance) -> TheoremVerdict:
-    """Some nonempty X in A has |X+B_K| <= beta * |X|: verified by comparing
-    the exact magnification ratio against beta."""
-    return _plgen_at(inst, inst.l)
-
-
-def check_single_summand(inst: Instance) -> TheoremVerdict:
+def check_single_summand(inst: Instance, l: int) -> TheoremVerdict:
     """Equal-summand case on B = B_1: some X has |X + kB| <= alpha^(k/l) |X|
     with alpha = |A+lB|/|A|.  Reduces to the general check on the instance
     with every B_i = B_1, which is kept in the memo like B_K, so every level
     shares its gamma and alpha table."""
-    equal = inst.cached("single", lambda i: Instance(i.group, i.a, (i.bs[0],) * i.k, i.l))
-    return check_plgen(equal.at_level(inst.l))
+    equal = inst.cached("single", lambda i: Instance(i.group, i.a, (i.bs[0],) * i.k))
+    return check_plgen(equal, l)
 
 
 def check_pldiff(inst: Instance) -> TheoremVerdict:
-    """Product-of-alphas case (level forced to 1): the bound is the plain
-    rational alpha_1 * ... * alpha_k, so the verdict is plgen's at level 1,
-    which every level of the instance reads from the memo."""
-    return _plgen_at(inst, 1)
+    """Product-of-alphas case: the bound is the plain rational
+    alpha_1 * ... * alpha_k, so the verdict is plgen's at level 1."""
+    return check_plgen(inst, 1)
 
 
 # -- empirical large-subset constant ------------------------------------------
@@ -90,9 +86,9 @@ EXHAUSTIVE_M_MAX = 16
 DEFAULT_SAMPLES = 10_000
 
 
-def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
+def empirical_plgen2(inst: Instance, l: int, epsilon, *, samples: int = DEFAULT_SAMPLES,
                      seed: int = 0) -> EmpiricalConstant:
-    """Measure min over admissible X of max over J of |X+B_J| / (beta_J |X|).
+    """Measure min over admissible X of max over |J| >= l of |X+B_J| / (beta_J |X|).
 
     Exhaustive over all admissible subsets when |A| <= 16, otherwise seeded
     random sampling; X = A is always examined, so the result is finite.
@@ -102,15 +98,16 @@ def empirical_plgen2(inst: Instance, epsilon, *, samples: int = DEFAULT_SAMPLES,
     by exact comparisons, and c_of, also exact, runs only on an X that beats
     the best on every J.
     """
+    require_level(inst.k, l)
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise UsageError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
     m = len(inst.a)
     table = instance_table(inst)
     j_sets = [frozenset(c)
-              for size in range(inst.l, inst.k + 1)
+              for size in range(l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
-    betas = [beta_value(table, j, inst.l) for j in j_sets]
+    betas = [beta_value(table, j, l) for j in j_sets]
     b_sets = [iterated_sumset(inst.bs[i - 1] for i in sorted(j)) for j in j_sets]
 
     def c_of(size: int, image_sizes: list[int]) -> tuple[Fraction, BetaValue, frozenset[int]]:
@@ -197,9 +194,9 @@ class LargeSubsetResult(NamedTuple):
     near_boundary: bool
 
 
-def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
+def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
     """Grow a subset to the requested size by repeatedly adjoining the
-    magnification witness of what remains of A, then test the size bound.
+    magnification witness of what remains of A, then test the bound at level l.
 
     mode "a": integer target 1 <= a <= |A|, result has |X| >= a.
     mode "t": real target 0 <= t < |A|, result has |X| > t.
@@ -208,6 +205,7 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
     floats (the inner powers are irrational) and checked at 1e-9 relative
     tolerance, with a near-boundary flag at 1e-6.
     """
+    require_level(inst.k, l)
     m = len(inst.a)
     if mode not in ("a", "t"):
         raise UsageError(f"mode must be 'a' or 't', got {mode!r}")
@@ -225,9 +223,8 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
             raise UsageError(f"mode 't' needs 0 <= t < {m}, got {value}")
         needs_more = lambda x: len(x) <= target
 
-    beta = beta_value(instance_table(inst), inst.key_set, inst.l)
-    bk = inst.bk
-    x = instance_gamma(inst).witness
+    start = check_plgen(inst, l)  # beta, and the witness of all of A
+    bk, x = inst.bk, start.witness
     iterations = 1
     while needs_more(x):
         remaining = inst.a - x
@@ -235,15 +232,15 @@ def large_subset(inst: Instance, mode: str, value) -> LargeSubsetResult:
         iterations += 1
     lhs = len(sumset(x, bk))
 
-    kl = inst.k / inst.l
+    kl = inst.k / l
     if mode == "a":
         total = sum((m / (m - i)) ** kl for i in range(a_target))
         total += (len(x) - a_target) * (m / (m - a_target + 1)) ** kl
     else:
         gap = float(m - target)  # rounded once, so positive even for t next to |A|
-        head = m ** kl * (inst.l / (inst.k - inst.l)) * (gap ** (1 - kl) - m ** (1 - kl))
+        head = m ** kl * (l / (inst.k - l)) * (gap ** (1 - kl) - m ** (1 - kl))
         total = head + float(len(x) - target) * (m / gap) ** kl
-    bound = beta.approx * total
+    bound = start.rhs.approx * total
     holds = lhs <= bound * (1 + REL_TOL)
     near = abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0)
     return LargeSubsetResult(x=x, bound=bound, holds=holds, lhs=lhs,
@@ -339,7 +336,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     else:
         branch = "large"
         t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
-        res = large_subset(inst.at_level(k - 1), "t", t)
+        res = large_subset(inst, k - 1, "t", t)
         x = res.x
         r_x = len(x)
         sx = len(sumset(s, x)) if r_x < m else sa_size

@@ -12,7 +12,8 @@ from plab import AlphaTable, Instance, make_abelian_group
 
 def rand_instance(rng: random.Random, *, n_range=(4, 64), k_range=(2, 4),
                   a_range=(1, 8), b_range=(1, 8), identity=True,
-                  l: int | None = None) -> Instance:
+                  l: int | None = None) -> tuple[Instance, int]:
+    """A random instance and a level: l, or one drawn from 1..k-1."""
     n = rng.randint(*n_range)
     k = rng.randint(*k_range)
     g = make_abelian_group([n])
@@ -27,7 +28,7 @@ def rand_instance(rng: random.Random, *, n_range=(4, 64), k_range=(2, 4),
             elems = rng.sample(range(n), size)
         bs.append(g.set_of(elems))
     level = l if l is not None else rng.randint(1, k - 1)
-    return Instance(g, a, tuple(bs), level)
+    return Instance(g, a, bs), level
 
 
 def rand_subset(rng: random.Random, gset, *, min_size=1):

@@ -193,7 +193,7 @@ def beta_identity_holds(table, j_set, l) -> bool:
     return lhs_base ** d == beta_j.base ** ((j - 1) * sub_root)
 
 
-def plgen2_reference(inst, epsilon, *, samples: int = DEFAULT_SAMPLES,
+def plgen2_reference(inst, l, epsilon, *, samples: int = DEFAULT_SAMPLES,
                      seed: int = 0) -> EmpiricalConstant:
     """empirical_plgen2 by its definition: the full max over J for every X
     examined (X = A first, then the admissible X in increasing mask order,
@@ -203,9 +203,9 @@ def plgen2_reference(inst, epsilon, *, samples: int = DEFAULT_SAMPLES,
     m = len(inst.a)
     table = alpha_table(inst)
     j_sets = [frozenset(c)
-              for size in range(inst.l, inst.k + 1)
+              for size in range(l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
-    betas = [beta_value(table, j, inst.l) for j in j_sets]
+    betas = [beta_value(table, j, l) for j in j_sets]
     b_sets = [iterated_sumset(inst.bs[i - 1] for i in sorted(j)) for j in j_sets]
 
     def c_of(size, image_sizes):

@@ -47,8 +47,8 @@ def test_acceptance_oracle_equivalence():
     rng = random.Random(41)
     checked = 0
     for _ in range(200):
-        inst = rand_instance(rng, n_range=(2, 64), k_range=(2, 4),
-                             a_range=(1, 12), b_range=(1, 8))
+        inst, _ = rand_instance(rng, n_range=(2, 64), k_range=(2, 4),
+                                a_range=(1, 12), b_range=(1, 8))
         bk = iterated_sumset(inst.bs)
         graph = build_plun_graph(inst.a, bk)
         ex, fl = gamma_exhaustive(graph), gamma_flow(graph)
@@ -65,15 +65,15 @@ def test_acceptance_oracle_equivalence():
 def test_acceptance_multiplicativity():
     rng = random.Random(43)
     for _ in range(50):
-        inst = rand_instance(rng, n_range=(2, 16), k_range=(2, 3),
-                             a_range=(1, 5), b_range=(1, 4))
+        inst, _ = rand_instance(rng, n_range=(2, 16), k_range=(2, 3),
+                                a_range=(1, 5), b_range=(1, 4))
         rep = multiplicativity_check(inst, 2)
         assert rep.equal, f"gamma^2 mismatch: {rep}"
     cubes = 0
     rng3 = random.Random(47)
     while cubes < 5:
-        inst = rand_instance(rng3, n_range=(2, 12), k_range=(2, 2),
-                             a_range=(1, 2), b_range=(1, 2))
+        inst, _ = rand_instance(rng3, n_range=(2, 12), k_range=(2, 2),
+                                a_range=(1, 2), b_range=(1, 2))
         rep = multiplicativity_check(inst, 3)
         assert rep.equal, f"gamma^3 mismatch: {rep}"
         cubes += 1
@@ -89,7 +89,7 @@ def test_acceptance_worked_fixtures(z5, z9):
            and Fraction(t5.sizes[frozenset({2})], t5.m) == 2
            and b5.base == 3 and b5.expo_den == 1
            and g5.gamma == Fraction(5, 2) and sorted(g5.witness) == [0, 1])
-    v9 = check_plgen(z9)
+    v9 = check_plgen(z9, 2)
     ok9 = (v9.lhs == Fraction(9, 2) and v9.rhs.base == 30 and v9.rhs.expo_den == 2
            and v9.lhs ** 2 == Fraction(81, 4)
            and cmp_ratio_vs_beta(v9.lhs, v9.rhs) == LT)
@@ -107,11 +107,11 @@ def _all_j_sets(k, l):
 def test_acceptance_beta_identity():
     rng = random.Random(53)
     for _ in range(100):
-        inst = rand_instance(rng, n_range=(2, 32), k_range=(2, 5),
-                             a_range=(1, 6), b_range=(1, 4))
+        inst, l = rand_instance(rng, n_range=(2, 32), k_range=(2, 5),
+                                a_range=(1, 6), b_range=(1, 4))
         table = alpha_table(inst)
-        for j in _all_j_sets(inst.k, inst.l):
-            assert beta_identity_holds(table, j, inst.l)
+        for j in _all_j_sets(inst.k, l):
+            assert beta_identity_holds(table, j, l)
     for seed in range(100):
         srng = random.Random(1000 + seed)
         k = srng.randint(2, 5)
@@ -129,8 +129,8 @@ def test_acceptance_restricted_sums():
     tensor_checked = 0
     subsets_total = 0
     while accepted < 100:
-        inst = rand_instance(rng, n_range=(2, 32), k_range=(2, 3),
-                             a_range=(1, 6), b_range=(1, 3))
+        inst, _ = rand_instance(rng, n_range=(2, 32), k_range=(2, 3),
+                                a_range=(1, 6), b_range=(1, 3))
         bk = iterated_sumset(inst.bs)
         if len(bk) > 12:
             continue
@@ -154,21 +154,21 @@ def test_acceptance_large_subset_bounds():
     rng = random.Random(61)
     grid_checks = 0
     for _ in range(200):
-        inst = rand_instance(rng, n_range=(2, 32), k_range=(2, 3),
-                             a_range=(1, 8), b_range=(1, 4))
+        inst, l = rand_instance(rng, n_range=(2, 32), k_range=(2, 3),
+                                a_range=(1, 8), b_range=(1, 4))
         m = len(inst.a)
-        beta = beta_value(alpha_table(inst), inst.key_set, inst.l)
-        res0 = large_subset(inst, "t", 0)
+        beta = beta_value(alpha_table(inst), inst.key_set, l)
+        res0 = large_subset(inst, l, "t", 0)
         assert res0.bound == beta.approx * len(res0.x), "t=0 must give beta*|X| exactly"
         assert res0.holds and res0.iterations <= m
         for a_target in sorted({1, (m + 1) // 2, m}):
-            res = large_subset(inst, "a", a_target)
+            res = large_subset(inst, l, "a", a_target)
             assert res.holds and len(res.x) >= a_target and res.iterations <= m
             grid_checks += 1
         for t_target in sorted({0.0, 0.3 * m, 0.6 * m, m - 0.5}):
             if not 0 <= t_target < m:
                 continue
-            res = large_subset(inst, "t", t_target)
+            res = large_subset(inst, l, "t", t_target)
             assert res.holds and len(res.x) > t_target and res.iterations <= m
             grid_checks += 1
     report("large-subset-bounds", True,
@@ -177,13 +177,13 @@ def test_acceptance_large_subset_bounds():
 
 
 def test_acceptance_cyclic_extension_demo(z9):
-    rep2 = lemma21_demo(z9, 2)
+    rep2 = lemma21_demo(z9, 2, 2)
     ok = (all(size == 240 for size in rep2.distinct_sizes.values())
           and rep2.expected_distinct == 240
           and rep2.union_holds and rep2.first_satisfying_q == 2)
     ratios = [rep2.repeated_to_distinct_ratio]
     for q in (4, 6):
-        ratios.append(lemma21_demo(z9, q).repeated_to_distinct_ratio)
+        ratios.append(lemma21_demo(z9, 2, q).repeated_to_distinct_ratio)
     ok = ok and ratios[0] > ratios[1] > ratios[2]
     report("cyclic-extension-demo", ok,
            f"distinct sizes all 240 at q=2; union bound first holds at q=2; "
@@ -201,7 +201,7 @@ def test_acceptance_noncommutative_search():
             a = group.set_of(rng.sample(range(n), rng.randint(1, n)))
             b1 = group.set_of(rng.sample(range(n), rng.randint(1, n)))
             b2 = group.set_of(rng.sample(range(n), rng.randint(1, n)))
-            verdict = check_noncommutative(Instance(group, a, (b1, b2), 1))
+            verdict = check_noncommutative(Instance(group, a, (b1, b2)))
             trials += 1
             if not verdict.holds:
                 findings.append((name, sorted(a), sorted(b1), sorted(b2)))

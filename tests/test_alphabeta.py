@@ -21,7 +21,7 @@ from oracles import beta_identity_holds, beta_reference, naive_iterated, naive_s
 def identity_instance(k=3):
     g = make_abelian_group([6])
     e = g.set_of([g.identity])
-    return Instance(g, g.set_of([0, 2, 5]), tuple(e for _ in range(k)), 1)
+    return Instance(g, g.set_of([0, 2, 5]), tuple(e for _ in range(k)))
 
 
 # -- alpha tables ---------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_alpha_table_keeps_only_one_path_of_sets_alive():
     # element; all 2^8 sets at once take 32 MB, the 9 of one path 1.1 MB
     g = make_abelian_group([1 << 20])
     b = g.set_of([0, 1])
-    inst = Instance(g, g.set_of([0, (1 << 20) - 1]), [b] * 8, 1)
+    inst = Instance(g, g.set_of([0, (1 << 20) - 1]), [b] * 8)
     tracemalloc.start()
     try:
         table = alpha_table(inst)
@@ -78,13 +78,13 @@ def test_alpha_table_k_cap():
     g = make_abelian_group([3])
     b = g.set_of([0])
     with pytest.raises(UsageError):
-        alpha_table(Instance(g, b, tuple(b for _ in range(9)), 1))
+        alpha_table(Instance(g, b, tuple(b for _ in range(9))))
 
 
 @given(st.integers(0, 10_000))
 def test_alpha_monotone(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 24), k_range=(2, 4),
-                         a_range=(1, 5), b_range=(1, 5))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 24), k_range=(2, 4),
+                            a_range=(1, 5), b_range=(1, 5))
     t = alpha_table(inst)
     for key, size in t.sizes.items():
         for extra in range(1, inst.k + 1):
@@ -98,7 +98,7 @@ NONCOMM = [make_cayley_group(table) for _, table in bundled_tables(12)
 def test_alpha_table_multiplies_in_index_order_d3():
     # A*B1*B2 has 4 elements; A*B2*B1, the order the table once used, has 6
     g = make_cayley_group(dict(bundled_tables(12))["D3"])
-    inst = Instance(g, g.set_of([0, 1, 4]), (g.set_of([0, 4]), g.set_of([2, 5])), 1)
+    inst = Instance(g, g.set_of([0, 1, 4]), (g.set_of([0, 4]), g.set_of([2, 5])))
     assert alpha_table(inst).sizes[frozenset({1, 2})] == 4
 
 
@@ -109,7 +109,7 @@ def test_alpha_table_matches_iterated_sumsets_in_noncommutative_groups(which, se
     k = rng.randint(2, 4)
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, 6)))
     bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, 3))) for _ in range(k))
-    inst = Instance(g, a, bs, 1)
+    inst = Instance(g, a, bs)
     assert inst.bk == g.set_of(naive_iterated(g, [list(b) for b in bs], inst.key_set))
     t = alpha_table(inst)
     for key, size in t.sizes.items():
@@ -132,12 +132,12 @@ def tables(draw):
         return synthetic_alpha_table(k, rng)
     if kind == "abelian":
         return alpha_table(rand_instance(rng, n_range=(2, 40), k_range=(k, k),
-                                         a_range=(1, 8), b_range=(1, 5)))
+                                         a_range=(1, 8), b_range=(1, 5))[0])
     g = CAYLEY[draw(st.integers(0, len(CAYLEY) - 1))]
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(6, g.order))))
     bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, min(3, g.order))))
                for _ in range(k))
-    return alpha_table(Instance(g, a, bs, 1))
+    return alpha_table(Instance(g, a, bs))
 
 
 @given(tables())
@@ -190,6 +190,8 @@ def test_beta_errors(z9):
         beta_value(t, frozenset({1}), 2)       # |J| < l
     with pytest.raises(UsageError):
         beta_value(t, frozenset({1, 2, 9}), 1)  # outside 1..k
+    with pytest.raises(UsageError):
+        beta_value(t, frozenset({1, 4}), 1)     # index k+1, just outside
 
 
 def test_equal_summand_reduction():
@@ -199,7 +201,7 @@ def test_equal_summand_reduction():
     a = g.set_of([0, 1, 5])
     b = g.set_of([0, 2, 3])
     for k in (2, 3, 4):
-        inst = Instance(g, a, tuple(g.set_of(list(b)) for _ in range(k)), 1)
+        inst = Instance(g, a, tuple(g.set_of(list(b)) for _ in range(k)))
         t = alpha_table(inst)
         for l in range(1, k):
             alpha = Fraction(t.sizes[frozenset(range(1, l + 1))], t.m)
@@ -287,10 +289,10 @@ def _subsets_of_size(full, size):
 
 @given(st.integers(0, 10_000))
 def test_identity_on_random_instances(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 4),
-                         a_range=(1, 5), b_range=(1, 4))
+    inst, l = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 4),
+                            a_range=(1, 5), b_range=(1, 4))
     t = alpha_table(inst)
     full = frozenset(range(1, inst.k + 1))
-    for size in range(inst.l + 1, inst.k + 1):
+    for size in range(l + 1, inst.k + 1):
         for j in _subsets_of_size(full, size):
-            assert beta_identity_holds(t, j, inst.l)
+            assert beta_identity_holds(t, j, l)

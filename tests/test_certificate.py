@@ -108,6 +108,29 @@ def _negative_amount(adj_bits, classes, flow, witness_bits):
     return classes, [(x, j, amount + 1), (x, j, -1), *flow[1:]], witness_bits
 
 
+def _empty_witness(adj_bits, classes, flow, witness_bits):
+    """No witness at all."""
+    return classes, flow, 0
+
+
+def _witness_outside_left(adj_bits, classes, flow, witness_bits):
+    """The witness with one more bit, on a vertex outside the left set."""
+    outside = next(v for v in range(len(adj_bits) + 1) if v not in adj_bits)
+    return classes, flow, witness_bits | 1 << outside
+
+
+def _class_index_past_end(adj_bits, classes, flow, witness_bits):
+    """The first flow entry sent into class len(classes), one past the last."""
+    x, _, amount = flow[0]
+    return classes, [(x, len(classes), amount), *flow[1:]], witness_bits
+
+
+def _zero_amount(adj_bits, classes, flow, witness_bits):
+    """An extra flow entry of amount 0."""
+    x, j, _ = flow[0]
+    return classes, [*flow, (x, j, 0)], witness_bits
+
+
 def _z40_graph():
     g = make_abelian_group([40])
     return build_plun_graph(g.set_of([0, 1, 20]), g.set_of([0, 1, 2]))
@@ -120,7 +143,8 @@ def _d3_graph():
 
 
 @pytest.mark.parametrize("mutate", [_move_one_unit, _drop_class_bit, _drop_witness_element,
-                                    _repeat_class, _negative_amount])
+                                    _repeat_class, _negative_amount, _empty_witness,
+                                    _witness_outside_left, _class_index_past_end, _zero_amount])
 @pytest.mark.parametrize("make_graph", [_z40_graph, _d3_graph])
 def test_checker_rejects_mutated_certificates(make_graph, mutate):
     graph = make_graph()
@@ -179,7 +203,7 @@ def test_rejected_certificate_dumps_a_wide_graph_by_its_members(flow_short_by_on
     path.write_text(json.dumps(data))
     assert main(["verify", str(path), "--check", "plgen"]) == 1
     dump = json.loads(capsys.readouterr().err.split("\n")[1])
-    inst, _ = parse_instance(data)
+    inst, _, _ = parse_instance(data)
     adj_bits = build_plun_graph(inst.a, inst.bk).adj_bits
     assert dump["left"] == data["A"]
     assert dump["images"] == [naive_members(adj_bits[x]) for x in data["A"]]

@@ -29,25 +29,25 @@ def write_json(tmp_path, name, data):
 # -- instance files -----------------------------------------------------------------
 
 def test_round_trip_moduli(z5):
-    inst, s = parse_instance(serialize_instance(z5, z5.group.set_of([0, 3])))
-    assert inst == z5
+    inst, l, s = parse_instance(serialize_instance(z5, 1, z5.group.set_of([0, 3])))
+    assert (inst, l) == (z5, 1)
     assert sorted(s) == [0, 3]
 
 
 def test_round_trip_integers_mode(z9):
     data = {"group": "integers", "A": [0, 1], "B": [[0, 1], [0, 2], [0, 4]], "l": 2}
-    inst, _ = parse_instance(data)
-    assert inst == z9
-    again, _ = parse_instance(serialize_instance(inst))
-    assert again == inst
+    inst, l, _ = parse_instance(data)
+    assert (inst, l) == (z9, 2)
+    again, l_again, _ = parse_instance(serialize_instance(inst, l))
+    assert (again, l_again) == (inst, l)
 
 
 def test_round_trip_cayley():
     data = json.loads((FIXTURES / "s3.json").read_text())
-    inst, _ = parse_instance(data)
+    inst, l, _ = parse_instance(data)
     assert inst.group.table is not None and not inst.group.is_abelian
-    again, _ = parse_instance(serialize_instance(inst))
-    assert again == inst
+    again, l_again, _ = parse_instance(serialize_instance(inst, l))
+    assert (again, l_again) == (inst, l)
 
 
 def test_parse_rejects_bad_shapes():
@@ -105,6 +105,22 @@ def test_malformed_input_exits_2(tmp_path, command, patch):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert (flags[-1] if flags else f'"{next(iter(patch))}"') in proc.stderr
+
+
+@pytest.mark.parametrize("level", [0, 2])
+@pytest.mark.parametrize("argv", [
+    ["verify", "FILE", "--check", "restricted"], ["verify", "FILE", "--check", "pldiff"],
+    ["verify", "FILE", "--check", "noncomm"], ["find-x", "FILE"],
+    ["demo", "power", "FILE", "-r", "1"], ["demo", "pipeline", "FILE", "-r", "1"]],
+    ids=["restricted", "pldiff", "noncomm", "find-x", "demo-power", "demo-pipeline"])
+def test_bad_level_exits_2_under_every_command(tmp_path, capsys, level, argv):
+    # the level is the checks' argument, not the instance's, but a file
+    # with a bad l is refused also by the commands that never read it
+    data = {**json.loads((FIXTURES / "z5.json").read_text()), "l": level}
+    path = write_json(tmp_path, "inst.json", data)
+    assert main([path if arg == "FILE" else arg for arg in argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: level must satisfy 1 <= l < k, got l={level}, k=2\n")
 
 
 # -- verify ------------------------------------------------------------------------
@@ -317,8 +333,8 @@ def test_verify_json_report_round_trips(tmp_path, capsys, z5):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["all_hold"] is True
-    inst, s = parse_instance(report["instance"])
-    assert inst == z5 and sorted(s) == [0, 3]
+    inst, l, s = parse_instance(report["instance"])
+    assert inst == z5 and l == 1 and sorted(s) == [0, 3]
     plgen_row = next(r for r in report["checks"] if r["check"] == "plgen")
     assert plgen_row["gamma"] == "5/2"
     assert plgen_row["beta_base"] == "3"
@@ -371,9 +387,9 @@ def test_verify_large_echoes_a_rejected_value_as_typed(capsys, mode, typed):
 def test_verify_violation_exit_code(monkeypatch, capsys):
     import plab.theorems as theorems_mod
 
-    def fake_check(inst, **kwargs):
+    def fake_check(inst, l):
         return TheoremVerdict(holds=False, lhs=2,
-                              rhs=beta_value(alpha_table(inst), inst.key_set, inst.l),
+                              rhs=beta_value(alpha_table(inst), inst.key_set, l),
                               witness=inst.a)
 
     monkeypatch.setattr(theorems_mod, "check_plgen", fake_check)
@@ -718,8 +734,8 @@ def test_sweep_violation_exit(tmp_path, monkeypatch, capsys):
     import plab.theorems as theorems_mod
     real = theorems_mod.check_plgen
 
-    def fake_check(inst, **kwargs):
-        v = real(inst, **kwargs)
+    def fake_check(inst, l):
+        v = real(inst, l)
         return TheoremVerdict(holds=False, lhs=v.lhs, rhs=v.rhs, witness=v.witness)
 
     monkeypatch.setattr(theorems_mod, "check_plgen", fake_check)
@@ -793,7 +809,7 @@ def violating_rows(cfg, index, timing):
     if index < 3:
         return sweep_rows_for_index(cfg, index, timing)
     _raise_if_violated("plgen", TheoremVerdict(holds=False, lhs=1, rhs=0),
-                       generate_base(cfg, index))
+                       generate_base(cfg, index), 1)
 
 
 def test_sweep_worker_violation_exit(tmp_path, monkeypatch, capsys):

@@ -2,9 +2,9 @@
 
 B_K, the alpha table, gamma, the power report, pldiff's verdict and the
 sweep's restricted S and verdict depend on (A, B_1..B_k) only; plgen's
-verdict depends on the level too and is kept under ("plgen", l).  Every
-level of an instance, made with Instance.at_level, reads them from the
-instance's memo.
+verdict depends on the level too and is kept under ("plgen", l).  A level
+is an argument of the checks, so every level of one instance reads them
+from that instance's memo.
 """
 
 import random
@@ -22,7 +22,7 @@ import plab.groups as groups
 import plab.magnification as magnification
 import plab.theorems as theorems
 from plab import (Instance, check_pldiff, check_plgen, check_restricted_sum,
-                  empirical_plgen2, large_subset)
+                  check_single_summand, empirical_plgen2, large_subset)
 from plab.cli import generate_base, load_instance, main, run_sweep, sweep_config_from_dict
 
 from gen import rand_instance
@@ -50,15 +50,14 @@ def calls(monkeypatch):
 
 
 def test_memo_is_not_part_of_the_value(z9):
-    fresh = Instance(z9.group, z9.a, z9.bs, z9.l)
-    check_plgen(z9)
+    fresh = Instance(z9.group, z9.a, z9.bs)
+    check_plgen(z9, 2)
     assert "gamma" in z9.memo and "gamma" not in fresh.memo
     assert z9 == fresh and hash(z9) == hash(fresh)
     assert "memo" not in repr(z9)
-    assert z9.at_level(1).memo is z9.memo
-    other = Instance(z9.group, z9.group.set_of([0, 3]), z9.bs, z9.l)
+    other = Instance(z9.group, z9.group.set_of([0, 3]), z9.bs)
     assert other.memo is not z9.memo
-    assert check_plgen(other) == check_plgen(Instance(z9.group, other.a, z9.bs, z9.l))
+    assert check_plgen(other, 2) == check_plgen(Instance(z9.group, other.a, z9.bs), 2)
 
 
 def test_sweep_runs_one_base_gamma_per_instance(calls):
@@ -133,7 +132,7 @@ def test_restricted_all_subsets_builds_one_alpha_table(calls, capsys):
 
 
 def test_restricted_pipeline_builds_s_plus_a_once(monkeypatch):
-    inst, _ = load_instance(str(FIXTURES / "z5.json"))
+    inst, _, _ = load_instance(str(FIXTURES / "z5.json"))
     operands = []
     real_sumset = theorems.sumset
 
@@ -157,23 +156,25 @@ def test_complete_sum_takes_k_minus_1_sumsets(z9, monkeypatch):
         return real_sumset(x, y)
 
     monkeypatch.setattr(groups, "sumset", sumset)
-    inst = Instance(z9.group, z9.a, z9.bs, z9.l)
+    inst = Instance(z9.group, z9.a, z9.bs)
     assert inst.k == 3 and inst.bk == real_sumset(real_sumset(*z9.bs[:2]), z9.bs[2])
     assert len(calls) == 2
 
 
 @given(st.integers(0, 10_000))
 def test_levels_made_by_replace_match_fresh_instances(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(3, 4),
-                         a_range=(1, 8), b_range=(1, 4), l=1)
-    s = inst.bk
-    check_plgen(inst)  # fill the memo before the other levels read it
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(3, 4),
+                            a_range=(1, 8), b_range=(1, 4), l=1)
+    s, m = inst.bk, len(inst.a)
+    check_plgen(inst, 1)  # fill the memo before the other levels read it
     for level in range(1, inst.k):
-        shared, fresh = inst.at_level(level), Instance(inst.group, inst.a, inst.bs, level)
-        assert shared.memo is inst.memo and "gamma" not in fresh.memo
-        assert check_plgen(shared) == check_plgen(fresh)
-        assert check_pldiff(shared) == check_pldiff(fresh)
-        assert check_restricted_sum(shared, s) == check_restricted_sum(fresh, s)
-        assert (empirical_plgen2(shared, Fraction(1, 2), samples=16)
-                == empirical_plgen2(fresh, Fraction(1, 2), samples=16))
-        assert large_subset(shared, "a", len(inst.a)) == large_subset(fresh, "a", len(inst.a))
+        # every level reads inst's one memo; a fresh instance computes anew
+        fresh = Instance(inst.group, inst.a, inst.bs)
+        assert "gamma" in inst.memo and "gamma" not in fresh.memo
+        assert check_plgen(inst, level) == check_plgen(fresh, level)
+        assert check_pldiff(inst) == check_pldiff(fresh)
+        assert check_single_summand(inst, level) == check_single_summand(fresh, level)
+        assert check_restricted_sum(inst, s) == check_restricted_sum(fresh, s)
+        assert (empirical_plgen2(inst, level, Fraction(1, 2), samples=16)
+                == empirical_plgen2(fresh, level, Fraction(1, 2), samples=16))
+        assert large_subset(inst, level, "a", m) == large_subset(fresh, level, "a", m)

@@ -21,7 +21,7 @@ def test_admissible_q_z9(z9):
 def test_admissible_q_integer_alphas():
     g = make_abelian_group([6])
     e = g.set_of([g.identity])
-    inst = Instance(g, g.set_of([0, 2]), (e, e), 1)
+    inst = Instance(g, g.set_of([0, 2]), (e, e))
     assert admissible_q(alpha_table(inst), g.order)[:3] == [1, 2, 3]
 
 
@@ -33,18 +33,17 @@ def test_admissible_q_cap_exceeded(z9, monkeypatch):
 
 def test_build_extension_preconditions(z9, z5):
     with pytest.raises(UsageError):
-        build_extension(z9, 3)   # inadmissible q (alpha*q not integral)
-    bad_level = Instance(z9.group, z9.a, z9.bs, 1)  # k=3 but l=1
-    with pytest.raises(UsageError):
-        build_extension(bad_level, 2)
+        build_extension(z9, 2, 3)   # inadmissible q (alpha*q not integral)
+    with pytest.raises(UsageError, match="construction requires k = l\\+1, got k=3, l=1"):
+        build_extension(z9, 1, 2)
     # z5 has k=l+1=2 with leave-one-out alphas (2, 3/2), so q=2 is the first
-    assert build_extension(z5, 2).n == (4, 3)
+    assert build_extension(z5, 1, 2).n == (4, 3)
     with pytest.raises(UsageError, match="q must be >= 1, got 0"):
-        build_extension(z9, 0)
+        build_extension(z9, 2, 0)
 
 
 def test_extension_shape_z9_q2(z9):
-    setup = build_extension(z9, 2)
+    setup = build_extension(z9, 2, 2)
     assert setup.n == (8, 6, 5)
     assert setup.h_order == 240
     assert setup.gprime.order == 2160
@@ -53,7 +52,7 @@ def test_extension_shape_z9_q2(z9):
 
 
 def test_demo_z9_q2_distinct_sizes(z9):
-    rep = lemma21_demo(z9, 2)
+    rep = lemma21_demo(z9, 2, 2)
     assert rep.expected_distinct == 240
     assert all(size == 240 for size in rep.distinct_sizes.values())
     # |H| = beta^l * q^k exactly: 30 * 8
@@ -62,7 +61,7 @@ def test_demo_z9_q2_distinct_sizes(z9):
 
 
 def test_demo_z9_q2_union_and_first_q(z9):
-    rep = lemma21_demo(z9, 2)
+    rep = lemma21_demo(z9, 2, 2)
     assert rep.union_rhs == 1440
     assert rep.union_holds
     assert rep.first_satisfying_q == 2
@@ -70,7 +69,7 @@ def test_demo_z9_q2_union_and_first_q(z9):
 
 
 def test_demo_union_matches_bruteforce(z9):
-    rep = lemma21_demo(z9, 2)
+    rep = lemma21_demo(z9, 2, 2)
     gp = rep.setup.gprime
     bprime = list(rep.setup.bprime)
     acc = set(rep.setup.aprime)
@@ -80,18 +79,18 @@ def test_demo_union_matches_bruteforce(z9):
 
 
 def test_demo_repeated_terms_z9_q2(z9):
-    rep = lemma21_demo(z9, 2)
+    rep = lemma21_demo(z9, 2, 2)
     assert rep.repeated_sizes == {(1, 1): 32, (2, 2): 36, (3, 3): 25}
 
 
 def test_demo_apex_identity(z9):
-    rep = lemma21_demo(z9, 2)
+    rep = lemma21_demo(z9, 2, 2)
     assert rep.apex_equal
     assert rep.apex_lhs == 240 * 9
 
 
 def test_demo_ratio_decreases_over_first_three_q(z9):
-    ratios = [lemma21_demo(z9, q).repeated_to_distinct_ratio for q in (2, 4, 6)]
+    ratios = [lemma21_demo(z9, 2, q).repeated_to_distinct_ratio for q in (2, 4, 6)]
     assert ratios[0] > ratios[1] > ratios[2]
 
 
@@ -101,14 +100,14 @@ def test_first_satisfying_q_is_the_first_in_a_plain_scan(seed):
     # meets 2*k*m*(beta*q)^l, whichever q the demo is run at
     rng = random.Random(seed)
     k = rng.randint(2, 3)
-    inst = rand_instance(rng, n_range=(2, 7), k_range=(k, k), a_range=(1, 3),
-                         b_range=(1, 3), l=k - 1)
+    inst, _ = rand_instance(rng, n_range=(2, 7), k_range=(k, k), a_range=(1, 3),
+                            b_range=(1, 3), l=k - 1)
     table = alpha_table(inst)
     m, s_prod = table.m, math.prod(table.sizes[inst.key_set - {i}] for i in inst.key_set)
     qs = admissible_q(table, inst.group.order)
 
     def union_holds(q):
-        setup = build_extension(inst, q)
+        setup = build_extension(inst, k - 1, q)
         union = setup.aprime
         for _ in range(k - 1):
             union = sumset(union, setup.bprime)
@@ -116,14 +115,14 @@ def test_first_satisfying_q_is_the_first_in_a_plain_scan(seed):
 
     first = next((q for q in qs if union_holds(q)), None)
     for q in rng.sample(qs, min(3, len(qs))):
-        assert lemma21_demo(inst, q).first_satisfying_q == first
+        assert lemma21_demo(inst, k - 1, q).first_satisfying_q == first
 
 
 def test_demo_identity_summands():
     g = make_abelian_group([4])
     e = g.set_of([g.identity])
-    inst = Instance(g, g.set_of([0, 1]), (e, e), 1)
-    rep = lemma21_demo(inst, 2)
+    inst = Instance(g, g.set_of([0, 1]), (e, e))
+    rep = lemma21_demo(inst, 1, 2)
     # all alphas are 1, so n_i = q and the distinct terms have size m*q
     assert rep.setup.n == (2, 2)
     assert rep.expected_distinct == 4
@@ -131,9 +130,9 @@ def test_demo_identity_summands():
     assert rep.apex_equal
 
 
-def roots_bounded(inst, rep):
-    """gamma_r^(1/r) <= beta, exactly: with gamma_r = gamma^r the root is gamma."""
-    beta = beta_value(alpha_table(inst), inst.key_set, inst.l)
+def roots_bounded(inst, l, rep):
+    """gamma_r^(1/r) <= beta at level l, exactly: with gamma_r = gamma^r the root is gamma."""
+    beta = beta_value(alpha_table(inst), inst.key_set, l)
     return rep.equal and cmp_ratio_vs_beta(rep.gamma_base, beta) != GT
 
 
@@ -141,13 +140,13 @@ def test_power_experiment_z5(z5):
     rep = multiplicativity_check(z5, 2)
     assert (rep.gamma_base, rep.gamma_power) == (Fraction(5, 2), Fraction(25, 4))
     assert rep.equal
-    assert roots_bounded(z5, rep)
+    assert roots_bounded(z5, 1, rep)
 
 
 def test_power_experiment_r1_matches_plgen(z9):
     rep = multiplicativity_check(z9, 1)
-    assert rep.gamma_power == check_plgen(z9).lhs
-    assert roots_bounded(z9, rep)
+    assert rep.gamma_power == check_plgen(z9, 2).lhs
+    assert roots_bounded(z9, 2, rep)
 
 
 def test_power_experiment_z9(z9):

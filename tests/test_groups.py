@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
                   direct_powers, element_cap, embed_integer_sets, iterated_sumset,
                   make_abelian_group, make_cayley_group, sumset)
-from plab import groups
+from plab import check_plgen, groups
+from plab.alphabeta import require_level
 from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumsets, walk_bits
 
 from cayley_tables import bundled_tables, cyclic_table, dihedral_table, symmetric_table
@@ -349,7 +350,7 @@ def test_direct_power_orders(z5):
 
 def test_direct_power_cap(monkeypatch):
     g = make_abelian_group([64])
-    inst = Instance(g, g.set_of([0]), (g.set_of([0]), g.set_of([0])), 1)
+    inst = Instance(g, g.set_of([0]), (g.set_of([0]), g.set_of([0])))
     monkeypatch.setenv("PLAB_MEM_CAP", "100")
     with pytest.raises(ResourceError):
         direct_powers((inst.a, *inst.bs), 2)
@@ -622,35 +623,36 @@ def test_instance_validation():
     g = make_abelian_group([5])
     a, b = g.set_of([0]), g.set_of([0, 1])
     with pytest.raises(UsageError):
-        Instance(g, a, (b,), 1)           # k < 2
+        Instance(g, a, (b,))              # k < 2
+    with pytest.raises(UsageError, match=re.escape("level must satisfy 1 <= l < k, got l=2, k=2")):
+        require_level(2, 2)               # l >= k: the level is the checks' argument
     with pytest.raises(UsageError):
-        Instance(g, a, (b, b), 2)         # l >= k
-    with pytest.raises(UsageError):
-        Instance(g, g.set_of([]), (b, b), 1)
+        Instance(g, g.set_of([]), (b, b))
     other = make_abelian_group([7])
     with pytest.raises(UsageError):
-        Instance(g, a, (b, other.set_of([0])), 1)
+        Instance(g, a, (b, other.set_of([0])))
 
 
 def test_instance_is_a_read_only_value_whose_levels_share_memo():
     g = make_abelian_group([5])
     a, b = g.set_of([0]), g.set_of([0, 1])
-    inst = Instance(g, a, [b, b, b], 1)
-    assert inst.bs == (b, b, b)
+    inst = Instance(g, a, [b, b, b])
+    assert inst.bs == (b, b, b) and not hasattr(inst, "l")
     for level in (0, 3):  # l < 1 and l = k
         with pytest.raises(UsageError):
-            inst.at_level(level)
+            check_plgen(inst, level)
     inst.memo["x"] = 1
-    up = inst.at_level(2)
-    assert up.l == 2 and up.memo is inst.memo and up != inst
-    assert inst.at_level(1) == inst and hash(inst.at_level(1)) == hash(inst)
-    fresh = Instance(g, g.set_of([0, 2]), inst.bs, 1)
+    # every level reads the one instance: its verdicts share the memo, each
+    # under its level's key
+    assert check_plgen(inst, 1).rhs != check_plgen(inst, 2).rhs
+    assert {("plgen", 1), ("plgen", 2), "gamma"} <= inst.memo.keys()
+    fresh = Instance(g, g.set_of([0, 2]), inst.bs)
     assert fresh.memo == {} and fresh != inst
-    assert inst != (g, a, (b, b, b), 1)
+    assert inst != (g, a, (b, b, b))
     for name in ("a", "l", "memo", "extra"):
         with pytest.raises(AttributeError):
             setattr(inst, name, None)
         with pytest.raises(AttributeError):
             delattr(inst, name)
-    assert inst.a is a and inst.memo == {"x": 1}
-    assert repr(inst) == f"Instance(group=Z5, a={a!r}, bs={(b, b, b)!r}, l=1)"
+    assert inst.a is a and inst.memo["x"] == 1
+    assert repr(inst) == f"Instance(group=Z5, a={a!r}, bs={(b, b, b)!r})"

@@ -69,8 +69,8 @@ def test_two_sided_graph_matches_an_oracle(name, table):
 
 @given(st.integers(0, 10_000))
 def test_degree_and_image_invariants(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 3),
-                         a_range=(1, 6), b_range=(1, 4))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 3),
+                            a_range=(1, 6), b_range=(1, 4))
     graph, bk = graph_of(inst)
     for x in graph.left:
         assert graph.adj_bits[x].bit_count() == len(bk)
@@ -123,8 +123,8 @@ def test_exhaustive_cap():
 
 @given(st.integers(0, 10_000))
 def test_exhaustive_matches_naive_oracle(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 16), k_range=(2, 3),
-                         a_range=(1, 5), b_range=(1, 3))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 16), k_range=(2, 3),
+                            a_range=(1, 5), b_range=(1, 3))
     graph, bk = graph_of(inst)
     assert gamma_exhaustive(graph).gamma == naive_gamma(inst.group, list(inst.a), list(bk))
 
@@ -169,8 +169,8 @@ def test_flow_power_of_z5(z5):
 
 @given(st.integers(0, 100_000))
 def test_flow_equals_exhaustive(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 48), k_range=(2, 4),
-                         a_range=(1, 8), b_range=(1, 6))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 48), k_range=(2, 4),
+                            a_range=(1, 8), b_range=(1, 6))
     graph, bk = graph_of(inst)
     ex = gamma_exhaustive(graph)
     fl = gamma_flow(graph)
@@ -229,8 +229,8 @@ def test_flow_network_merges_right_vertices_by_neighbourhood():
 
 @given(st.integers(0, 10_000))
 def test_gamma_upper_bounds(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 3),
-                         a_range=(1, 6), b_range=(1, 4))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 32), k_range=(2, 3),
+                            a_range=(1, 6), b_range=(1, 4))
     graph, bk = graph_of(inst)
     gamma = gamma_flow(graph).gamma
     assert 1 <= gamma <= len(bk)
@@ -261,8 +261,8 @@ def test_multiplicativity_z9(z9):
 def test_multiplicativity_matches_an_oracle_power_graph(seed, r):
     # A^r, (B_K)^r and every a + (B_K)^r come from the oracles, so a fault
     # in plab's powers or translates cannot cancel out on both sides
-    inst = rand_instance(random.Random(seed), n_range=(2, 6), k_range=(2, 3),
-                         a_range=(1, 3 if r == 2 else 2), b_range=(1, 3))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 6), k_range=(2, 3),
+                            a_range=(1, 3 if r == 2 else 2), b_range=(1, 3))
     group = inst.group
     powered = make_abelian_group(group.moduli * r)
     bk = naive_iterated(group, [list(b) for b in inst.bs], inst.key_set)
@@ -336,8 +336,8 @@ def test_flow_witness_satisfies_petridis(seed):
     # if X minimizes |X+B|/|X| = K over the subsets of A, then
     # |X+B+C| <= K |X+C| for every C (Petridis, arXiv:1101.3507)
     rng = random.Random(seed)
-    inst = rand_instance(rng, n_range=(2, 64), k_range=(2, 3), a_range=(1, 30),
-                         b_range=(1, 5), identity=rng.random() < 0.5)
+    inst, _ = rand_instance(rng, n_range=(2, 64), k_range=(2, 3), a_range=(1, 30),
+                            b_range=(1, 5), identity=rng.random() < 0.5)
     graph, bk = graph_of(inst)
     x = gamma_flow(graph).witness
     x_bk = sumset(x, bk)

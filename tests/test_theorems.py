@@ -25,13 +25,13 @@ from oracles import (gamma_exhaustive, naive_iterated, naive_sumset, nonempty_su
 def identity_instance(k=2):
     g = make_abelian_group([6])
     e = g.set_of([g.identity])
-    return Instance(g, g.set_of([0, 2, 5]), tuple(e for _ in range(k)), 1)
+    return Instance(g, g.set_of([0, 2, 5]), tuple(e for _ in range(k)))
 
 
 # -- the central check --------------------------------------------------------------
 
 def test_plgen_z5(z5):
-    v = check_plgen(z5)
+    v = check_plgen(z5, 1)
     assert v.holds
     assert v.lhs == Fraction(5, 2)
     assert v.rhs.base == 3 and v.rhs.expo_den == 1
@@ -39,7 +39,7 @@ def test_plgen_z5(z5):
 
 
 def test_plgen_z9_exact_square(z9):
-    v = check_plgen(z9)
+    v = check_plgen(z9, 2)
     assert v.holds
     assert v.lhs == Fraction(9, 2)
     # the verdict is the integer comparison (9/2)^2 = 81/4 <= 30
@@ -48,29 +48,29 @@ def test_plgen_z9_exact_square(z9):
 
 
 def test_plgen_identity_equality():
-    v = check_plgen(identity_instance())
+    v = check_plgen(identity_instance(), 1)
     assert v.holds
     assert v.lhs == 1 and v.rhs.base == 1
     assert cmp_ratio_vs_beta(v.lhs, v.rhs) == EQ
 
 
 def test_exhaustive_method_agrees(z5):
-    assert gamma_exhaustive(build_plun_graph(z5.a, z5.bk)).gamma == check_plgen(z5).lhs
+    assert gamma_exhaustive(build_plun_graph(z5.a, z5.bk)).gamma == check_plgen(z5, 1).lhs
 
 
 @given(st.integers(0, 100_000))
 def test_plgen_always_holds(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 64), k_range=(2, 4),
-                         a_range=(1, 8), b_range=(1, 8))
-    assert check_plgen(inst).holds
+    inst, l = rand_instance(random.Random(seed), n_range=(2, 64), k_range=(2, 4),
+                            a_range=(1, 8), b_range=(1, 8))
+    assert check_plgen(inst, l).holds
 
 
 def test_ensure_holds_raises_on_guaranteed_failure(z5):
     fake = TheoremVerdict(holds=False, lhs=2, rhs=1)
     with pytest.raises(TheoremViolationError) as exc:
-        _raise_if_violated("plgen", fake, z5)
-    assert exc.value.dump == serialize_instance(z5)
-    _raise_if_violated("noncomm", fake, z5)  # unproved: a finding, not a violation
+        _raise_if_violated("plgen", fake, z5, 1)
+    assert exc.value.dump == serialize_instance(z5, 1)
+    _raise_if_violated("noncomm", fake, z5, 1)  # unproved: a finding, not a violation
 
 
 # -- equal summands -------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_ensure_holds_raises_on_guaranteed_failure(z5):
 def test_single_summand_z4():
     g = make_abelian_group([4])
     a = g.set_of([0, 1])
-    v = check_single_summand(Instance(g, a, (a, a), 1))
+    v = check_single_summand(Instance(g, a, (a, a)), 1)
     assert v.holds
     assert v.lhs == 2
     assert v.rhs.base == Fraction(9, 4) and v.rhs.expo_den == 1
@@ -87,14 +87,14 @@ def test_single_summand_z4():
 def test_single_summand_identity():
     g = make_abelian_group([4])
     e = g.set_of([g.identity])
-    v = check_single_summand(Instance(g, g.set_of([0, 1]), (e, e), 1))
+    v = check_single_summand(Instance(g, g.set_of([0, 1]), (e, e)), 1)
     assert v.holds and v.lhs == 1 and v.rhs.base == 1
 
 
 def test_single_summand_z8_singleton_base():
     g = make_abelian_group([8])
     b = g.set_of([0, 1])
-    v = check_single_summand(Instance(g, g.set_of([0]), (b, b, b), 1))
+    v = check_single_summand(Instance(g, g.set_of([0]), (b, b, b)), 1)
     assert v.holds
     assert v.lhs == 4       # |{0} + 3B| = 4
     assert v.rhs.base == 8  # alpha^k = 2^3
@@ -104,18 +104,17 @@ def test_single_summand_needs_l_below_k():
     g = make_abelian_group([4])
     b = g.set_of([0])
     with pytest.raises(UsageError):
-        check_single_summand(Instance(g, b, (b, b), 2))
+        check_single_summand(Instance(g, b, (b, b)), 2)
 
 
 @given(st.integers(0, 10_000))
 def test_single_agrees_with_plgen_on_equal_sets(seed):
     rng = random.Random(seed)
-    inst = rand_instance(rng, n_range=(2, 24), k_range=(2, 3), a_range=(1, 5),
-                         b_range=(1, 4))
-    equal = Instance(inst.group, inst.a,
-                     tuple(inst.bs[0] for _ in range(inst.k)), inst.l)
-    v1 = check_single_summand(inst)
-    v2 = check_plgen(equal)
+    inst, l = rand_instance(rng, n_range=(2, 24), k_range=(2, 3), a_range=(1, 5),
+                            b_range=(1, 4))
+    equal = Instance(inst.group, inst.a, tuple(inst.bs[0] for _ in range(inst.k)))
+    v1 = check_single_summand(inst, l)
+    v2 = check_plgen(equal, l)
     assert (v1.holds, v1.lhs, v1.rhs) == (v2.holds, v2.lhs, v2.rhs)
 
 
@@ -140,38 +139,38 @@ def test_pldiff_identity_equality():
 
 @given(st.integers(0, 10_000))
 def test_pldiff_agrees_with_plgen_at_level_one(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 24), k_range=(2, 3),
-                         a_range=(1, 5), b_range=(1, 4), l=1)
-    v1, v2 = check_pldiff(inst), check_plgen(inst)
+    inst, l = rand_instance(random.Random(seed), n_range=(2, 24), k_range=(2, 3),
+                            a_range=(1, 5), b_range=(1, 4), l=1)
+    v1, v2 = check_pldiff(inst), check_plgen(inst, l)
     assert (v1.holds, v1.lhs, v1.rhs) == (v2.holds, v2.lhs, v2.rhs)
 
 
 # -- empirical near-full-size constant ---------------------------------------------------
 
 def test_empirical_identity_sets():
-    emp = empirical_plgen2(identity_instance(), Fraction(1, 2))
+    emp = empirical_plgen2(identity_instance(), 1, Fraction(1, 2))
     assert cmp_ratio_vs_beta(emp.ratio, emp.beta) == EQ
     assert emp.exhaustive
 
 
 def test_empirical_epsilon_near_one(z5):
-    emp = empirical_plgen2(z5, Fraction(99, 100))
+    emp = empirical_plgen2(z5, 1, Fraction(99, 100))
     assert emp.c_emp <= 4 / 3 + 1e-12
 
 
 def test_empirical_z5_admits_all_nonempty(z5):
     # (1-0.6)*2 = 0.8 admits every nonempty X; X=A attains the minimum,
     # where the binding J is a singleton with ratio exactly beta_J
-    emp = empirical_plgen2(z5, Fraction(6, 10))
+    emp = empirical_plgen2(z5, 1, Fraction(6, 10))
     assert emp.x == z5.a
     assert cmp_ratio_vs_beta(emp.ratio, emp.beta) == EQ
 
 
 def test_empirical_epsilon_range(z5):
     with pytest.raises(UsageError):
-        empirical_plgen2(z5, Fraction(0))
+        empirical_plgen2(z5, 1, Fraction(0))
     with pytest.raises(UsageError):
-        empirical_plgen2(z5, Fraction(3, 2))
+        empirical_plgen2(z5, 1, Fraction(3, 2))
 
 
 def test_empirical_sampled_path():
@@ -179,7 +178,7 @@ def test_empirical_sampled_path():
     rng = random.Random(5)
     a = g.set_of(rng.sample(range(40), 18))
     bs = (g.set_of([0, 3]), g.set_of([0, 7]))
-    emp = empirical_plgen2(Instance(g, a, bs, 1), Fraction(1, 2), samples=50, seed=9)
+    emp = empirical_plgen2(Instance(g, a, bs), 1, Fraction(1, 2), samples=50, seed=9)
     assert not emp.exhaustive
     assert len(emp.x) > 9
     assert emp.c_emp > 0
@@ -188,14 +187,14 @@ def test_empirical_sampled_path():
 @given(st.integers(0, 10_000))
 def test_empirical_always_finite_with_admissible_witness(seed):
     rng = random.Random(seed)
-    inst = rand_instance(rng, n_range=(2, 24), k_range=(2, 3), a_range=(1, 6),
-                         b_range=(1, 4))
+    inst, l = rand_instance(rng, n_range=(2, 24), k_range=(2, 3), a_range=(1, 6),
+                            b_range=(1, 4))
     eps = Fraction(rng.randint(1, 9), 10)
-    emp = empirical_plgen2(inst, eps)
+    emp = empirical_plgen2(inst, l, eps)
     assert len(emp.x) > (1 - eps) * len(inst.a)
     assert emp.c_emp < math.inf
     # the witness X reproduces the claimed constant at the binding J
-    b = beta_value(alpha_table(inst), emp.argmax_j, inst.l)
+    b = beta_value(alpha_table(inst), emp.argmax_j, l)
     x_plus_bj = iterated_sumset([emp.x, *(inst.bs[i - 1] for i in sorted(emp.argmax_j))])
     lhs = Fraction(len(x_plus_bj), len(emp.x))
     assert cmp_ratio_vs_beta(lhs, b, emp.ratio, emp.beta) == EQ
@@ -215,22 +214,22 @@ def test_root_ratio_ordering():
 # -- constructive large subsets -----------------------------------------------------------
 
 def test_large_subset_t0_reproduces_beta(z5):
-    res = large_subset(z5, "t", 0)
+    res = large_subset(z5, 1, "t", 0)
     beta = beta_value(alpha_table(z5), z5.key_set, 1)
     assert res.bound == beta.approx * len(res.x)
-    assert res.x == check_plgen(z5).witness
+    assert res.x == check_plgen(z5, 1).witness
     assert res.holds
 
 
 def test_large_subset_a1_reproduces_beta(z9):
-    res = large_subset(z9, "a", 1)
+    res = large_subset(z9, 2, "a", 1)
     beta = beta_value(alpha_table(z9), z9.key_set, 2)
     assert res.bound == beta.approx * len(res.x)
     assert res.holds
 
 
 def test_large_subset_z5_a2(z5):
-    res = large_subset(z5, "a", 2)
+    res = large_subset(z5, 1, "a", 2)
     assert sorted(res.x) == [0, 1]
     assert res.lhs == 5
     assert res.bound == pytest.approx(15.0, rel=1e-12)
@@ -239,28 +238,28 @@ def test_large_subset_z5_a2(z5):
 
 def test_large_subset_value_errors(z5):
     with pytest.raises(UsageError):
-        large_subset(z5, "a", 0)
+        large_subset(z5, 1, "a", 0)
     with pytest.raises(UsageError):
-        large_subset(z5, "a", 3)
+        large_subset(z5, 1, "a", 3)
     with pytest.raises(UsageError):
-        large_subset(z5, "t", 2.0)
+        large_subset(z5, 1, "t", 2.0)
     with pytest.raises(UsageError):
-        large_subset(z5, "x", 1)
+        large_subset(z5, 1, "x", 1)
 
 
 @given(st.integers(0, 10_000))
 def test_large_subset_growth_and_termination(seed):
     rng = random.Random(seed)
-    inst = rand_instance(rng, n_range=(2, 32), k_range=(2, 3), a_range=(1, 8),
-                         b_range=(1, 4))
+    inst, l = rand_instance(rng, n_range=(2, 32), k_range=(2, 3), a_range=(1, 8),
+                            b_range=(1, 4))
     m = len(inst.a)
     a_target = rng.randint(1, m)
-    res = large_subset(inst, "a", a_target)
+    res = large_subset(inst, l, "a", a_target)
     assert len(res.x) >= a_target
     assert res.iterations <= m
     assert res.holds
     t_target = rng.uniform(0, m - 0.01)
-    res_t = large_subset(inst, "t", t_target)
+    res_t = large_subset(inst, l, "t", t_target)
     assert len(res_t.x) > t_target
     assert res_t.iterations <= m
     assert res_t.holds
@@ -298,8 +297,8 @@ def test_restricted_requires_subset(z5):
 
 @given(st.integers(0, 10_000))
 def test_restricted_all_subsets_small(seed):
-    inst = rand_instance(random.Random(seed), n_range=(2, 16), k_range=(2, 3),
-                         a_range=(1, 4), b_range=(1, 2))
+    inst, _ = rand_instance(random.Random(seed), n_range=(2, 16), k_range=(2, 3),
+                            a_range=(1, 4), b_range=(1, 2))
     bk = iterated_sumset(inst.bs)
     if len(bk) > 8:
         return
@@ -340,8 +339,8 @@ def test_pipeline_bounds_decrease(z9):
 @given(st.integers(0, 10_000))
 def test_pipeline_power_identity(seed):
     rng = random.Random(seed)
-    inst = rand_instance(rng, n_range=(2, 24), k_range=(2, 3), a_range=(1, 4),
-                         b_range=(1, 3))
+    inst, _ = rand_instance(rng, n_range=(2, 24), k_range=(2, 3), a_range=(1, 4),
+                            b_range=(1, 3))
     bk = iterated_sumset(inst.bs)
     s = rand_subset(rng, bk)
     rep = restricted_pipeline(inst, s, 2)
@@ -353,7 +352,7 @@ def test_restricted_pipeline_rejects_noncommutative_group():
     # on D6 this S = B_K breaks the pipeline's witness_term_bound step; the
     # restricted-sum bound is proved for commutative groups only
     g = make_cayley_group(dihedral_table(6))
-    inst = Instance(g, g.set_of([7, 9, 5, 8, 2]), (g.set_of([2]), g.set_of([10, 3])), 1)
+    inst = Instance(g, g.set_of([7, 9, 5, 8, 2]), (g.set_of([2]), g.set_of([10, 3])))
     with pytest.raises(UsageError, match="check 'restricted' requires a commutative group"):
         restricted_pipeline(inst, inst.bk, 1)
 
@@ -364,7 +363,7 @@ def test_noncomm_identity_sets():
     g = make_cayley_group(symmetric_table(3))
     a = g.set_of([0, 1, 3])
     e = g.set_of([g.identity])
-    v = check_noncommutative(Instance(g, a, (e, e), 1))
+    v = check_noncommutative(Instance(g, a, (e, e)))
     assert v.holds
     assert v.lhs == 1 == v.rhs
 
@@ -372,7 +371,7 @@ def test_noncomm_identity_sets():
 def test_noncomm_s3_matches_bruteforce():
     g = make_cayley_group(symmetric_table(3))
     a, b1, b2 = g.set_of([0, 3]), g.set_of([0, 1]), g.set_of([0, 4])
-    v = check_noncommutative(Instance(g, a, (b1, b2), 1))
+    v = check_noncommutative(Instance(g, a, (b1, b2)))
     best = None
     for z in nonempty_subsets(a):
         mid = naive_sumset(g, list(b1), z)
@@ -389,11 +388,11 @@ def test_noncomm_abelian_cross_check():
     a = g.set_of(rng.sample(range(8), 3))
     b1 = g.set_of([0] + rng.sample(range(1, 8), 2))
     b2 = g.set_of([0] + rng.sample(range(1, 8), 2))
-    v = check_noncommutative(Instance(g, a, (b1, b2), 1))
+    v = check_noncommutative(Instance(g, a, (b1, b2)))
     assert v.holds
     # on a commutative group the product-of-alphas witness guarantees this
     za = make_abelian_group([8])
-    inst = Instance(za, za.set_of(a), (za.set_of(b1), za.set_of(b2)), 1)
+    inst = Instance(za, za.set_of(a), (za.set_of(b1), za.set_of(b2)))
     v2 = check_pldiff(inst)
     assert v2.holds and v2.rhs.base == v.rhs
 
@@ -402,7 +401,7 @@ def test_noncomm_needs_two_summand_sets():
     g = make_cayley_group(symmetric_table(3))
     e = g.set_of([g.identity])
     with pytest.raises(UsageError, match="noncomm check needs exactly two summand sets"):
-        check_noncommutative(Instance(g, g.set_of([0, 1]), (e, e, e), 1))
+        check_noncommutative(Instance(g, g.set_of([0, 1]), (e, e, e)))
 
 
 def test_noncomm_size_cap():
@@ -411,7 +410,7 @@ def test_noncomm_size_cap():
     # wrap-around), so the least ratio is 23/21, attained only by X = A.
     g = make_cayley_group(cyclic_table(24))
     a, b = g.set_of(range(21)), g.set_of([0, 1])
-    v = check_noncommutative(Instance(g, a, (b, b), 1))
+    v = check_noncommutative(Instance(g, a, (b, b)))
     assert v.lhs == Fraction(23, 21) and v.witness == a
     assert v.rhs == Fraction(22 * 22, 21 * 21) and v.holds
 
@@ -426,7 +425,7 @@ def test_noncomm_matches_bruteforce_on_bundled_tables(which, seed):
     n = g.order
     a, b1, b2 = (g.set_of(rng.sample(range(n), rng.randint(1, min(n, cap))))
                  for cap in (10, n, n))
-    v = check_noncommutative(Instance(g, a, (b1, b2), 1))
+    v = check_noncommutative(Instance(g, a, (b1, b2)))
 
     def ratio(z):
         return Fraction(len(naive_sumset(g, naive_sumset(g, list(b1), z), list(b2))), len(z))
@@ -442,16 +441,16 @@ def test_noncomm_matches_bruteforce_on_bundled_tables(which, seed):
 
 def _small_instance(rng):
     """Tiny sets in Z_n (n <= 12) or in a bundled Cayley table, so that
-    ratios often tie and operand order matters."""
+    ratios often tie and operand order matters, and a level."""
     g = rng.choice(BUNDLED) if rng.random() < 0.5 else make_abelian_group([rng.randint(2, 12)])
     k = rng.randint(2, 3)
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 7))))
     bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 3))))
                for _ in range(k))
-    return Instance(g, a, bs, rng.randint(1, k - 1))
+    return Instance(g, a, bs), rng.randint(1, k - 1)
 
 
-def _plgen2_by_enumeration(inst, eps):
+def _plgen2_by_enumeration(inst, l, eps):
     """empirical_plgen2's exhaustive answer from one naive sumset per X and J:
     X = A first, then the admissible X in increasing mask order, each
     replacing the best only when strictly smaller; within one X the first J
@@ -459,7 +458,7 @@ def _plgen2_by_enumeration(inst, eps):
     g, m, members = inst.group, len(inst.a), list(inst.a)
     table = alpha_table(inst)
     b_lists = [list(b) for b in inst.bs]
-    j_sets = [frozenset(c) for size in range(inst.l, inst.k + 1)
+    j_sets = [frozenset(c) for size in range(l, inst.k + 1)
               for c in combinations(range(1, inst.k + 1), size)]
     candidates = [members] + [[e for i, e in enumerate(members) if mask >> i & 1]
                               for mask in range(1, (1 << m) - 1)
@@ -469,7 +468,7 @@ def _plgen2_by_enumeration(inst, eps):
         top = None
         for j in j_sets:
             ratio = Fraction(len(naive_sumset(g, x, naive_iterated(g, b_lists, j))), len(x))
-            beta = beta_value(table, j, inst.l)
+            beta = beta_value(table, j, l)
             if top is None or cmp_ratio_vs_beta(top[0], top[1], ratio, beta) == LT:
                 top = (ratio, beta, j)
         if best is None or cmp_ratio_vs_beta(top[0], top[1], best[0], best[1]) == LT:
@@ -481,7 +480,7 @@ def _plgen2_by_enumeration(inst, eps):
 @example(seed=2434)  # its best changes after limits against the old best were found
 def test_subset_lattice_matches_per_subset_sumsets(seed):
     rng = random.Random(seed)
-    inst = _small_instance(rng)
+    inst, l = _small_instance(rng)
     g, a = inst.group, list(inst.a)
     # restricted over every nonempty S in B_K, in increasing mask order; the
     # product of the |A+B_(K-i)| comes from the alpha table, which the
@@ -498,9 +497,9 @@ def test_subset_lattice_matches_per_subset_sumsets(seed):
     assert [(s, v.lhs, v.rhs, v.holds) for s, v in got] == expected
     # plgen2, exhaustive
     eps = Fraction(rng.randint(1, 9), 10)
-    emp = empirical_plgen2(inst, eps)
+    emp = empirical_plgen2(inst, l, eps)
     assert emp.exhaustive
-    assert (emp.ratio, emp.beta, emp.argmax_j, list(emp.x)) == _plgen2_by_enumeration(inst, eps)
+    assert (emp.ratio, emp.beta, emp.argmax_j, list(emp.x)) == _plgen2_by_enumeration(inst, l, eps)
 
 
 def test_plgen2_ties_go_to_the_lowest_mask():
@@ -509,14 +508,14 @@ def test_plgen2_ties_go_to_the_lowest_mask():
     # {0, 1, 4} has the lower mask over A's sorted members (0b0111 < 0b1011)
     g = make_abelian_group([12])
     b = g.set_of([0, 1])
-    inst = Instance(g, g.set_of([0, 1, 4, 8]), (b, b), 1)
-    emp = empirical_plgen2(inst, Fraction(1, 2))
+    inst = Instance(g, g.set_of([0, 1, 4, 8]), (b, b))
+    emp = empirical_plgen2(inst, 1, Fraction(1, 2))
     assert (emp.ratio, emp.argmax_j, list(emp.x)) == (Fraction(5, 3), frozenset({1}), [0, 1, 4])
     assert cmp_ratio_vs_beta(emp.ratio, emp.beta, Fraction(20, 21), BetaValue(Fraction(1), 1)) == EQ
     # B_i = {0}: every X ties with A, which is examined first and stays
     one = g.set_of([0])
-    inst = Instance(g, g.set_of([1, 4, 9]), (one, one), 1)
-    assert empirical_plgen2(inst, Fraction(1, 2)).x == inst.a
+    inst = Instance(g, g.set_of([1, 4, 9]), (one, one))
+    assert empirical_plgen2(inst, 1, Fraction(1, 2)).x == inst.a
 
 
 # every (k, l) with k from 2 to 4, so roots beta_J with exponents above 1 occur
@@ -536,21 +535,21 @@ def test_plgen2_search_matches_the_full_maximum(k, l, seed):
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 8))))
     bs = tuple(g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 3))))
                for _ in range(k))
-    inst, eps = Instance(g, a, bs, l), Fraction(rng.randint(1, 9), 10)
-    emp = empirical_plgen2(inst, eps)
+    inst, eps = Instance(g, a, bs), Fraction(rng.randint(1, 9), 10)
+    emp = empirical_plgen2(inst, l, eps)
     assert emp.exhaustive
-    assert _search_result(emp) == _search_result(plgen2_reference(inst, eps))
+    assert _search_result(emp) == _search_result(plgen2_reference(inst, l, eps))
 
 
 @pytest.mark.parametrize("k, l", _K_L)
 @given(st.integers(0, 100_000))
 def test_plgen2_sampled_search_matches_the_full_maximum(k, l, seed):
     rng = random.Random(seed)
-    inst = rand_instance(rng, n_range=(20, 64), k_range=(k, k), a_range=(17, 20),
-                         b_range=(1, 3), l=l)
+    inst, _ = rand_instance(rng, n_range=(20, 64), k_range=(k, k), a_range=(17, 20),
+                            b_range=(1, 3), l=l)
     eps, samples = Fraction(rng.randint(1, 9), 10), rng.randint(1, 24)
-    emp = empirical_plgen2(inst, eps, samples=samples, seed=seed)
+    emp = empirical_plgen2(inst, l, eps, samples=samples, seed=seed)
     assert not emp.exhaustive
     assert _search_result(emp) == _search_result(
-        plgen2_reference(inst, eps, samples=samples, seed=seed))
+        plgen2_reference(inst, l, eps, samples=samples, seed=seed))
 
