@@ -157,7 +157,7 @@ def _bound(check):
         gamma, base, expo = str(v.lhs), str(v.rhs.base), v.rhs.expo_den
         beta = base if expo == 1 else f"{base}^(1/{expo})"
         fields = {"gamma": gamma, "beta_base": base, "beta_expo_den": expo,
-                  "witness": list(v.witness)}
+                  "witness": v.witness}
         return ([(v, fields, (gamma, base, str(expo), ""))],
                 f"gamma={gamma} beta={beta} {_holds(v)}")
     return run
@@ -189,15 +189,15 @@ def _draw(bk: GSet, seed: int) -> GSet:
 
 def _restricted_on(inst: Instance, s: GSet):
     v = theorems.check_restricted_sum(inst, s)
-    return ([(v, {"S": list(s), "lhs": v.lhs, "rhs": v.rhs},
+    return ([(v, {"S": s, "lhs": v.lhs, "rhs": v.rhs},
               ("", "", "", f"s_size={len(s)};lhs={v.lhs};rhs={v.rhs}"))],
             f"|S|={len(s)} lhs={v.lhs} rhs={v.rhs} {_holds(v)}")
 
 
 def _power(inst: Instance, l: int, opts):
-    rep = inst.cached(("power", 2), lambda i: multiplicativity_check(i, 2))
-    v = theorems.TheoremVerdict(holds=rep.equal, lhs=rep.gamma_power, rhs=rep.gamma_base ** 2)
-    return [(v, {}, (str(rep.gamma_base), "", "", f"r=2;gamma_r={rep.gamma_power}"))], None
+    gamma, squared = instance_gamma(inst).gamma, multiplicativity_check(inst, 2)
+    v = theorems.TheoremVerdict(holds=squared == gamma ** 2, lhs=squared, rhs=gamma ** 2)
+    return [(v, {}, (str(gamma), "", "", f"r=2;gamma_r={squared}"))], None
 
 
 def _epsilon(text: str) -> Fraction:
@@ -235,7 +235,7 @@ def _plgen2(inst: Instance, l: int, opts):
     v = theorems.TheoremVerdict(holds=True, lhs=emp.ratio, rhs=emp.beta, witness=emp.x)
     c_emp, argmax_j = _float_str(emp.c_emp), sorted(emp.argmax_j)
     fields = {"epsilon": str(emp.epsilon), "c_emp": c_emp, "argmax_j": argmax_j,
-              "X": list(emp.x), "exhaustive": emp.exhaustive}
+              "X": emp.x, "exhaustive": emp.exhaustive}
     cells = ("", "", "", f"epsilon={emp.epsilon};c_emp={c_emp};x_size={len(emp.x)}")
     return [(v, fields, cells)], (f"epsilon={emp.epsilon} c_emp~{c_emp} "
                                   f"argmax_J={argmax_j} |X|={len(emp.x)} {_holds(v)}")
@@ -249,7 +249,7 @@ def _large(inst: Instance, l: int, opts):
     v = theorems.TheoremVerdict(holds=res.holds, lhs=res.lhs, rhs=res.bound, witness=res.x)
     bound = _float_str(res.bound)
     fields = {"mode": opts.mode, "value": shown, "lhs": res.lhs, "bound": bound,
-              "X": list(res.x), "iterations": res.iterations,
+              "X": res.x, "iterations": res.iterations,
               "near_boundary": res.near_boundary}
     return [(v, fields, None)], (f"mode={opts.mode} value={shown} "
                                  f"|X|={len(res.x)} lhs={res.lhs} bound={bound} {_holds(v)}")
@@ -259,7 +259,7 @@ def _noncomm(inst: Instance, l: int, opts):
     """Unproved for noncommutative groups: a failure is a finding."""
     v = theorems.check_noncommutative(inst)
     notes = "" if v.holds else "candidate counterexample: no subset meets the bound"
-    fields = {"ratio": str(v.lhs), "bound": str(v.rhs), "witness": list(v.witness),
+    fields = {"ratio": str(v.lhs), "bound": str(v.rhs), "witness": v.witness,
               "notes": notes}
     tail = f" ({notes})" if notes else ""
     return [(v, fields, None)], f"ratio={v.lhs} bound={v.rhs} {_holds(v)}{tail}"
@@ -316,7 +316,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         report = {"instance": serialize_instance(inst, l, s), "checks": results,
                   "all_hold": all(r["holds"] for r in results)}
-        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        # witness, X and S are GSets, listed here: a sweep row drops its fields
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=list) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
     for check, _, line in runs:
@@ -517,14 +518,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
         return 0
     if args.what == "power":
-        beta = theorems.check_plgen(inst, l).rhs
-        reps = [multiplicativity_check(inst, r) for r in range(1, args.r + 1)]
-        for r, rep in enumerate(reps, 1):
-            root = math.exp(log_fraction(rep.gamma_power) / r)
-            print(f"r={r} gamma_r={rep.gamma_power} equals gamma^r: "
-                  f"{'yes' if rep.equal else 'NO'} "
+        beta, gamma = theorems.check_plgen(inst, l).rhs, instance_gamma(inst).gamma
+        powers = {r: multiplicativity_check(inst, r) for r in range(1, args.r + 1)}
+        for r, gamma_r in powers.items():
+            root = math.exp(log_fraction(gamma_r) / r)
+            print(f"r={r} gamma_r={gamma_r} equals gamma^r: "
+                  f"{'yes' if gamma_r == gamma ** r else 'NO'} "
                   f"root={_float_str(root)} beta~{_float_str(beta.approx)}")
-        all_equal = all(rep.equal for rep in reps)
+        all_equal = all(gamma_r == gamma ** r for r, gamma_r in powers.items())
         print(f"all powers exact: {'yes' if all_equal else 'NO'}")
         return 0 if all_equal else 1
     subset = s if s is not None else inst.bk

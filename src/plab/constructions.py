@@ -13,35 +13,31 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 from operator import or_
 from typing import NamedTuple
 
 from .alphabeta import AlphaTable, instance_table, require_level
-from .errors import ResourceError, UsageError
-from .groups import GSet, Group, Instance, element_cap, iterated_sumset, make_abelian_group
+from .errors import UsageError
+from .groups import (GSet, Group, Instance, check_budget, element_cap, iterated_sumset,
+                     make_abelian_group)
 from .magnification import instance_gamma
 
 
 def admissible_q(table: AlphaTable, base_order: int) -> list[int]:
     """The first eight q making every n_i = alpha_(K minus i) * q an integer,
-    cut short where the extended group would exceed the element cap."""
+    cut short where the extended group would exceed the element cap, which
+    check_budget refuses when even the smallest q's group exceeds it."""
     sizes, m = table.leave_one_out_sizes(), table.m
     # size / m in lowest terms has denominator m / gcd(size, m)
     step = math.lcm(*(m // math.gcd(size, m) for size in sizes))
+
+    def ext_order(q: int) -> int:
+        return base_order * math.prod(size * q // m for size in sizes)
+
+    check_budget(ext_order(step), f"group elements of the extension at its smallest q={step}")
     limit = element_cap()
-    out: list[int] = []
-    q = step
-    while len(out) < 8:
-        ext_order = base_order * math.prod(size * q // m for size in sizes)
-        if ext_order > limit:
-            break
-        out.append(q)
-        q += step
-    if not out:
-        raise ResourceError(
-            f"no admissible q keeps the extended group under the cap {limit}")
-    return out
+    return list(takewhile(lambda q: ext_order(q) <= limit, range(step, 9 * step, step)))
 
 
 class Lemma21Setup(NamedTuple):

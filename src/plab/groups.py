@@ -67,6 +67,14 @@ def element_cap() -> int:
     return cap
 
 
+def check_budget(count: int, what: str) -> None:
+    """Every element budget: count of what (group elements, 64-bit words or
+    flow edges) over element_cap() raises a one-line ResourceError."""
+    limit = element_cap()
+    if count > limit:
+        raise ResourceError(f"{count} {what} exceed the element cap {limit}")
+
+
 class Group:
     """A finite group with elements indexed 0..order-1.
 
@@ -315,10 +323,7 @@ def make_abelian_group(moduli: Sequence[int]) -> Group:
         raise UsageError("moduli must be a nonempty list")
     if any(n < 1 for n in mods):
         raise UsageError(f"cyclic orders must be >= 1, got {mods}")
-    order = prod(mods)
-    limit = element_cap()
-    if order > limit:
-        raise ResourceError(f"group order {order} exceeds element cap {limit}")
+    check_budget(prod(mods), "group elements")
     return Group(moduli=mods)
 
 
@@ -563,8 +568,6 @@ def direct_powers(sets: Sequence[GSet], r: int) -> tuple[GSet, ...]:
     if r > limit.bit_length():  # the order check's bound, for a one-element group too
         raise ResourceError(f"power {r} exceeds {limit.bit_length()}, the bit length "
                             f"of the element cap {limit}")
-    if group.order ** r > limit:
-        raise ResourceError(f"group order {group.order}^{r} exceeds element cap {limit}")
     powered, n = make_abelian_group(group.moduli * r), group.order
     powers = [s.bits for s in sets]
     for j in range(1, r):  # prefix a digit e: a copy of the bits so far shifted by e*n^j

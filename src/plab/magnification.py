@@ -26,8 +26,8 @@ from operator import or_
 from typing import NamedTuple
 
 from .certificate import check_certificate
-from .errors import ResourceError, UsageError
-from .groups import GSet, Group, Instance, direct_powers, element_cap, sumset
+from .errors import UsageError
+from .groups import GSet, Group, Instance, check_budget, direct_powers, element_cap, sumset
 
 class PlunGraph(NamedTuple):
     """Left vertices x, each joined to its image, the bitset adj_bits[x]: a+B_K
@@ -67,11 +67,8 @@ def build_plun_graph(a: GSet, bk: GSet, *, left: GSet | None = None) -> PlunGrap
     if a.group != bk.group:
         raise UsageError("A and B_K must live in the same group")
     g = a.group
-    # the images are |A| bitsets of |G| bits; the element cap budgets their words
-    words, limit = len(a) * ((g.order + 63) // 64), element_cap()
-    if words > limit:
-        raise ResourceError(f"graph images ({len(a)} x {g.order} bits) need {words} "
-                            f"64-bit words, over the element cap {limit}")
+    check_budget(len(a) * ((g.order + 63) // 64),
+                 f"64-bit words of graph images ({len(a)} x {g.order} bits)")
     if left is None:
         return PlunGraph(g, {x: g.translate_bits(bk.bits, x) for x in a})
     return PlunGraph(g, {x: sumset(left, GSet(g, g.translate_bits(bk.bits, x))).bits for x in a})
@@ -182,10 +179,10 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     The final round's flow and the witness go to check_certificate before
     the result is returned; a rejected certificate raises CertificateError.
 
-    The middle edges, one per left vertex and class inside its image, are
-    what each round's flow dicts grow with, and build_plun_graph's budget
-    on image words does not bound them: more than element_cap() raise
-    ResourceError before the first round.
+    build_plun_graph's image budget bounds neither the classes nor the
+    middle edges, one per left vertex and class in its image, which each
+    round's flow dicts grow with: check_budget refuses the class words as
+    classes are created, and the edges before the first round.
     """
     lefts = graph.left
     witness_bits = sum(1 << x for x in lefts)
@@ -193,6 +190,8 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     # indices i whose image contains all of it; every other image misses it
     classes, owners = [graph.right_bits], [0]
     t = Fraction(classes[0].bit_count(), len(lefts))
+    words = (classes[0].bit_length() + 63) >> 6 or 1  # no class is wider than the union
+    room = element_cap() // words  # more classes than this are over the budget
     for i, x in enumerate(lefts):
         adj = graph.adj_bits[x]
         for j in range(len(classes)):
@@ -201,6 +200,8 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 continue
             if inside != classes[j]:
                 classes.append(classes[j] ^ inside)
+                if len(classes) > room:
+                    check_budget(len(classes) * words, "64-bit words of class bitsets")
                 owners.append(owners[j])
                 classes[j] = inside
             owners[j] |= 1 << i
@@ -211,9 +212,7 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
             low = mask & -mask
             out_of[low.bit_length() - 1].append(j)
             mask ^= low
-    edges, limit = sum(map(len, out_of)), element_cap()
-    if edges > limit:
-        raise ResourceError(f"flow network has {edges} middle edges, over the element cap {limit}")
+    check_budget(sum(map(len, out_of)), "middle edges of the flow network")
     sizes = [bits.bit_count() for bits in classes]
     iterations = 0
     while True:
@@ -240,21 +239,15 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
         witness_bits = z_bits
 
 
-class MultiplicativityReport(NamedTuple):
-    gamma_base: Fraction
-    gamma_power: Fraction
-    equal: bool
-
-
 def instance_gamma(inst: Instance) -> MagResult:
     """gamma of the instance's A -> A+B_K graph, computed once per instance."""
     return inst.cached("gamma", lambda i: gamma_flow(build_plun_graph(i.a, i.bk)))
 
 
-def multiplicativity_check(inst: Instance, r: int) -> MultiplicativityReport:
-    """Compare gamma of the r-th direct power against gamma ** r, exactly.  In
-    G^r the complete sum B_1^r + ... + B_k^r is (B_K)^r, so the power's graph
-    is built from A^r and (B_K)^r alone; r = 1 reuses the instance's gamma."""
-    g1 = instance_gamma(inst).gamma
-    gr = gamma_flow(build_plun_graph(*direct_powers((inst.a, inst.bk), r))).gamma if r != 1 else g1
-    return MultiplicativityReport(gamma_base=g1, gamma_power=gr, equal=gr == g1 ** r)
+def multiplicativity_check(inst: Instance, r: int) -> Fraction:
+    """gamma of the r-th direct power, exactly, kept under ("power", r); the
+    callers compare it with instance_gamma(inst).gamma ** r.  In G^r the
+    complete sum B_1^r + ... + B_k^r is (B_K)^r, so the power's graph is
+    built from A^r and (B_K)^r alone; r = 1 is the instance's gamma."""
+    return inst.cached(("power", r), lambda i: instance_gamma(i).gamma if r == 1 else
+                       gamma_flow(build_plun_graph(*direct_powers((i.a, i.bk), r))).gamma)

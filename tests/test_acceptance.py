@@ -16,6 +16,7 @@ from plab import (Instance, alpha_table, beta_value,
                   multiplicativity_check, sumset)
 from plab.alphabeta import LT
 from plab.cli import run_sweep, sweep_config_from_dict
+from plab.magnification import instance_gamma
 
 from cayley_tables import bundled_tables
 from gen import rand_instance, rand_subset, synthetic_alpha_table
@@ -67,15 +68,15 @@ def test_acceptance_multiplicativity():
     for _ in range(50):
         inst, _ = rand_instance(rng, n_range=(2, 16), k_range=(2, 3),
                                 a_range=(1, 5), b_range=(1, 4))
-        rep = multiplicativity_check(inst, 2)
-        assert rep.equal, f"gamma^2 mismatch: {rep}"
+        gamma, squared = instance_gamma(inst).gamma, multiplicativity_check(inst, 2)
+        assert squared == gamma ** 2, f"gamma^2 mismatch: {squared} against {gamma}^2"
     cubes = 0
     rng3 = random.Random(47)
     while cubes < 5:
         inst, _ = rand_instance(rng3, n_range=(2, 12), k_range=(2, 2),
                                 a_range=(1, 2), b_range=(1, 2))
-        rep = multiplicativity_check(inst, 3)
-        assert rep.equal, f"gamma^3 mismatch: {rep}"
+        gamma, cubed = instance_gamma(inst).gamma, multiplicativity_check(inst, 3)
+        assert cubed == gamma ** 3, f"gamma^3 mismatch: {cubed} against {gamma}^3"
         cubes += 1
     report("multiplicativity", True,
            "50 instances exact at r=2, 5 more exact at r=3")

@@ -517,13 +517,13 @@ def _line_instance(order, m):
 
 @pytest.mark.parametrize("cap, data, argv, err", [
     ("4096", _line_instance(4096, 100), ["verify", "FILE", "--check", "plgen"],
-     "(100 x 4096 bits) need 6400 64-bit words, over the element cap 4096"),
+     "6400 64-bit words of graph images (100 x 4096 bits) exceed the element cap 4096"),
     ("4096", _line_instance(4096, 64), ["verify", "FILE", "--check", "plgen"], None),
     ("4096", _line_instance(64, 10), ["demo", "power", "FILE", "-r", "2"],
-     "(100 x 4096 bits) need 6400 64-bit words, over the element cap 4096"),
+     "6400 64-bit words of graph images (100 x 4096 bits) exceed the element cap 4096"),
     # noncomm's x -> B_1*x*B_2 graph on S3: two images of one word each
     ("1", json.loads((FIXTURES / "s3.json").read_text()), ["verify", "FILE", "--check", "noncomm"],
-     "(2 x 6 bits) need 2 64-bit words, over the element cap 1"),
+     "2 64-bit words of graph images (2 x 6 bits) exceed the element cap 1"),
 ], ids=["plgen-over", "plgen-at-cap", "power-square-over", "noncomm-over"])
 def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys, cap, data,
                                                       argv, err):
@@ -536,7 +536,7 @@ def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, cap
         assert code == 0
         return
     assert code == 2
-    assert capsys.readouterr() == ("", f"error: graph images {err}\n")
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_flow_network_edges_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys):
@@ -547,8 +547,22 @@ def test_flow_network_edges_are_budgeted_by_the_element_cap(tmp_path, monkeypatc
     monkeypatch.setenv("PLAB_MEM_CAP", "64")
     assert main(["verify", path, "--check", "plgen"]) == 2
     assert capsys.readouterr() == (
-        "", "error: flow network has 256 middle edges, over the element cap 64\n")
+        "", "error: 256 middle edges of the flow network exceed the element cap 64\n")
     monkeypatch.setenv("PLAB_MEM_CAP", "256")
+    assert main(["verify", path, "--check", "plgen"]) == 0
+
+
+def test_flow_network_classes_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys):
+    # the 64 images a + {0..3} of the plgen-at-cap instance meet in 67
+    # classes; at the top of Z_4096 each class is an int of up to 4096 bits,
+    # 64 words, and the 65th class passes the cap of 4096 words
+    top = {"group": [4096], "A": list(range(4029, 4093)), "B": [[0, 1], [0, 2]], "l": 1}
+    path = write_json(tmp_path, "inst.json", top)
+    monkeypatch.setenv("PLAB_MEM_CAP", "4096")
+    assert main(["verify", path, "--check", "plgen"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 4160 64-bit words of class bitsets exceed the element cap 4096\n")
+    monkeypatch.setenv("PLAB_MEM_CAP", str(67 * 64))
     assert main(["verify", path, "--check", "plgen"]) == 0
 
 
@@ -827,14 +841,11 @@ def test_sweep_worker_violation_exit(tmp_path, monkeypatch, capsys):
 
 def test_sweep_power_violation_exit(tmp_path, monkeypatch, capsys):
     import plab.cli as cli_mod
-    from plab.magnification import MultiplicativityReport
 
     real = cli_mod.multiplicativity_check
 
     def fake_check(inst, r):
-        rep = real(inst, r)
-        return MultiplicativityReport(gamma_base=rep.gamma_base, gamma_power=rep.gamma_power + 1,
-                                      equal=False)
+        return real(inst, r) + 1
 
     monkeypatch.setattr(cli_mod, "multiplicativity_check", fake_check)
     cfg_path = write_json(tmp_path, "cfg.json", {**BASE_CFG, "count": 3, "checks": ["power"]})

@@ -1,8 +1,9 @@
 """Values are computed once per instance and key.
 
-B_K, the alpha table, gamma, the power report, pldiff's verdict and the
-sweep's restricted S and verdict depend on (A, B_1..B_k) only; plgen's
-verdict depends on the level too and is kept under ("plgen", l).  A level
+B_K, the alpha table, gamma, pldiff's verdict and the sweep's restricted
+S and verdict depend on (A, B_1..B_k) only; plgen's verdict depends on
+the level too and is kept under ("plgen", l), and gamma of the r-th
+direct power under ("power", r).  A level
 is an argument of the checks, so every level of one instance reads them
 from that instance's memo.
 """
@@ -103,6 +104,14 @@ def test_sweep_levels_reuse_the_verdicts_that_do_not_depend_on_the_level(monkeyp
     assert counts == Counter({"beta_value": 3, "cmp_ratio_vs_beta": 3,
                               "check_restricted_sum": 1, "_draw": 1})
     assert len({row[-1] for row in rows if row[6] == "restricted"}) == 1
+
+
+def test_a_second_power_check_runs_no_flow(z9, calls):
+    squared = magnification.multiplicativity_check(z9, 2)
+    first = calls.copy()
+    assert first[("gamma_flow", z9.group.order ** 2)] == 1
+    assert magnification.multiplicativity_check(z9, 2) == squared
+    assert calls == first
 
 
 def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):

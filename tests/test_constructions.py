@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from plab import (GT, Instance, ResourceError, UsageError, admissible_q, alpha_table,
                   beta_value, build_extension, check_plgen, cmp_ratio_vs_beta,
                   lemma21_demo, make_abelian_group, multiplicativity_check, sumset)
+from plab.magnification import instance_gamma
 
 from gen import rand_instance
 from oracles import naive_sumset
@@ -130,29 +131,27 @@ def test_demo_identity_summands():
     assert rep.apex_equal
 
 
-def roots_bounded(inst, l, rep):
+def roots_bounded(inst, l, r):
     """gamma_r^(1/r) <= beta at level l, exactly: with gamma_r = gamma^r the root is gamma."""
     beta = beta_value(alpha_table(inst), inst.key_set, l)
-    return rep.equal and cmp_ratio_vs_beta(rep.gamma_base, beta) != GT
+    gamma = instance_gamma(inst).gamma
+    return (multiplicativity_check(inst, r) == gamma ** r
+            and cmp_ratio_vs_beta(gamma, beta) != GT)
 
 
 def test_power_experiment_z5(z5):
-    rep = multiplicativity_check(z5, 2)
-    assert (rep.gamma_base, rep.gamma_power) == (Fraction(5, 2), Fraction(25, 4))
-    assert rep.equal
-    assert roots_bounded(z5, 1, rep)
+    assert instance_gamma(z5).gamma == Fraction(5, 2)
+    assert multiplicativity_check(z5, 2) == Fraction(25, 4)
+    assert roots_bounded(z5, 1, 2)
 
 
 def test_power_experiment_r1_matches_plgen(z9):
-    rep = multiplicativity_check(z9, 1)
-    assert rep.gamma_power == check_plgen(z9, 2).lhs
-    assert roots_bounded(z9, 2, rep)
+    assert multiplicativity_check(z9, 1) == check_plgen(z9, 2).lhs
+    assert roots_bounded(z9, 2, 1)
 
 
 def test_power_experiment_z9(z9):
-    rep = multiplicativity_check(z9, 2)
-    assert rep.gamma_power == Fraction(81, 4)
-    assert rep.equal
+    assert multiplicativity_check(z9, 2) == Fraction(81, 4) == instance_gamma(z9).gamma ** 2
 
 
 def test_power_experiment_bad_r(z5):

@@ -3,13 +3,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from plab import (PlunGraph, UsageError, build_plun_graph,
                   gamma_flow, iterated_sumset, make_abelian_group, make_cayley_group,
                   multiplicativity_check, sumset)
 from plab import magnification
+from plab.magnification import instance_gamma
 
 from cayley_tables import bundled_tables
 from gen import rand_instance
@@ -182,6 +183,7 @@ def test_flow_equals_exhaustive(seed):
 
 
 @given(st.integers(0, 100_000))
+@example(69)  # every image empty: gamma 0, and a union of width 0
 def test_flow_equals_exhaustive_on_arbitrary_adjacency(seed):
     # images that are not translates of one set: unions of a few random
     # blocks, so right vertices fall into many classes of uneven sizes
@@ -240,21 +242,16 @@ def test_gamma_upper_bounds(seed):
 # -- multiplicativity ---------------------------------------------------------------
 
 def test_multiplicativity_z5(z5):
-    rep = multiplicativity_check(z5, 2)
-    assert rep.gamma_base == Fraction(5, 2)
-    assert rep.gamma_power == Fraction(25, 4)
-    assert rep.equal
+    assert instance_gamma(z5).gamma == Fraction(5, 2)
+    assert multiplicativity_check(z5, 2) == Fraction(25, 4)
 
 
 def test_multiplicativity_r1(z5):
-    rep = multiplicativity_check(z5, 1)
-    assert rep.equal and rep.gamma_power == rep.gamma_base
+    assert multiplicativity_check(z5, 1) == instance_gamma(z5).gamma
 
 
 def test_multiplicativity_z9(z9):
-    rep = multiplicativity_check(z9, 2)
-    assert rep.gamma_power == Fraction(81, 4)
-    assert rep.equal
+    assert multiplicativity_check(z9, 2) == Fraction(81, 4) == instance_gamma(z9).gamma ** 2
 
 
 @given(st.integers(0, 100_000), st.sampled_from([2, 3]))
@@ -271,9 +268,8 @@ def test_multiplicativity_matches_an_oracle_power_graph(seed, r):
         x: sum(1 << y for y in naive_sumset(powered, [x], bk_r))
         for x in sorted(naive_power_index_set(group.order, list(inst.a), r))})
     gamma = naive_gamma(group, list(inst.a), bk)
-    rep = multiplicativity_check(inst, r)
-    assert rep.gamma_base == gamma
-    assert rep.gamma_power == gamma_exhaustive(graph).gamma == gamma ** r
+    assert instance_gamma(inst).gamma == gamma
+    assert multiplicativity_check(inst, r) == gamma_exhaustive(graph).gamma == gamma ** r
 
 
 # -- translates that coincide: one class -------------------------------------------
