@@ -143,8 +143,8 @@ def _float_str(x: float) -> str:
 # verify --json result fields and cells its sweep CSV cells (gamma, beta_base,
 # beta_expo_den, detail), and the check's verify text line after its name.
 # opts carries what verify and sweep choose differently: the restricted
-# subsets (s, all_subsets, subset_seed), plgen2's epsilon, samples and seed,
-# and large's mode and value.
+# subsets (s, all_subsets), plgen2's epsilon, samples and seed, and large's
+# mode and value.
 
 def _holds(v: theorems.TheoremVerdict) -> str:
     return "HOLDS" if v.holds else "FAILS"
@@ -172,22 +172,7 @@ def _restricted(inst: Instance, l: int, opts):
                    for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)
         return results, f"{held}/{len(results)} subset checks HOLD"
-    seed = opts.subset_seed
-    if seed is None:
-        return _restricted_on(inst, bk if opts.s is None else opts.s)
-    # the sweep's seeded random S: the draw and its verdict do not depend on
-    # the level, so they are made once per instance, as power's
-    return inst.cached(("restricted", seed), lambda i: _restricted_on(i, _draw(bk, seed)))
-
-
-def _draw(bk: GSet, seed: int) -> GSet:
-    """The sweep's random nonempty S inside B_K, drawn from Random(seed)."""
-    rng = random.Random(seed)
-    members = list(bk)
-    return bk.group.set_of(rng.sample(members, rng.randint(1, len(members))))
-
-
-def _restricted_on(inst: Instance, s: GSet):
+    s = bk if opts.s is None else opts.s
     v = theorems.check_restricted_sum(inst, s)
     return ([(v, {"S": s, "lhs": v.lhs, "rhs": v.rhs},
               ("", "", "", f"s_size={len(s)};lhs={v.lhs};rhs={v.rhs}"))],
@@ -296,8 +281,7 @@ def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance, l
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, l, s = load_instance(args.instance)
-    opts = argparse.Namespace(**vars(args), s=s, subset_seed=None,
-                              samples=theorems.DEFAULT_SAMPLES, seed=0)
+    opts = argparse.Namespace(**vars(args), s=s, samples=theorems.DEFAULT_SAMPLES, seed=0)
     checks = []
     for chunk in args.check or ["plgen"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
@@ -423,6 +407,13 @@ def _levels(cfg: SweepConfig, k: int) -> list[int]:
     return [int(cfg.l_rule)] if int(cfg.l_rule) < k else []
 
 
+def _draw(bk: GSet, seed: int) -> GSet:
+    """The sweep's random nonempty S inside B_K, drawn from Random(seed)."""
+    rng = random.Random(seed)
+    members = list(bk)
+    return bk.group.set_of(rng.sample(members, rng.randint(1, len(members))))
+
+
 def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[list[str]]:
     """CSV rows of instance #index; raises TheoremViolationError with a
     replayable instance dump when a guaranteed check fails."""
@@ -430,10 +421,13 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
     rows = []
     moduli = "x".join(str(n) for n in inst.group.moduli)
     b_sizes = ";".join(str(len(b)) for b in inst.bs)
-    opts = argparse.Namespace(s=None, all_subsets=False,
-                              subset_seed=cfg.seed * (1 << 40) + index * (1 << 8) + 3,
-                              epsilon="0.5", samples=128, seed=cfg.seed * 1009 + index)
-    for l in _levels(cfg, inst.k):
+    levels = _levels(cfg, inst.k)
+    # restricted's S does not depend on the level: drawn once, before any row
+    s = (_draw(inst.bk, cfg.seed * (1 << 40) + index * (1 << 8) + 3)
+         if levels and "restricted" in cfg.checks else None)
+    opts = argparse.Namespace(s=s, all_subsets=False, epsilon="0.5", samples=128,
+                              seed=cfg.seed * 1009 + index)
+    for l in levels:
         for check in cfg.checks:
             start = time.perf_counter()
             [(verdict, fields, (gamma, base, expo, detail))], _ = CHECKS[check][0](inst, l, opts)

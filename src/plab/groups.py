@@ -490,10 +490,12 @@ class Instance:
     The level l that a bound reads is not part of an instance: the checks
     that read one take it as an argument.  memo holds values fixed by
     (A, B_1..B_k) and by their key, filled on first use through cached();
-    it takes no part in equality, hashing or repr.  Every level of one
-    instance reads B_K, its alpha table and gamma from it, and a value that
-    depends on a level names that level in its key, as ("plgen", l) does.
-    A new Instance starts an empty memo.
+    it takes no part in equality, hashing or repr.  A key names what its
+    value depends on besides the sets, and one function fills it: "bk"
+    Instance.bk, "alpha" instance_table, "gamma" instance_gamma,
+    ("power", r) multiplicativity_check, ("plgen", l) check_plgen, "single"
+    check_single_summand and ("restricted", S) check_restricted_sum.  A new
+    Instance starts an empty memo.
     """
 
     __slots__ = ("group", "a", "bs", "memo")

@@ -269,14 +269,15 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
     """For S inside the complete sum B_K:
     |S+A|^k <= |S| * prod over i of |A + B_(K minus i)|, checked in integers.
 
-    Returns the verdict for S.  With every_subset, returns instead a
-    (members of T, verdict) pair for every nonempty subset T of S, in
-    increasing order of T's mask over the sorted members of S; each |T+A|
-    comes from subset_sumsets, so each s+A is translated once.
+    Returns the verdict for S, kept under ("restricted", S), or with
+    every_subset a (members of T, verdict) pair for every nonempty subset T
+    of S, in increasing order of T's mask over the sorted members of S;
+    each |T+A| comes from subset_sumsets, so each s+A is translated once.
     """
     s_prod = _leave_one_out_product(inst, s)
     if not every_subset:
-        return _restricted_verdict(inst.k, len(s), len(sumset(s, inst.a)), s_prod)
+        return inst.cached(("restricted", s), lambda i: _restricted_verdict(
+            i.k, len(s), len(sumset(s, i.a)), s_prod))
     members = list(s)
     return [([e for i, e in enumerate(members) if mask >> i & 1],
              _restricted_verdict(inst.k, mask.bit_count(), union.bit_count(), s_prod))
@@ -341,7 +342,8 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         r_x = len(x)
         sx = len(sumset(s, x)) if r_x < m else sa_size
         add("witness_term_subset", sx, res.lhs, True)  # res.lhs is |X+B_K|
-        add("witness_term_bound", res.lhs, res.bound, False)
+        # large_subset's verdict: a second float test could differ in the last bit
+        steps.append(PipelineStep("witness_term_bound", res.lhs, res.bound, res.holds, False))
         rest = len(sumset(s, inst.a - x)) if r_x < m else 0
         add("complement_term", rest, s_size * (m - r_x), True)
         add("split", sa_size, sx + rest, True)

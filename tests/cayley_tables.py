@@ -7,11 +7,20 @@ every bundled table.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 
 def cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def product_table(moduli: list[int]) -> list[list[int]]:
+    """Z_n1 x ... x Z_nd, indexed as plab.make_abelian_group(moduli) indexes
+    it: mixed-radix digits, last modulus lowest."""
+    digits = list(product(*map(range, moduli)))  # the last digit turns fastest
+    index = {d: i for i, d in enumerate(digits)}
+    return [[index[tuple((x + y) % n for x, y, n in zip(dx, dy, moduli))] for dy in digits]
+            for dx in digits]
 
 
 def dihedral_table(n: int) -> list[list[int]]:

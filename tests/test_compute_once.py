@@ -1,11 +1,11 @@
 """Values are computed once per instance and key.
 
-B_K, the alpha table, gamma, pldiff's verdict and the sweep's restricted
-S and verdict depend on (A, B_1..B_k) only; plgen's verdict depends on
-the level too and is kept under ("plgen", l), and gamma of the r-th
-direct power under ("power", r).  A level
-is an argument of the checks, so every level of one instance reads them
-from that instance's memo.
+B_K, the alpha table, gamma and pldiff's verdict depend on (A, B_1..B_k)
+only; plgen's verdict depends on the level too and is kept under
+("plgen", l), gamma of the r-th direct power under ("power", r), and the
+restricted verdict of a set S under ("restricted", S).  A level is an
+argument of the checks, so every level of one instance reads them from
+that instance's memo; the sweep draws its restricted S once per instance.
 """
 
 import random
@@ -93,16 +93,16 @@ def test_sweep_levels_reuse_the_verdicts_that_do_not_depend_on_the_level(monkeyp
         "checks": ["plgen", "pldiff", "restricted", "power"]})
     counts = Counter()
     for module, name in ((theorems, "beta_value"), (theorems, "cmp_ratio_vs_beta"),
-                         (theorems, "check_restricted_sum"), (cli, "_draw")):
+                         (theorems, "_restricted_verdict"), (cli, "_draw")):
         counting(monkeypatch, module, name, counts)
     rows = [row.split(",") for row in run_sweep(cfg).splitlines()[1:]]
     assert [(row[3], row[6]) for row in rows] == [
         (str(level), check) for level in (1, 2, 3)
         for check in ("plgen", "pldiff", "restricted", "power")]
     # plgen compares once per level, and pldiff reads plgen's level 1; the
-    # restricted S is drawn and checked once for all three levels
+    # restricted S is drawn and decided once for all three levels
     assert counts == Counter({"beta_value": 3, "cmp_ratio_vs_beta": 3,
-                              "check_restricted_sum": 1, "_draw": 1})
+                              "_restricted_verdict": 1, "_draw": 1})
     assert len({row[-1] for row in rows if row[6] == "restricted"}) == 1
 
 
@@ -112,6 +112,16 @@ def test_a_second_power_check_runs_no_flow(z9, calls):
     assert first[("gamma_flow", z9.group.order ** 2)] == 1
     assert magnification.multiplicativity_check(z9, 2) == squared
     assert calls == first
+
+
+def test_a_second_restricted_check_builds_no_sumset(z5, monkeypatch):
+    s = z5.group.set_of([0, 3])
+    verdict = check_restricted_sum(z5, s)
+    counts = Counter()
+    counting(monkeypatch, theorems, "sumset", counts)
+    assert check_restricted_sum(z5, s) == verdict
+    assert counts == Counter()
+    assert z5.memo[("restricted", s)] == verdict
 
 
 def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):
