@@ -26,7 +26,6 @@ import re
 import sys
 import time
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from functools import cache, partial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -185,37 +184,25 @@ def _power(inst: Instance, l: int, opts):
     return [(v, {}, (str(gamma), "", "", f"r=2;gamma_r={squared}"))], None
 
 
-def _epsilon(text: str) -> Fraction:
-    """--epsilon exactly as typed, a decimal strictly between 0 and 1."""
+def _decimal(text: str, flag: str) -> Decimal:
+    """A flag's number exactly as typed: a finite decimal with at most
+    DECIMAL_MAX_DIGITS digits on either side of the point, so that its
+    Fraction stays small (1e-999999999 would need a billion digits).  The
+    check that reads the number checks its range."""
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise UsageError(f"epsilon must be a decimal number, got {text}") from None
-    if not (value.is_finite() and 0 < value < 1):
-        raise UsageError(f"epsilon must lie strictly between 0 and 1, got {text}")
-    if value.as_tuple().exponent < -DECIMAL_MAX_DIGITS:
-        raise UsageError(f"epsilon must have at most {DECIMAL_MAX_DIGITS} digits "
-                         f"after the decimal point, got {text}")
-    return Fraction(value)
-
-
-def _value(text: str) -> Decimal:
-    """--value exactly as typed, a finite decimal with at most
-    DECIMAL_MAX_DIGITS digits on either side of the point."""
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise UsageError(f"value must be a decimal number, got {text}") from None
+        raise UsageError(f"{flag} must be a decimal number, got {text}") from None
     if not value.is_finite():
-        raise UsageError(f"value must be finite, got {text}")
+        raise UsageError(f"{flag} must be finite, got {text}")
     if value.as_tuple().exponent < -DECIMAL_MAX_DIGITS or value.adjusted() >= DECIMAL_MAX_DIGITS:
-        raise UsageError(f"value must have at most {DECIMAL_MAX_DIGITS} digits before and "
+        raise UsageError(f"{flag} must have at most {DECIMAL_MAX_DIGITS} digits before and "
                          f"after the decimal point, got {text}")
     return value
 
 
 def _plgen2(inst: Instance, l: int, opts):
-    emp = theorems.empirical_plgen2(inst, l, _epsilon(opts.epsilon),
+    emp = theorems.empirical_plgen2(inst, l, _decimal(opts.epsilon, "epsilon"),
                                     samples=opts.samples, seed=opts.seed)
     v = theorems.TheoremVerdict(holds=True, lhs=emp.ratio, rhs=emp.beta, witness=emp.x)
     c_emp, argmax_j = _float_str(emp.c_emp), sorted(emp.argmax_j)
@@ -227,8 +214,8 @@ def _plgen2(inst: Instance, l: int, opts):
 
 
 def _large(inst: Instance, l: int, opts):
-    value = _value(opts.value)
-    res = theorems.large_subset(inst, l, opts.mode, value)  # an error echoes value as typed
+    value = _decimal(opts.value, "value")
+    res = theorems.large_subset(inst, l, opts.mode, value)
     # a value that a float holds exactly is shown as that float, so reports stay byte-stable
     shown = float(value) if Decimal(float(value)) == value else str(value)
     v = theorems.TheoremVerdict(holds=res.holds, lhs=res.lhs, rhs=res.bound, witness=res.x)
@@ -251,9 +238,11 @@ def _noncomm(inst: Instance, l: int, opts):
 
 
 # name -> (run, offered by verify, offered by sweep, proved).  The paper
-# proves a check for commutative groups only: verify refuses it on a
-# noncommutative one, and its failure is a violation.  The lambdas read
-# theorems.check_* at each call, so a tracer or test that replaces one sees it.
+# proves a check for commutative groups only: every command refuses it on a
+# noncommutative one (_require_commutative; sweep draws cyclic groups only),
+# and its failure is a violation.
+# The lambdas read theorems.check_* at each call, so a tracer or test that
+# replaces one sees it.
 CHECKS = {
     "plgen": (_bound(lambda inst, l: theorems.check_plgen(inst, l)), True, True, True),
     "pldiff": (_bound(lambda inst, l: theorems.check_pldiff(inst)), True, True, True),
@@ -266,6 +255,12 @@ CHECKS = {
 }
 VERIFY_CHECKS = tuple(name for name, (_, verify, _, _) in CHECKS.items() if verify)
 SWEEP_CHECKS = tuple(name for name, (_, _, sweep, _) in CHECKS.items() if sweep)
+
+
+def _require_commutative(check: str, inst: Instance) -> None:
+    """Refuse a proved check on a noncommutative group."""
+    if CHECKS[check][3] and not inst.group.is_abelian:
+        raise UsageError(f"check {check!r} requires a commutative group")
 
 
 def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance, l: int,
@@ -291,10 +286,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check in checks:
         if check not in VERIFY_CHECKS:
             raise UsageError(f"unknown check {check!r}; valid: {', '.join(VERIFY_CHECKS)}")
-        run, _, _, proved = CHECKS[check]
-        if proved and not inst.group.is_abelian:
-            raise UsageError(f"check {check!r} requires a commutative group")
-        runs.append((check, *run(inst, l, opts)))
+        _require_commutative(check, inst)
+        runs.append((check, *CHECKS[check][0](inst, l, opts)))
     results = [{"check": check, "holds": v.holds, **fields}
                for check, batch, _ in runs for v, fields, _ in batch]
     if args.json:
@@ -512,6 +505,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
         return 0
     if args.what == "power":
+        _require_commutative("power", inst)
         beta, gamma = theorems.check_plgen(inst, l).rhs, instance_gamma(inst).gamma
         powers = {r: multiplicativity_check(inst, r) for r in range(1, args.r + 1)}
         for r, gamma_r in powers.items():
@@ -522,6 +516,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         all_equal = all(gamma_r == gamma ** r for r, gamma_r in powers.items())
         print(f"all powers exact: {'yes' if all_equal else 'NO'}")
         return 0 if all_equal else 1
+    _require_commutative("restricted", inst)  # the pipeline walks restricted's proof
     subset = s if s is not None else inst.bk
     rep = theorems.restricted_pipeline(inst, subset, args.r)
     print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "

@@ -2,10 +2,11 @@
 
 Each check returns its verdict and leaves its consequences to the caller:
 which checks the paper proves, and so which failures are violations and
-which are findings, is recorded once, in ``cli.CHECKS``.  A check whose
-bound reads a level l takes it as an argument.  Verdicts are exact, except
-the float bounds of ``large_subset`` and the restricted proof chain, which
-are checked at a fixed relative tolerance.
+which are findings, is recorded once, in ``cli.CHECKS``, through which
+every command refuses a proved check on a noncommutative group.  A check
+whose bound reads a level l takes it as an argument.  Verdicts are exact,
+except the float bounds of ``large_subset`` and the restricted proof chain,
+which are checked at a fixed relative tolerance.
 """
 
 from __future__ import annotations
@@ -274,10 +275,12 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
     of S, in increasing order of T's mask over the sorted members of S;
     each |T+A| comes from subset_sumsets, so each s+A is translated once.
     """
-    s_prod = _leave_one_out_product(inst, s)
     if not every_subset:
-        return inst.cached(("restricted", s), lambda i: _restricted_verdict(
-            i.k, len(s), len(sumset(s, i.a)), s_prod))
+        def verdict(i: Instance) -> TheoremVerdict:
+            s_prod = _leave_one_out_product(i, s)  # a bad S raises and is not stored
+            return _restricted_verdict(i.k, len(s), len(sumset(s, i.a)), s_prod)
+        return inst.cached(("restricted", s), verdict)
+    s_prod = _leave_one_out_product(inst, s)
     members = list(s)
     return [([e for i, e in enumerate(members) if mask >> i & 1],
              _restricted_verdict(inst.k, mask.bit_count(), union.bit_count(), s_prod))
@@ -315,18 +318,16 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     """Walk the proof chain of the restricted-sum bound on a concrete
     instance: branch on |S| against the threshold, evaluate every
     intermediate inequality, and confirm the tensor-power identity
-    |S^r + A^r| = |S+A|^r for r up to r_max."""
-    if not inst.group.is_abelian:  # the chain is proved for commutative groups only
-        raise UsageError("check 'restricted' requires a commutative group")
+    |S^r + A^r| = |S+A|^r for r up to r_max.  The chain is proved for
+    commutative groups; on another group a step may fail."""
     s_prod = _leave_one_out_product(inst, s)
     k, m = inst.k, len(inst.a)
     s_size, sa_size = len(s), len(sumset(s, inst.a))
     steps: list[PipelineStep] = []
 
     def add(name: str, lhs: float, rhs: float, exact: bool) -> None:
-        tol = 0 if exact else rhs * REL_TOL
-        steps.append(PipelineStep(name=name, lhs=lhs, rhs=rhs,
-                                  holds=lhs <= rhs + tol, exact=exact))
+        holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
+        steps.append(PipelineStep(name=name, lhs=lhs, rhs=rhs, holds=holds, exact=exact))
 
     # exact branch test: |S|^(k-1) <= s_prod / m^k
     small_branch = s_size ** (k - 1) * m ** k <= s_prod

@@ -295,14 +295,16 @@ _MISSING_DIR = FIXTURES / "no-such-directory"
      "error: noncomm check needs exactly two summand sets\n"),
     ("z5.json", ["--check", "plgen,plgen2", "--epsilon", "2"],
      "error: epsilon must lie strictly between 0 and 1, got 2\n"),
+    ("z5.json", ["--check", "plgen,plgen2", "--epsilon", "nan"],
+     "error: epsilon must be finite, got nan\n"),
     ("z5.json", ["--check", "plgen,large", "--value", "nan"],
      "error: value must be finite, got nan\n"),
     (_BIG_BK, ["--check", "plgen,restricted", "--all-subsets"],
      "error: --all-subsets needs |B_K| <= 12, got 16\n"),
     ("z5.json", ["--check", "plgen", "--json", str(_MISSING_DIR / "r.json")],
      f"error: [Errno 2] No such file or directory: '{_MISSING_DIR / 'r.json'}'\n")],
-    ids=["noncomm-needs-k-2", "plgen2-bad-epsilon", "large-bad-value", "all-subsets-too-big",
-         "json-path-unwritable"])
+    ids=["noncomm-needs-k-2", "plgen2-bad-epsilon", "plgen2-epsilon-nan", "large-bad-value",
+         "all-subsets-too-big", "json-path-unwritable"])
 def test_verify_usage_error_of_a_later_check_prints_no_verdict(tmp_path, capsys, instance,
                                                                 flags, err):
     # each error comes after plgen, which would hold: from a second check,
@@ -458,9 +460,10 @@ def test_demo_power(capsys):
 
 
 def test_demo_power_on_cayley_group_prints_nothing(capsys):
-    assert main(["demo", "power", str(FIXTURES / "s3.json")]) == 2
-    assert capsys.readouterr() == (
-        "", "error: direct powers are only supported for abelian product groups\n")
+    # power is proved for commutative groups only, at r = 1 as at r >= 2
+    for r in ("1", "2"):
+        assert main(["demo", "power", str(FIXTURES / "s3.json"), "-r", r]) == 2
+        assert capsys.readouterr() == ("", "error: check 'power' requires a commutative group\n")
 
 
 def test_demo_pipeline_complete_sum(capsys):

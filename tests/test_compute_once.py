@@ -22,7 +22,7 @@ import plab.cli as cli
 import plab.groups as groups
 import plab.magnification as magnification
 import plab.theorems as theorems
-from plab import (Instance, check_pldiff, check_plgen, check_restricted_sum,
+from plab import (Instance, UsageError, check_pldiff, check_plgen, check_restricted_sum,
                   check_single_summand, empirical_plgen2, large_subset)
 from plab.cli import generate_base, load_instance, main, run_sweep, sweep_config_from_dict
 
@@ -122,6 +122,24 @@ def test_a_second_restricted_check_builds_no_sumset(z5, monkeypatch):
     assert check_restricted_sum(z5, s) == verdict
     assert counts == Counter()
     assert z5.memo[("restricted", s)] == verdict
+
+
+def test_a_second_restricted_check_validates_nothing(z5, monkeypatch):
+    # the memo answers before S is checked against B_K again
+    s = z5.group.set_of([0, 3])
+    verdict = check_restricted_sum(z5, s)
+    counts = Counter()
+    counting(monkeypatch, theorems, "_leave_one_out_product", counts)
+    assert check_restricted_sum(z5, s) == verdict
+    assert counts == Counter()
+
+
+def test_a_rejected_restricted_s_is_not_kept(z5):
+    s = z5.group.set_of([0, 4])  # 4 lies outside B_K = {0, 1, 2, 3}
+    for _ in range(2):
+        with pytest.raises(UsageError, match="^S must be a subset of the complete sum B_K$"):
+            check_restricted_sum(z5, s)
+    assert ("restricted", s) not in z5.memo
 
 
 def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):
