@@ -5,7 +5,7 @@ from .alphabeta import (EQ, GT, LT, AlphaTable, BetaValue, alpha_table, beta_val
 from .errors import (CertificateError, PlabError, ResourceError,
                      TheoremViolationError, UsageError, ValidationError)
 from .groups import (GSet, Group, Instance, direct_powers, element_cap,
-                     embed_integer_sets, iterated_sumset, make_abelian_group,
+                     integer_group, iterated_sumset, make_abelian_group,
                      make_cayley_group, sumset)
 from .magnification import (MagResult, PlunGraph, build_plun_graph,
                             gamma_flow, multiplicativity_check)
@@ -25,9 +25,8 @@ __all__ = [
     "admissible_q", "alpha_table", "beta_value",
     "build_extension", "build_plun_graph", "check_noncommutative", "check_pldiff",
     "check_plgen", "check_restricted_sum", "check_single_summand",
-    "cmp_ratio_vs_beta", "direct_powers", "element_cap", "embed_integer_sets",
-    "empirical_plgen2", "gamma_flow",
-    "iterated_sumset", "large_subset", "lemma21_demo", "make_abelian_group",
-    "make_cayley_group", "multiplicativity_check",
+    "cmp_ratio_vs_beta", "direct_powers", "element_cap", "empirical_plgen2",
+    "gamma_flow", "integer_group", "iterated_sumset", "large_subset", "lemma21_demo",
+    "make_abelian_group", "make_cayley_group", "multiplicativity_check",
     "restricted_pipeline", "sumset",
 ]

@@ -33,12 +33,11 @@ from . import constructions, theorems
 from .alphabeta import log_fraction, require_level
 from .errors import (ExitOneError, ResourceError, TheoremViolationError, UsageError,
                      ValidationError)
-from .groups import GSet, Instance, embed_integer_sets, make_abelian_group, make_cayley_group
+from .groups import GSet, Instance, integer_group, make_abelian_group, make_cayley_group
 from .magnification import instance_gamma, multiplicativity_check
 
 CSV_COLUMNS = ("index", "group", "k", "l", "m", "b_sizes", "check",
                "gamma", "beta_base", "beta_expo_den", "holds", "detail")
-ALL_SUBSETS_MAX = 12
 DECIMAL_MAX_DIGITS = 30
 
 
@@ -84,19 +83,13 @@ def parse_instance(data: dict) -> tuple[Instance, int, GSet | None]:
         if "group" in data:
             raise UsageError('instance file has both "cayley" and "group"; give only one')
         group = make_cayley_group(table)
-        a = group.set_of(a_elems)
-        bs = [group.set_of(b) for b in b_lists]
+    elif data.get("group") == "integers":
+        group = integer_group(a_elems, b_lists)
+    elif isinstance(data.get("group"), list):
+        group = make_abelian_group(_ints(data["group"], '"group"'))
     else:
-        spec = data.get("group")
-        if spec == "integers":
-            group, a, bs = embed_integer_sets(a_elems, b_lists)
-        elif isinstance(spec, list):
-            group = make_abelian_group(_ints(spec, '"group"'))
-            a = group.set_of(a_elems)
-            bs = [group.set_of(b) for b in b_lists]
-        else:
-            raise UsageError('"group" must be a moduli list or "integers"')
-    inst = Instance(group, a, bs)
+        raise UsageError('"group" must be a moduli list or "integers"')
+    inst = Instance(group, group.set_of(a_elems), [group.set_of(b) for b in b_lists])
     require_level(inst.k, level)
     s = group.set_of(_ints(data["S"], '"S"')) if "S" in data else None
     return inst, level, s
@@ -165,8 +158,6 @@ def _bound(check):
 def _restricted(inst: Instance, l: int, opts):
     bk = inst.bk
     if opts.all_subsets:
-        if len(bk) > ALL_SUBSETS_MAX:
-            raise UsageError(f"--all-subsets needs |B_K| <= {ALL_SUBSETS_MAX}, got {len(bk)}")
         results = [(v, {"S": members, "lhs": v.lhs, "rhs": v.rhs}, None)
                    for members, v in theorems.check_restricted_sum(inst, bk, every_subset=True)]
         held = sum(1 for v, _, _ in results if v.holds)

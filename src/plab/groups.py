@@ -4,6 +4,8 @@ Abelian groups are products of cyclic groups Z_{n_1} x ... x Z_{n_d} with
 mixed-radix element indexing, so index 0 is the identity.  Arbitrary small
 groups (order <= 64) can instead be described by an explicit
 multiplication table, validated for the group axioms at construction.
+Plain nonnegative-integer sets live in integer_group's Z_N, where no sum
+wraps; the sets of every group are built by Group.set_of.
 
 A GSet is an immutable subset of one group, stored as a bitset in a single
 Python int (bit i set <=> element i is a member).  The sumset S*T is the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import os
 import struct
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, count, islice
 from math import prod
 from operator import itemgetter, lt, or_
@@ -53,8 +55,11 @@ WORD_WALK_MIN_MEMBERS = 16
 T = TypeVar("T")
 
 
+@cache
 def element_cap() -> int:
-    """Per-group element budget (default 2**26); PLAB_MEM_CAP overrides."""
+    """Per-group element budget (default 2**26); PLAB_MEM_CAP overrides.  It
+    is read once per process, at first use; a bad value raises on every call,
+    since a call that raises is not cached."""
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ELEMENT_CAP
@@ -266,15 +271,15 @@ class GSet:
         return hash((self.group, self.bits))
 
     def __or__(self, other: "GSet") -> "GSet":
-        _require_same_group(self, other)
+        require_same_group(self, other)
         return GSet(self.group, self.bits | other.bits)
 
     def __sub__(self, other: "GSet") -> "GSet":
-        _require_same_group(self, other)
+        require_same_group(self, other)
         return GSet(self.group, self.bits & ~other.bits)
 
     def issubset(self, other: "GSet") -> bool:
-        _require_same_group(self, other)
+        require_same_group(self, other)
         return self.bits & ~other.bits == 0
 
     def __repr__(self) -> str:
@@ -309,7 +314,8 @@ def walk_bits(bits: int, card: int) -> Iterator[int]:
         bits ^= lsb
 
 
-def _require_same_group(s: GSet, t: GSet) -> None:
+def require_same_group(s: GSet, t: GSet) -> None:
+    """The one refusal of two sets from different groups."""
     if s.group is not t.group and s.group != t.group:
         raise UsageError("set operands belong to different groups")
 
@@ -406,23 +412,14 @@ def _generators(rows: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
     return gens
 
 
-def embed_integer_sets(a: Iterable[int],
-                       bs: Sequence[Iterable[int]]) -> tuple[Group, GSet, list[GSet]]:
-    """Map nonnegative-integer sets into Z_N so that no sum ever wraps.
-
-    N = 1 + max(A) + sum_i max(B_i) strictly exceeds the largest reachable
-    sum, so every iterated-sumset cardinality over the images equals the
-    plain integer-set result.
-    """
-    a_elems = sorted(set(int(x) for x in a))
-    b_elems = [sorted(set(int(x) for x in b)) for b in bs]
-    if not a_elems or any(not b for b in b_elems):
-        raise UsageError("all sets must be nonempty")
-    if a_elems[0] < 0 or any(b[0] < 0 for b in b_elems):
+def integer_group(a: Sequence[int], bs: Sequence[Sequence[int]]) -> Group:
+    """Z_N into which set_of maps nonnegative-integer sets A, B_1..B_k so
+    that no sum wraps: N = 1 + max(A) + sum_i max(B_i), an empty set counting
+    0, exceeds every reachable sum, so every iterated-sumset cardinality over
+    the images equals the plain integer-set result."""
+    if any(x < 0 for x in a) or any(x < 0 for b in bs for x in b):
         raise UsageError("integer elements must be nonnegative; translate first")
-    n = 1 + a_elems[-1] + sum(b[-1] for b in b_elems)
-    group = make_abelian_group([n])
-    return group, group.set_of(a_elems), [group.set_of(b) for b in b_elems]
+    return make_abelian_group([1 + max(a, default=0) + sum(max(b, default=0) for b in bs)])
 
 
 # -- sumsets ------------------------------------------------------------------
@@ -430,7 +427,7 @@ def embed_integer_sets(a: Iterable[int],
 def sumset(s: GSet, t: GSet) -> GSet:
     """{x * y : x in S, y in T}, the union of the left translates x * T;
     operand order matters in noncommutative groups."""
-    _require_same_group(s, t)
+    require_same_group(s, t)
     g = s.group
     if g.is_abelian and len(s) > len(t):
         s, t = t, s
@@ -456,7 +453,7 @@ def subset_sumsets(ground: GSet, bases: Sequence[GSet],
     """
     group = ground.group
     for t in bases:
-        _require_same_group(ground, t)
+        require_same_group(ground, t)
     steps = [tuple(group.translate_bits(t.bits, x) for t in bases) for x in ground]
     # frame: mask, size and unions of a path node, then the next member
     # index to add below its smallest and the end of that range
@@ -561,7 +558,7 @@ def direct_powers(sets: Sequence[GSet], r: int) -> tuple[GSet, ...]:
     e_1*|G|^(r-1) + ... + e_r."""
     group = sets[0].group
     for s in sets:
-        _require_same_group(sets[0], s)
+        require_same_group(sets[0], s)
     if group.table is not None:
         raise UsageError("direct powers are only supported for abelian product groups")
     if r < 1:

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 from .certificate import check_certificate
 from .errors import UsageError
-from .groups import GSet, Group, Instance, check_budget, direct_powers, element_cap, sumset
+from .groups import (GSet, Group, Instance, check_budget, direct_powers, element_cap,
+                     require_same_group, sumset)
 
 class PlunGraph(NamedTuple):
     """Left vertices x, each joined to its image, the bitset adj_bits[x]: a+B_K
@@ -64,8 +65,7 @@ def build_plun_graph(a: GSet, bk: GSet, *, left: GSet | None = None) -> PlunGrap
     """The graph x -> x*B_K over x in A, or x -> L*x*B_K given left=L."""
     if not a or not bk:
         raise UsageError("both A and B_K must be nonempty")
-    if a.group != bk.group:
-        raise UsageError("A and B_K must live in the same group")
+    require_same_group(a, bk)
     g = a.group
     check_budget(len(a) * ((g.order + 63) // 64),
                  f"64-bit words of graph images ({len(a)} x {g.order} bits)")

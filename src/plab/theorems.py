@@ -4,9 +4,11 @@ Each check returns its verdict and leaves its consequences to the caller:
 which checks the paper proves, and so which failures are violations and
 which are findings, is recorded once, in ``cli.CHECKS``, through which
 every command refuses a proved check on a noncommutative group.  A check
-whose bound reads a level l takes it as an argument.  Verdicts are exact,
-except the float bounds of ``large_subset`` and the restricted proof chain,
-which are checked at a fixed relative tolerance.
+whose bound reads a level l takes it as an argument, and each check refuses
+the inputs it cannot take for every caller, such as more than
+EVERY_SUBSET_MAX members of an every-subset S.  Verdicts are exact, except
+the float bounds of ``large_subset`` and the restricted proof chain, which
+are checked at a fixed relative tolerance.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .magnification import build_plun_graph, gamma_flow, instance_gamma
 
 REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
+EVERY_SUBSET_MAX = 12  # |S| for check_restricted_sum's 2^|S| - 1 subset verdicts
 
 
 class TheoremVerdict(NamedTuple):
@@ -274,12 +277,17 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
     every_subset a (members of T, verdict) pair for every nonempty subset T
     of S, in increasing order of T's mask over the sorted members of S;
     each |T+A| comes from subset_sumsets, so each s+A is translated once.
+    Time and list double with each member: every_subset refuses an S of
+    more than EVERY_SUBSET_MAX members before it walks any subset.
     """
     if not every_subset:
         def verdict(i: Instance) -> TheoremVerdict:
             s_prod = _leave_one_out_product(i, s)  # a bad S raises and is not stored
             return _restricted_verdict(i.k, len(s), len(sumset(s, i.a)), s_prod)
         return inst.cached(("restricted", s), verdict)
+    if len(s) > EVERY_SUBSET_MAX:
+        raise UsageError(f"checking every subset of S needs |S| <= {EVERY_SUBSET_MAX}, "
+                         f"got {len(s)}")
     s_prod = _leave_one_out_product(inst, s)
     members = list(s)
     return [([e for i, e in enumerate(members) if mask >> i & 1],

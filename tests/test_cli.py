@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plab import cli
+from plab import cli, element_cap
 from plab.alphabeta import alpha_table, beta_value
 from plab.cli import (VERIFY_CHECKS, SweepConfig, _raise_if_violated, build_parser,
                       generate_base, load_sweep_config, main, parse_instance, run_sweep,
@@ -58,6 +58,18 @@ def test_parse_rejects_bad_shapes():
         parse_instance({"group": 7, "A": [0], "B": [[0], [0]], "l": 1})
     with pytest.raises(UsageError):
         parse_instance({"group": [5], "A": [0], "B": "nope", "l": 1})
+
+
+@pytest.mark.parametrize("spec", [[5], "integers"], ids=["moduli", "integers"])
+@pytest.mark.parametrize("a, bs, err", [
+    ([], [[0, 1], [0, 2]], "base set A must be nonempty"),
+    ([0, 1], [[0, 1], []], "every summand set must be nonempty"),
+], ids=["empty-A", "empty-B_2"])
+def test_empty_sets_are_refused_alike_under_every_group_spec(tmp_path, capsys, spec, a, bs, err):
+    # an "integers" file builds its sets like any other, so Instance refuses them
+    path = write_json(tmp_path, "inst.json", {"group": spec, "A": a, "B": bs, "l": 1})
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("command, patch", [
@@ -285,7 +297,7 @@ def test_verify_failed_noncomm_is_a_finding(tmp_path, monkeypatch, capsys):
     assert [r["notes"] for r in report["checks"]] == [note]
 
 
-# |B_K| = 16, above the --all-subsets limit of 12
+# |B_K| = 16, above the 12 members whose every subset the restricted check walks
 _BIG_BK = {"group": [64], "A": [0, 1], "B": [[0, 1, 2, 3], [0, 4, 8, 12]], "l": 1}
 _MISSING_DIR = FIXTURES / "no-such-directory"
 
@@ -299,12 +311,17 @@ _MISSING_DIR = FIXTURES / "no-such-directory"
      "error: epsilon must be finite, got nan\n"),
     ("z5.json", ["--check", "plgen,large", "--value", "nan"],
      "error: value must be finite, got nan\n"),
+    ("z5.json", ["--check", "plgen,plgen2", "--epsilon", "abc"],
+     "error: epsilon must be a decimal number, got abc\n"),
+    ("z5.json", ["--check", "plgen,large", "--value", "1/2"],
+     "error: value must be a decimal number, got 1/2\n"),
     (_BIG_BK, ["--check", "plgen,restricted", "--all-subsets"],
-     "error: --all-subsets needs |B_K| <= 12, got 16\n"),
+     "error: checking every subset of S needs |S| <= 12, got 16\n"),
     ("z5.json", ["--check", "plgen", "--json", str(_MISSING_DIR / "r.json")],
      f"error: [Errno 2] No such file or directory: '{_MISSING_DIR / 'r.json'}'\n")],
     ids=["noncomm-needs-k-2", "plgen2-bad-epsilon", "plgen2-epsilon-nan", "large-bad-value",
-         "all-subsets-too-big", "json-path-unwritable"])
+         "plgen2-epsilon-not-decimal", "large-value-not-decimal", "all-subsets-too-big",
+         "json-path-unwritable"])
 def test_verify_usage_error_of_a_later_check_prints_no_verdict(tmp_path, capsys, instance,
                                                                 flags, err):
     # each error comes after plgen, which would hold: from a second check,
@@ -313,6 +330,13 @@ def test_verify_usage_error_of_a_later_check_prints_no_verdict(tmp_path, capsys,
             else write_json(tmp_path, "inst.json", instance))
     assert main(["verify", path, *flags]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_cap_below_1_is_refused(set_cap, capsys, cap):
+    set_cap(cap)
+    assert main(["verify", str(FIXTURES / "z5.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: PLAB_MEM_CAP must be positive, got {cap}\n")
 
 
 def test_main_calls_in_one_process_share_no_state(tmp_path, capsys):
@@ -497,10 +521,10 @@ def test_demo_lemma21_needs_an_abelian_product_group(capsys):
 
 
 @pytest.mark.parametrize("what", ["power", "pipeline"])
-def test_demo_powers_of_a_one_element_group_are_budgeted(tmp_path, monkeypatch, capsys, what):
+def test_demo_powers_of_a_one_element_group_are_budgeted(tmp_path, set_cap, capsys, what):
     # the powers of Z_1 never outgrow the element cap, so r itself is capped
     # at the cap's bit length, 27 at the default 2**26
-    monkeypatch.delenv("PLAB_MEM_CAP", raising=False)
+    set_cap(None)
     path = write_json(tmp_path, "z1.json", {"group": [1], "A": [0], "B": [[0], [0]], "l": 1})
     assert main(["demo", what, path, "-r", "27"]) == 0
     capsys.readouterr()
@@ -528,11 +552,11 @@ def _line_instance(order, m):
     ("1", json.loads((FIXTURES / "s3.json").read_text()), ["verify", "FILE", "--check", "noncomm"],
      "2 64-bit words of graph images (2 x 6 bits) exceed the element cap 1"),
 ], ids=["plgen-over", "plgen-at-cap", "power-square-over", "noncomm-over"])
-def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys, cap, data,
+def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, set_cap, capsys, cap, data,
                                                       argv, err):
     # a graph holds |A| images of ceil(|G|/64) words each; the square of Z_64
     # has 4,096 elements, inside the cap, but its 100 images take 6,400 words
-    monkeypatch.setenv("PLAB_MEM_CAP", cap)
+    set_cap(cap)
     path = write_json(tmp_path, "inst.json", data)
     code = main([path if arg == "FILE" else arg for arg in argv])
     if err is None:
@@ -542,30 +566,30 @@ def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, cap
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
-def test_flow_network_edges_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys):
+def test_flow_network_edges_are_budgeted_by_the_element_cap(tmp_path, set_cap, capsys):
     # 32 images of one word each fit a cap of 64, but each image meets 8 of
     # the 32 two-element classes: 256 middle edges
     path = write_json(tmp_path, "inst.json", {"group": [64], "A": list(range(0, 64, 2)),
                                               "B": [[0, 1, 2, 3], [0, 4, 8, 12]], "l": 1})
-    monkeypatch.setenv("PLAB_MEM_CAP", "64")
+    set_cap("64")
     assert main(["verify", path, "--check", "plgen"]) == 2
     assert capsys.readouterr() == (
         "", "error: 256 middle edges of the flow network exceed the element cap 64\n")
-    monkeypatch.setenv("PLAB_MEM_CAP", "256")
+    set_cap("256")
     assert main(["verify", path, "--check", "plgen"]) == 0
 
 
-def test_flow_network_classes_are_budgeted_by_the_element_cap(tmp_path, monkeypatch, capsys):
+def test_flow_network_classes_are_budgeted_by_the_element_cap(tmp_path, set_cap, capsys):
     # the 64 images a + {0..3} of the plgen-at-cap instance meet in 67
     # classes; at the top of Z_4096 each class is an int of up to 4096 bits,
     # 64 words, and the 65th class passes the cap of 4096 words
     top = {"group": [4096], "A": list(range(4029, 4093)), "B": [[0, 1], [0, 2]], "l": 1}
     path = write_json(tmp_path, "inst.json", top)
-    monkeypatch.setenv("PLAB_MEM_CAP", "4096")
+    set_cap("4096")
     assert main(["verify", path, "--check", "plgen"]) == 2
     assert capsys.readouterr() == (
         "", "error: 4160 64-bit words of class bitsets exceed the element cap 4096\n")
-    monkeypatch.setenv("PLAB_MEM_CAP", str(67 * 64))
+    set_cap(str(67 * 64))
     assert main(["verify", path, "--check", "plgen"]) == 0
 
 
@@ -598,6 +622,15 @@ BASE_CFG = {
     "set_size_range": [1, 6],
     "checks": ["plgen", "pldiff", "restricted"],
 }
+
+
+def test_a_sweep_reads_the_cap_from_the_environment_once(tmp_path, set_cap):
+    # every group, graph and flow network is held to the cap, and the first
+    # call reads PLAB_MEM_CAP for all of them
+    set_cap(None)
+    run_sweep(load_sweep_config(write_json(tmp_path, "cfg.json", BASE_CFG)))
+    info = element_cap.cache_info()
+    assert info.misses == 1 and info.hits > 0
 
 
 def test_sweep_deterministic_bytes(tmp_path):

@@ -26,8 +26,8 @@ def test_admissible_q_integer_alphas():
     assert admissible_q(alpha_table(inst), g.order)[:3] == [1, 2, 3]
 
 
-def test_admissible_q_cap_exceeded(z9, monkeypatch):
-    monkeypatch.setenv("PLAB_MEM_CAP", "100")
+def test_admissible_q_cap_exceeded(z9, set_cap):
+    set_cap("100")
     with pytest.raises(ResourceError):
         admissible_q(alpha_table(z9), z9.group.order)
 

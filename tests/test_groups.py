@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plab import (GSet, Instance, ResourceError, UsageError, ValidationError,
-                  direct_powers, element_cap, embed_integer_sets, iterated_sumset,
+                  direct_powers, element_cap, integer_group, iterated_sumset,
                   make_abelian_group, make_cayley_group, sumset)
 from plab import check_plgen, groups
 from plab.alphabeta import require_level
@@ -60,51 +60,53 @@ def test_power_group_order():
     assert direct_powers((g.set_of([0]),), 2)[0].group.order == 25
 
 
-def test_make_abelian_group_errors(monkeypatch):
+def test_make_abelian_group_errors(set_cap):
     with pytest.raises(UsageError):
         make_abelian_group([])
     with pytest.raises(UsageError):
         make_abelian_group([3, 0])
     with pytest.raises(ResourceError):
         make_abelian_group([1 << 27])
-    monkeypatch.setenv("PLAB_MEM_CAP", "64")
+    set_cap("64")
     with pytest.raises(ResourceError):
         make_abelian_group([100])
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PLAB_MEM_CAP", "32")
+def test_cap_env_override(set_cap):
+    set_cap("32")
     assert element_cap() == 32
     with pytest.raises(ResourceError):
         make_abelian_group([64])
-    monkeypatch.setenv("PLAB_MEM_CAP", "zzz")
-    with pytest.raises(UsageError):
-        element_cap()
+    assert element_cap.cache_info().misses == 1
+    # a bad value is not cached: every call reads it again and refuses
+    set_cap("zzz")
+    for _ in range(2):
+        with pytest.raises(UsageError, match="^PLAB_MEM_CAP must be an integer, got 'zzz'$"):
+            element_cap()
+    assert element_cap.cache_info().misses == 2
 
 
 # -- integer embedding ---------------------------------------------------------------
 
 def test_embed_modulus_small():
-    g, a, bs = embed_integer_sets([0, 1], [[0, 1], [0, 2]])
-    assert g.order == 5
-    assert sorted(a) == [0, 1]
+    assert integer_group([0, 1], [[0, 1], [0, 2]]).order == 5
 
 
 def test_embed_modulus_three_sets():
-    g, _, _ = embed_integer_sets([0, 1], [[0, 1], [0, 2], [0, 4]])
-    assert g.order == 9
+    assert integer_group([0, 1], [[0, 1], [0, 2], [0, 4]]).order == 9
 
 
 def test_embed_degenerate():
-    g, a, bs = embed_integer_sets([0], [[0]])
-    assert g.order == 1
-    assert sorted(a) == [0]
-    assert sorted(bs[0]) == [0]
+    assert integer_group([0], [[0]]).order == 1
+    # an empty set counts 0 and is left to Instance to refuse
+    assert integer_group([], [[2], []]).order == 3
 
 
 def test_embed_rejects_negative():
     with pytest.raises(UsageError):
-        embed_integer_sets([-1, 0], [[0]])
+        integer_group([-1, 0], [[0]])
+    with pytest.raises(UsageError):
+        integer_group([0], [[0], [3, -2]])
 
 
 @given(st.data())
@@ -113,7 +115,8 @@ def test_embed_never_wraps(data):
     k = data.draw(st.integers(2, 3))
     b_ints = [data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=4))
               for _ in range(k)]
-    g, a, bs = embed_integer_sets(a_ints, b_ints)
+    g = integer_group(list(a_ints), [list(b) for b in b_ints])
+    a, bs = g.set_of(a_ints), [g.set_of(b) for b in b_ints]
     idxs = data.draw(st.sets(st.integers(1, k)))
     expected = integer_iterated(a_ints, b_ints, idxs)
     got = iterated_sumset([a, *(bs[i - 1] for i in sorted(idxs))])
@@ -303,8 +306,8 @@ def test_iterated_pair():
 
 
 def test_iterated_triple_z9():
-    g, a, bs = embed_integer_sets([0, 1], [[0, 1], [0, 2], [0, 4]])
-    got = iterated_sumset(bs)
+    g = integer_group([0, 1], [[0, 1], [0, 2], [0, 4]])
+    got = iterated_sumset([g.set_of([0, 1]), g.set_of([0, 2]), g.set_of([0, 4])])
     assert sorted(got) == list(range(8))
 
 
@@ -348,10 +351,10 @@ def test_direct_power_orders(z5):
     assert len(a2) == 4
 
 
-def test_direct_power_cap(monkeypatch):
+def test_direct_power_cap(set_cap):
     g = make_abelian_group([64])
     inst = Instance(g, g.set_of([0]), (g.set_of([0]), g.set_of([0])))
-    monkeypatch.setenv("PLAB_MEM_CAP", "100")
+    set_cap("100")
     with pytest.raises(ResourceError):
         direct_powers((inst.a, *inst.bs), 2)
 

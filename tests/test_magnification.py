@@ -50,9 +50,13 @@ def test_graph_errors():
     g = make_abelian_group([4])
     with pytest.raises(UsageError):
         build_plun_graph(g.set_of([]), g.set_of([0]))
-    other = make_abelian_group([5])
-    with pytest.raises(UsageError):
-        build_plun_graph(g.set_of([0]), other.set_of([0]))
+    # sets of two groups meet the refusal that every set operation shares
+    a, bk = make_abelian_group([64]).set_of([0, 1]), make_abelian_group([7]).set_of([0, 2])
+    with pytest.raises(UsageError) as shared:
+        sumset(a, bk)
+    with pytest.raises(UsageError) as graph:
+        build_plun_graph(a, bk)
+    assert str(graph.value) == str(shared.value) == "set operands belong to different groups"
 
 
 @pytest.mark.parametrize("name, table", bundled_tables(12), ids=[n for n, _ in bundled_tables(12)])

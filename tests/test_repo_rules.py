@@ -98,3 +98,16 @@ def test_readme_plab_lines_parse():
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_tests_change_the_cap_only_through_set_cap():
+    # element_cap keeps the cap that it read first, so a test that sets or
+    # deletes PLAB_MEM_CAP with monkeypatch alone would not be seen; the
+    # conftest fixture set_cap also clears the cache
+    found = [f"{path}:{node.lineno}" for path in sorted(pathlib.Path("tests").glob("*.py"))
+             if path.name != "conftest.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("setenv", "delenv") and node.args
+             and isinstance(node.args[0], ast.Constant) and node.args[0].value == "PLAB_MEM_CAP"]
+    assert not found, "\n".join(found)

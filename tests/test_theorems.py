@@ -13,6 +13,7 @@ from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageE
                   cmp_ratio_vs_beta, empirical_plgen2,
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
+from plab import theorems
 from plab.cli import _raise_if_violated, serialize_instance
 from plab.theorems import TheoremVerdict
 
@@ -286,6 +287,21 @@ def test_restricted_singleton(z9):
     v = check_restricted_sum(z9, z9.group.set_of([next(iter(bk))]))
     assert v.holds
     assert v.lhs == len(z9.a) ** 3
+
+
+def test_every_subset_restricted_refuses_13_members_before_any_subset(monkeypatch):
+    # B_K = {0..15}; one S of 13 members would take 8,191 verdicts
+    g = make_abelian_group([64])
+    inst = Instance(g, g.set_of([0, 1]), (g.set_of([0, 1, 2, 3]), g.set_of([0, 4, 8, 12])))
+    def entered(*args):
+        raise AssertionError("subset_sumsets entered")
+    monkeypatch.setattr(theorems, "subset_sumsets", entered)
+    with pytest.raises(UsageError, match=r"^checking every subset of S needs \|S\| <= 12, got 13$"):
+        check_restricted_sum(inst, g.set_of(range(13)), every_subset=True)
+    with pytest.raises(AssertionError, match="subset_sumsets entered"):
+        check_restricted_sum(inst, g.set_of(range(12)), every_subset=True)
+    # the cap bounds the subsets, not the one verdict on S itself
+    assert check_restricted_sum(inst, g.set_of(range(16))).holds
 
 
 def test_restricted_requires_subset(z5):
