@@ -19,16 +19,10 @@ cached per group.  A table translate sends each member through one row of the
 table.
 
 Converting between members and bitsets is linear in the set and the group,
-not in their product.  set_of fills a byte buffer and converts it once in
-groups of more than 64 elements, O(|S| + N/8), and there it keeps the
-members it was given if they are strictly increasing, as instance files
-list them: iterating that set returns them, O(|S|).  Sets computed from
-other sets keep none.  Every other set is iterated by walk_bits, which
-also lists the members of the bitsets in a rejected certificate's dump: an
-int wider than WORD_WALK_MIN_BITS bits with more than WORD_WALK_MIN_MEMBERS
-set bits is converted once to 64-bit words and those are walked, O(|S| +
-N/64).  Narrower or sparser ints are scanned by clearing the lowest bit of
-the whole int, O(N/64) per member, which is the faster loop at those sizes.
+not in their product: in groups of more than 64 elements set_of fills a
+byte buffer and converts it once, O(|S| + N/8), and keeps strictly
+increasing members, as instance files list them, for iteration; every
+other set is iterated by walk_bits, O(|S| + N/64) on a wide dense int.
 """
 
 from __future__ import annotations
@@ -283,10 +277,7 @@ class GSet:
         return self.bits & ~other.bits == 0
 
     def __repr__(self) -> str:
-        if self._card <= 12:
-            inner = ",".join(str(e) for e in self)
-        else:
-            inner = f"...{self._card} elements..."
+        inner = ",".join(map(str, self)) if self._card <= 12 else f"...{self._card} elements..."
         return f"GSet({{{inner}}} in {self.group!r})"
 
 
@@ -449,12 +440,15 @@ def subset_sumsets(ground: GSet, bases: Sequence[GSet],
     depth first: a subset extends its parent, the subset without its
     smallest member, and only the unions on the current path are kept, at
     most |ground| per base.  Branches that cannot reach min_size members
-    are not entered.
+    are not entered.  Those two lists of |ground| * |bases| ints, each as
+    wide as the widest translate, are budgeted before the walk.
     """
     group = ground.group
     for t in bases:
         require_same_group(ground, t)
     steps = [tuple(group.translate_bits(t.bits, x) for t in bases) for x in ground]
+    words = (max((u.bit_length() for step in steps for u in step), default=0) + 63) >> 6
+    check_budget(2 * len(steps) * len(bases) * words, "64-bit words of subset sumsets")
     # frame: mask, size and unions of a path node, then the next member
     # index to add below its smallest and the end of that range
     frames = [[0, 0, (0,) * len(bases), max(min_size - 1, 0), len(steps)]]
@@ -489,10 +483,10 @@ class Instance:
     (A, B_1..B_k) and by their key, filled on first use through cached();
     it takes no part in equality, hashing or repr.  A key names what its
     value depends on besides the sets, and one function fills it: "bk"
-    Instance.bk, "alpha" instance_table, "gamma" instance_gamma,
-    ("power", r) multiplicativity_check, ("plgen", l) check_plgen, "single"
-    check_single_summand and ("restricted", S) check_restricted_sum.  A new
-    Instance starts an empty memo.
+    Instance.bk, "alpha" instance_table, "graph" instance_graph, "gamma"
+    instance_gamma, ("power", r) multiplicativity_check, ("plgen", l)
+    check_plgen, "single" check_single_summand and ("restricted", S)
+    check_restricted_sum.  A new Instance starts an empty memo.
     """
 
     __slots__ = ("group", "a", "bs", "memo")

@@ -8,8 +8,9 @@ and a flow that proves no subset does better.
 
 The flow network does not keep one node per element of A+B_K.  Right
 vertices with the same set of left neighbours are merged into one class
-whose sink capacity counts them all, which leaves every cut value, and so
-the answer and its witness, unchanged.
+(flow_classes) whose sink capacity counts them all, which leaves every cut
+value, and so the answer and its witness, unchanged.  An instance's graph
+is built once, by instance_graph, and kept in its memo under "graph".
 
 The network is bipartite, source -(p)-> a -(inf)-> class -(q*|class|)->
 sink, so max-flow is a greedy fill followed by short augmenting paths
@@ -45,6 +46,10 @@ class PlunGraph(NamedTuple):
     @property
     def right_bits(self) -> int:
         return reduce(or_, self.adj_bits.values(), 0)
+
+    def restricted(self, left: GSet) -> PlunGraph:
+        """The subgraph on left's members, in increasing order, with these images."""
+        return PlunGraph(self.group, {x: self.adj_bits[x] for x in left})
 
 
 class MagResult(NamedTuple):
@@ -152,48 +157,17 @@ def _max_flow(out_of: list[list[int]], sizes: list[int], p: int,
     return gets, reached
 
 
-def gamma_flow(graph: PlunGraph) -> MagResult:
-    """Exact minimum ratio by repeated feasibility tests, with a certificate.
-
-    A candidate t = p/q is feasible iff the flow network
-    source -(p)-> a -(inf)-> w -(q)-> sink saturates p*|A|; an infeasible
-    round's min cut yields a subset with a strictly smaller ratio, which
-    becomes the next candidate.  Candidates strictly decrease inside a
-    finite set, so the loop terminates at the true minimum.
-
-    Right vertices with the same left neighbours are one node of the
-    network, with sink capacity q times their number.  A set Z of left
-    vertices then cuts p*|A - Z| + q*|N(Z)| as before, so the min cut and
-    the source side its residual network reaches are those of the unmerged
-    network.  The classes come from partition refinement of the union of
-    the images by each adj_bits[a].
-
-    Each round runs _max_flow afresh on the classes built once per call.
-    Its greedy fill offers each left vertex's classes fewest owners first,
-    so that a class few left vertices reach is not taken by one that has
-    other choices; the short augmenting paths that follow then have little
-    left to move.  The source side it reaches is the least min cut's
-    whichever maximum flow it finds, so witnesses and rounds do not depend
-    on that order.
-
-    The final round's flow and the witness go to check_certificate before
-    the result is returned; a rejected certificate raises CertificateError.
-
-    build_plun_graph's image budget bounds neither the classes nor the
-    middle edges, one per left vertex and class in its image, which each
-    round's flow dicts grow with: check_budget refuses the class words as
-    classes are created, and the edges before the first round.
-    """
-    lefts = graph.left
-    witness_bits = sum(1 << x for x in lefts)
-    # classes[j] is a set of right vertices and owners[j] the mask of the
-    # indices i whose image contains all of it; every other image misses it
+def flow_classes(graph: PlunGraph) -> tuple[list[int], list[int]]:
+    """The right vertices grouped by their left neighbours, refining the
+    union of the images by each image in turn: classes[j] is a bitset of
+    right vertices that lies inside exactly the images of the indices i into
+    graph.left that owners[j] masks; an empty union is the one class 0.  The
+    image budget does not bound the classes: check_budget refuses their
+    words, each as wide as the union, as they are created."""
     classes, owners = [graph.right_bits], [0]
-    t = Fraction(classes[0].bit_count(), len(lefts))
-    words = (classes[0].bit_length() + 63) >> 6 or 1  # no class is wider than the union
+    words = (classes[0].bit_length() + 63) >> 6 or 1
     room = element_cap() // words  # more classes than this are over the budget
-    for i, x in enumerate(lefts):
-        adj = graph.adj_bits[x]
+    for i, adj in enumerate(graph.adj_bits.values()):
         for j in range(len(classes)):
             inside = classes[j] & adj
             if not inside:
@@ -205,6 +179,36 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
                 owners.append(owners[j])
                 classes[j] = inside
             owners[j] |= 1 << i
+    return classes, owners
+
+
+def gamma_flow(graph: PlunGraph) -> MagResult:
+    """Exact minimum ratio by repeated feasibility tests, with a certificate.
+
+    A candidate t = p/q is feasible iff the flow network
+    source -(p)-> a -(inf)-> w -(q)-> sink saturates p*|A|; an infeasible
+    round's min cut yields a subset with a strictly smaller ratio, which
+    becomes the next candidate.  Candidates strictly decrease inside a
+    finite set, so the loop terminates at the true minimum.  A set Z of left
+    vertices cuts p*|A - Z| + q*|N(Z)| whether or not the right vertices
+    are merged into the classes of flow_classes, so the min cut and the
+    source side its residual network reaches are those of the unmerged
+    network.
+
+    Each round runs _max_flow afresh on the classes built once per call.
+    Its greedy fill offers each left vertex's classes fewest owners first,
+    so that a class few left vertices reach is not taken by one that has
+    other choices; the short augmenting paths that follow then have little
+    left to move.  The source side it reaches is the least min cut's
+    whichever maximum flow it finds, so witnesses and rounds do not depend
+    on that order.
+
+    The final round's flow and the witness go to check_certificate before
+    the result is returned; a rejected certificate raises CertificateError.
+    """
+    lefts = graph.left
+    witness_bits = sum(1 << x for x in lefts)
+    classes, owners = flow_classes(graph)
     out_of: list[list[int]] = [[] for _ in lefts]
     for j in sorted(range(len(classes)), key=lambda j: owners[j].bit_count()):
         mask = owners[j]
@@ -212,8 +216,10 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
             low = mask & -mask
             out_of[low.bit_length() - 1].append(j)
             mask ^= low
+    # the middle edges, which each round's flow dicts grow with
     check_budget(sum(map(len, out_of)), "middle edges of the flow network")
     sizes = [bits.bit_count() for bits in classes]
+    t = Fraction(sum(sizes), len(lefts))
     iterations = 0
     while True:
         iterations += 1
@@ -239,9 +245,14 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
         witness_bits = z_bits
 
 
+def instance_graph(inst: Instance) -> PlunGraph:
+    """The instance's A -> A+B_K graph, built once per instance."""
+    return inst.cached("graph", lambda i: build_plun_graph(i.a, i.bk))
+
+
 def instance_gamma(inst: Instance) -> MagResult:
     """gamma of the instance's A -> A+B_K graph, computed once per instance."""
-    return inst.cached("gamma", lambda i: gamma_flow(build_plun_graph(i.a, i.bk)))
+    return inst.cached("gamma", lambda i: gamma_flow(instance_graph(i)))
 
 
 def multiplicativity_check(inst: Instance, r: int) -> Fraction:

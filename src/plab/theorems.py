@@ -23,7 +23,7 @@ from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction, require_level)
 from .errors import UsageError
 from .groups import GSet, Instance, direct_powers, iterated_sumset, subset_sumsets, sumset
-from .magnification import build_plun_graph, gamma_flow, instance_gamma
+from .magnification import build_plun_graph, gamma_flow, instance_gamma, instance_graph
 
 REL_TOL = 1e-9        # float bound checks
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
@@ -217,29 +217,24 @@ def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
         target = Fraction(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"value must be a finite number, got {value}") from None
-    if mode == "a":
-        if not (target.denominator == 1 and 1 <= target <= m):
-            raise UsageError(f"mode 'a' needs an integer 1 <= a <= {m}, got {value}")
-        a_target = int(target)
-        needs_more = lambda x: len(x) < a_target
-    else:
-        if not 0 <= target < m:
-            raise UsageError(f"mode 't' needs 0 <= t < {m}, got {value}")
-        needs_more = lambda x: len(x) <= target
+    if mode == "a" and not (target.denominator == 1 and 1 <= target <= m):
+        raise UsageError(f"mode 'a' needs an integer 1 <= a <= {m}, got {value}")
+    if mode == "t" and not 0 <= target < m:
+        raise UsageError(f"mode 't' needs 0 <= t < {m}, got {value}")
+    size = math.floor(target) + (mode == "t")  # the least |X| that meets the target
 
     start = check_plgen(inst, l)  # beta, and the witness of all of A
-    bk, x = inst.bk, start.witness
+    graph, x = instance_graph(inst), start.witness
     iterations = 1
-    while needs_more(x):
-        remaining = inst.a - x
-        x = x | gamma_flow(build_plun_graph(remaining, bk)).witness
+    while len(x) < size:
+        x = x | gamma_flow(graph.restricted(inst.a - x)).witness
         iterations += 1
-    lhs = len(sumset(x, bk))
+    lhs = graph.restricted(x).right_bits.bit_count()  # |X+B_K|
 
     kl = inst.k / l
     if mode == "a":
-        total = sum((m / (m - i)) ** kl for i in range(a_target))
-        total += (len(x) - a_target) * (m / (m - a_target + 1)) ** kl
+        total = sum((m / (m - i)) ** kl for i in range(size))
+        total += (len(x) - size) * (m / (m - size + 1)) ** kl
     else:
         gap = float(m - target)  # rounded once, so positive even for t next to |A|
         head = m ** kl * (l / (inst.k - l)) * (gap ** (1 - kl) - m ** (1 - kl))
@@ -347,8 +342,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         branch = "large"
         t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
         res = large_subset(inst, k - 1, "t", t)
-        x = res.x
-        r_x = len(x)
+        x, r_x = res.x, len(res.x)
         sx = len(sumset(s, x)) if r_x < m else sa_size
         add("witness_term_subset", sx, res.lhs, True)  # res.lhs is |X+B_K|
         # large_subset's verdict: a second float test could differ in the last bit

@@ -7,7 +7,9 @@ of the bitset, translation, and flow code paths they check.  The
 exceptions are gamma_exhaustive, which enumerates the subsets of a
 PlunGraph's left side to check the flow engine on the same graph,
 plgen2_reference, which checks empirical_plgen2's search on the same
-sumsets and exact comparisons, beta_reference, which checks beta_value's
+sumsets and exact comparisons, large_subset_reference, which checks
+large_subset's greedy growth with the same flow engine on freshly built
+graphs, beta_reference, which checks beta_value's
 integer arithmetic on the same alpha table, and beta_identity_holds, which
 checks an identity between beta_value's results.
 """
@@ -19,10 +21,11 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from plab import (LT, BetaValue, EmpiricalConstant, GSet, MagResult, UsageError, alpha_table,
-                  beta_value, cmp_ratio_vs_beta, iterated_sumset, sumset)
+from plab import (LT, BetaValue, EmpiricalConstant, GSet, LargeSubsetResult, MagResult,
+                  UsageError, alpha_table, beta_value, build_plun_graph, cmp_ratio_vs_beta,
+                  gamma_flow, iterated_sumset, sumset)
 from plab.groups import subset_sumsets
-from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX
+from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX, NEAR_FLAG_TOL, REL_TOL
 
 EXHAUSTIVE_MAX = 22
 
@@ -81,6 +84,19 @@ def naive_members(bits: int) -> list[int]:
     """Set bits of a nonnegative int in increasing order, read off its
     binary digits."""
     return [i for i, digit in enumerate(reversed(bin(bits))) if digit == "1"]
+
+
+def neighbourhood_partition(adj_images) -> dict[int, int]:
+    """The right vertices of a graph grouped by their left neighbours: for
+    each left-vertex index mask that some right vertex has as its set of
+    neighbours, the bitset of those right vertices, found one right vertex
+    at a time."""
+    images = list(adj_images)
+    parts: dict[int, int] = {}
+    for v in sorted(set().union(*map(naive_members, images))):
+        mask = sum(1 << i for i, image in enumerate(images) if v in naive_members(image))
+        parts[mask] = parts.get(mask, 0) | 1 << v
+    return parts
 
 
 def first_associativity_failure(rows) -> str | None:
@@ -243,3 +259,32 @@ def plgen2_reference(inst, l, epsilon, *, samples: int = DEFAULT_SAMPLES,
     ratio, beta, j = best
     return EmpiricalConstant(epsilon=eps, ratio=ratio, beta=beta, x=x, argmax_j=j,
                              exhaustive=exhaustive)
+
+
+def large_subset_reference(inst, l, mode, value) -> LargeSubsetResult:
+    """large_subset as its loop was first written: X starts as the witness
+    of all of A and, while it is too small, adjoins the witness of a graph
+    built afresh on A minus X; |X+B_K| is one sumset at the end.  Nothing
+    is read from the instance's memo.  The bound is the same float formula."""
+    m, k = len(inst.a), inst.k
+    target = Fraction(value)
+    bk = iterated_sumset(inst.bs)
+    x = gamma_flow(build_plun_graph(inst.a, bk)).witness
+    iterations = 1
+    while len(x) < target if mode == "a" else len(x) <= target:
+        x = x | gamma_flow(build_plun_graph(inst.a - x, bk)).witness
+        iterations += 1
+    lhs = len(sumset(x, bk))
+    kl = k / l
+    if mode == "a":
+        a = int(target)
+        total = sum((m / (m - i)) ** kl for i in range(a))
+        total += (len(x) - a) * (m / (m - a + 1)) ** kl
+    else:
+        gap = float(m - target)
+        head = m ** kl * (l / (k - l)) * (gap ** (1 - kl) - m ** (1 - kl))
+        total = head + float(len(x) - target) * (m / gap) ** kl
+    bound = beta_value(alpha_table(inst), frozenset(range(1, k + 1)), l).approx * total
+    return LargeSubsetResult(x=x, bound=bound, holds=lhs <= bound * (1 + REL_TOL), lhs=lhs,
+                             iterations=iterations,
+                             near_boundary=abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0))

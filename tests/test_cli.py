@@ -542,6 +542,11 @@ def _line_instance(order, m):
     return {"group": [order], "A": list(range(m)), "B": [[0, 1], [0, 2]], "l": 1}
 
 
+def _plgen2_instance():
+    return {"group": [4096], "A": list(range(16)), "B": [[0, 4080], [0, 1], [0, 2], [0, 3]],
+            "l": 1}
+
+
 @pytest.mark.parametrize("cap, data, argv, err", [
     ("4096", _line_instance(4096, 100), ["verify", "FILE", "--check", "plgen"],
      "6400 64-bit words of graph images (100 x 4096 bits) exceed the element cap 4096"),
@@ -551,7 +556,14 @@ def _line_instance(order, m):
     # noncomm's x -> B_1*x*B_2 graph on S3: two images of one word each
     ("1", json.loads((FIXTURES / "s3.json").read_text()), ["verify", "FILE", "--check", "noncomm"],
      "2 64-bit words of graph images (2 x 6 bits) exceed the element cap 1"),
-], ids=["plgen-over", "plgen-at-cap", "power-square-over", "noncomm-over"])
+    # plgen2's walk keeps two lists of |A| x 15 translates x + B_J, k = 4 and
+    # l = 1; 15 + 4080 = 4095 makes them 64 words wide: 2*16*15*64 words
+    ("4096", _plgen2_instance(), ["verify", "FILE", "--check", "plgen2", "--epsilon", "0.1"],
+     "30720 64-bit words of subset sumsets exceed the element cap 4096"),
+    ("30720", _plgen2_instance(), ["verify", "FILE", "--check", "plgen2", "--epsilon", "0.1"],
+     None),
+], ids=["plgen-over", "plgen-at-cap", "power-square-over", "noncomm-over", "plgen2-over",
+        "plgen2-at-cap"])
 def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, set_cap, capsys, cap, data,
                                                       argv, err):
     # a graph holds |A| images of ceil(|G|/64) words each; the square of Z_64

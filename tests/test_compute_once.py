@@ -1,7 +1,8 @@
 """Values are computed once per instance and key.
 
-B_K, the alpha table, gamma and pldiff's verdict depend on (A, B_1..B_k)
-only; plgen's verdict depends on the level too and is kept under
+B_K, the alpha table, the A -> A+B_K graph, gamma and pldiff's verdict
+depend on (A, B_1..B_k) only, and large cuts that one graph down at each
+step instead of building another; plgen's verdict depends on the level too and is kept under
 ("plgen", l), gamma of the r-th direct power under ("power", r), and the
 restricted verdict of a set S under ("restricted", S).  A level is an
 argument of the checks, so every level of one instance reads them from
@@ -149,6 +150,23 @@ def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):
     assert capsys.readouterr().out == ("plgen: gamma=5/2 beta=3 HOLDS\n"
                                        "pldiff: gamma=5/2 beta=3 HOLDS\n")
     assert counts == Counter({"cmp_ratio_vs_beta": 1})
+
+
+def test_a_large_call_builds_one_graph(tmp_path, monkeypatch, capsys):
+    # X grows in three steps, each on A minus X: every step's graph is the
+    # instance's one graph cut down, not a graph built again
+    path = tmp_path / "inst.json"
+    path.write_text('{"group": [64], "A": [1, 25, 32, 48, 52], '
+                    '"B": [[0, 5, 26], [0, 3, 23]], "l": 1}')
+    counts = Counter()
+    for module in (magnification, theorems):
+        counting(monkeypatch, module, "build_plun_graph", counts)
+    assert main(["verify", str(path), "--check", "large", "--mode", "a", "--value", "5",
+                 "--json", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == (
+        "large: mode=a value=5.0 |X|=5 lhs=35 bound=285.404166667 HOLDS\n")
+    assert '"iterations":3' in (tmp_path / "report.json").read_text()
+    assert counts == Counter({"build_plun_graph": 1})
 
 
 def test_sweep_single_runs_one_gamma_per_instance(calls):

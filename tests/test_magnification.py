@@ -10,12 +10,12 @@ from plab import (PlunGraph, UsageError, build_plun_graph,
                   gamma_flow, iterated_sumset, make_abelian_group, make_cayley_group,
                   multiplicativity_check, sumset)
 from plab import magnification
-from plab.magnification import instance_gamma
+from plab.magnification import flow_classes, instance_gamma
 
 from cayley_tables import bundled_tables
 from gen import rand_instance
 from oracles import (gamma_exhaustive, naive_gamma, naive_iterated, naive_power_index_set,
-                     naive_sumset)
+                     naive_sumset, neighbourhood_partition)
 
 
 def graph_of(inst):
@@ -209,6 +209,49 @@ def test_flow_equals_exhaustive_on_arbitrary_adjacency(seed):
     for x in fl.witness:
         image |= adj[x]
     assert image.bit_count() * fl.gamma.denominator == len(fl.witness) * fl.gamma.numerator
+
+
+def _classes_graph(kind, rng):
+    """A graph of one of three kinds: x -> x+B_K in a product of one or two
+    cyclic groups, x -> x*B_K or x -> B_1*x*B_2 in a bundled Cayley group,
+    or arbitrary images, empty ones among them, over Z_n."""
+    if kind == "abelian":
+        g = make_abelian_group([rng.randint(1, 12) for _ in range(rng.randint(1, 2))])
+    elif kind == "cayley":
+        g = make_cayley_group(rng.choice(bundled_tables(12))[1])
+    else:
+        g = make_abelian_group([rng.randint(1, 40)])
+        blocks = [rng.getrandbits(g.order) for _ in range(rng.randint(1, 4))]
+        return PlunGraph(g, {x: sum(b for b in blocks if rng.random() < 0.5)
+                                | rng.getrandbits(g.order) * (rng.random() < 0.3)
+                             for x in sorted(rng.sample(range(g.order),
+                                                        rng.randint(1, min(g.order, 10))))})
+    a, b1, b2 = (g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, size))))
+                 for size in (10, 4, 4))
+    if kind == "cayley" and rng.random() < 0.5:
+        return build_plun_graph(a, b2, left=b1)
+    return build_plun_graph(a, sumset(b1, b2))
+
+
+@given(st.sampled_from(["abelian", "cayley", "arbitrary"]), st.integers(0, 100_000))
+@example("arbitrary", 31)  # every image empty: one empty class
+def test_flow_classes_partition_the_right_vertices_by_neighbourhood(kind, seed):
+    graph = _classes_graph(kind, random.Random(seed))
+    classes, owners = flow_classes(graph)
+    union = graph.right_bits
+    if not union:  # nothing to partition: at most one empty class, owned by none
+        assert not any(classes) and len(classes) <= 1 and not any(owners)
+        return
+    # the classes are nonempty, pairwise disjoint and cover the union
+    assert all(classes) and sum(c.bit_count() for c in classes) == union.bit_count()
+    covered = 0
+    for c in classes:
+        covered |= c
+    assert covered == union
+    # two right vertices share a class exactly when the same left vertices
+    # contain them, and owners[j] is exactly those left vertices' indices
+    assert len(set(owners)) == len(owners)
+    assert dict(zip(owners, classes)) == neighbourhood_partition(graph.adj_bits.values())
 
 
 def test_flow_network_merges_right_vertices_by_neighbourhood():

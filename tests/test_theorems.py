@@ -19,8 +19,8 @@ from plab.theorems import TheoremVerdict
 
 from cayley_tables import bundled_tables, cyclic_table, symmetric_table
 from gen import rand_instance, rand_subset
-from oracles import (gamma_exhaustive, naive_iterated, naive_sumset, nonempty_subsets,
-                     plgen2_reference)
+from oracles import (gamma_exhaustive, large_subset_reference, naive_iterated, naive_sumset,
+                     nonempty_subsets, plgen2_reference)
 
 
 def identity_instance(k=2):
@@ -264,6 +264,26 @@ def test_large_subset_growth_and_termination(seed):
     assert len(res_t.x) > t_target
     assert res_t.iterations <= m
     assert res_t.holds
+
+
+@given(st.integers(0, 100_000))
+@example(1040)  # mode "a" at a = |A| takes five steps at level 1
+def test_large_subset_matches_a_fresh_graph_at_every_step(seed):
+    # each step's graph is the base graph cut down to A minus X, and |X+B_K|
+    # is read off the images: X, lhs, steps and bound are the fresh loop's
+    rng = random.Random(seed)
+    g = make_abelian_group([rng.randint(2, 30) for _ in range(rng.randint(1, 2))])
+    a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 12))))
+    # small summands leave A's witness small, so that X grows in several steps
+    bs = [g.set_of([0, *rng.sample(range(1, g.order), rng.randint(0, min(g.order - 1, 2)))])
+          for _ in range(rng.randint(2, 4))]
+    inst = Instance(g, a, bs)
+    m = len(a)
+    for l in range(1, inst.k):
+        for mode, value in (("a", rng.randint(1, m)), ("a", m), ("t", 0),
+                            ("t", Fraction(rng.randrange(4 * m), 4))):
+            assert (large_subset(inst, l, mode, value)
+                    == large_subset_reference(inst, l, mode, value))
 
 
 # -- restricted sums --------------------------------------------------------------------
