@@ -378,28 +378,18 @@ def make_cayley_group(table: Sequence[Sequence[int]]) -> Group:
 
 
 def _generators(rows: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
-    """Elements whose left-to-right products reach every element but the
-    identity: each is the smallest element not yet reached, and the reached
-    set is closed under right multiplication by the generators so far, with
-    one table lookup per element and generator."""
-    seen = [False] * len(rows)
-    seen[identity] = True
-    reached: list[int] = []
-    gens: list[int] = []
+    """Elements whose left-to-right products reach every element: each is
+    the smallest element not yet reached, and after each one is added the
+    reached set is closed again, from every reached element, under right
+    multiplication by the generators so far."""
+    reached, gens = {identity}, []
     for g in range(len(rows)):
-        if seen[g]:
-            continue
-        seen[g] = True
-        gens.append(g)
-        work = [(x, g) for x in reached] + [(g, h) for h in gens]
-        reached.append(g)
-        while work:
-            x, h = work.pop()
-            y = rows[x][h]
-            if not seen[y]:
-                seen[y] = True
-                reached.append(y)
-                work.extend((y, h) for h in gens)
+        if g not in reached:
+            gens.append(g)
+            new = reached
+            while new:
+                new = {rows[x][h] for x in new for h in gens} - reached
+                reached |= new
     return gens
 
 
@@ -440,15 +430,16 @@ def subset_sumsets(ground: GSet, bases: Sequence[GSet],
     depth first: a subset extends its parent, the subset without its
     smallest member, and only the unions on the current path are kept, at
     most |ground| per base.  Branches that cannot reach min_size members
-    are not entered.  Those two lists of |ground| * |bases| ints, each as
-    wide as the widest translate, are budgeted before the walk.
+    are not entered.  Those two lists of |ground| * |bases| ints are
+    budgeted at ceil(|G|/64) words each, from the group order alone, before
+    any translate is computed.
     """
     group = ground.group
     for t in bases:
         require_same_group(ground, t)
+    check_budget(2 * len(ground) * len(bases) * ((group.order + 63) >> 6),
+                 "64-bit words of subset sumsets")
     steps = [tuple(group.translate_bits(t.bits, x) for t in bases) for x in ground]
-    words = (max((u.bit_length() for step in steps for u in step), default=0) + 63) >> 6
-    check_budget(2 * len(steps) * len(bases) * words, "64-bit words of subset sumsets")
     # frame: mask, size and unions of a path node, then the next member
     # index to add below its smallest and the end of that range
     frames = [[0, 0, (0,) * len(bases), max(min_size - 1, 0), len(steps)]]

@@ -209,6 +209,8 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
     lefts = graph.left
     witness_bits = sum(1 << x for x in lefts)
     classes, owners = flow_classes(graph)
+    # the middle edges, which each round's flow dicts grow with
+    check_budget(sum(owner.bit_count() for owner in owners), "middle edges of the flow network")
     out_of: list[list[int]] = [[] for _ in lefts]
     for j in sorted(range(len(classes)), key=lambda j: owners[j].bit_count()):
         mask = owners[j]
@@ -216,8 +218,6 @@ def gamma_flow(graph: PlunGraph) -> MagResult:
             low = mask & -mask
             out_of[low.bit_length() - 1].append(j)
             mask ^= low
-    # the middle edges, which each round's flow dicts grow with
-    check_budget(sum(map(len, out_of)), "middle edges of the flow network")
     sizes = [bits.bit_count() for bits in classes]
     t = Fraction(sum(sizes), len(lefts))
     iterations = 0

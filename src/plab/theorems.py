@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache, cmp_to_key
 from itertools import combinations
 from typing import NamedTuple
 
@@ -116,36 +118,25 @@ def empirical_plgen2(inst: Instance, l: int, epsilon, *, samples: int = DEFAULT_
 
     def c_of(size: int, image_sizes: list[int]) -> tuple[Fraction, BetaValue, frozenset[int]]:
         """The max over J of |X+B_J| / (beta_J |X|), from |X| and each |X+B_J|
-        in j_sets order; among equal maxima the first J wins."""
-        top = None
-        for j, beta, image_size in zip(j_sets, betas, image_sizes):
-            ratio = Fraction(image_size, size)
-            if top is None or cmp_ratio_vs_beta(top[0], top[1], ratio, beta) == LT:
-                top = (ratio, beta, j)
-        return top
+        in j_sets order; max keeps the first of equal maxima, so the first J
+        wins a tie."""
+        return max(((Fraction(image_size, size), beta, j)
+                    for j, beta, image_size in zip(j_sets, betas, image_sizes)),
+                   key=cmp_to_key(lambda s, t: cmp_ratio_vs_beta(s[0], s[1], t[0], t[1])))
 
-    # limits[|X|, i]: the least |X+B_J| with J = j_sets[i] at which an X no
-    # longer beats the best on J; filled lazily, emptied when the best changes
-    limits: dict[tuple[int, int], int] = {}
-
+    @cache
     def limit(size: int, i: int) -> int:
-        """Binary search, every step an exact comparison, over the sizes
-        X+B_J can take: at most |X|*|B_J| and |A+B_J|, as X lies in A, and
-        at least |X| and |A+B_J| - |A minus X|*|B_J|.  A limit at either end
-        of that range decides every X of this size alike."""
-        key = (size, i)
-        if key not in limits:
-            b_size, a_image = len(b_sets[i]), table.sizes[j_sets[i]]
-            lo = max(size, a_image - (m - size) * b_size)
-            hi = min(size * b_size, a_image) + 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cmp_ratio_vs_beta(Fraction(mid, size), betas[i], best[0], best[1]) == LT:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            limits[key] = lo
-        return limits[key]
+        """The least |X+B_J| with J = j_sets[i] at which an X of this size no
+        longer beats the best on J, cached until the best changes.  Binary
+        search, every step an exact comparison, over the sizes X+B_J can
+        take: at most |X|*|B_J| and |A+B_J|, as X lies in A, and at least
+        |X| and |A+B_J| - |A minus X|*|B_J|.  A limit at either end of that
+        range decides every X of this size alike."""
+        b_size, a_image = len(b_sets[i]), table.sizes[j_sets[i]]
+        lo = max(size, a_image - (m - size) * b_size)
+        hi = min(size * b_size, a_image) + 1
+        return bisect_left(range(hi), True, lo, key=lambda n: cmp_ratio_vs_beta(
+            Fraction(n, size), betas[i], best[0], best[1]) != LT)
 
     def improves(size: int, image_sizes) -> bool:
         """Whether c_of of an X lies strictly below the best, and if so make
@@ -159,7 +150,7 @@ def empirical_plgen2(inst: Instance, l: int, epsilon, *, samples: int = DEFAULT_
                 return False
             seen.append(image_size)
         best = c_of(size, seen)
-        limits.clear()
+        limit.cache_clear()
         return True
 
     # X = A first, whose |A+B_J| the alpha table holds; a later X replaces

@@ -127,6 +127,21 @@ def is_group_table(rows) -> bool:
                     for a in elems for b in elems for c in elems))
 
 
+def greedy_generators(rows, identity) -> list[int]:
+    """Generators of a group table, each the smallest element outside the
+    subgroup that those before it generate, that subgroup found by adding
+    the product of every pair of its elements until none is new."""
+    gens, subgroup = [], {identity}
+    for g in range(len(rows)):
+        if g not in subgroup:
+            gens.append(g)
+            grown = subgroup | {g}
+            while grown != subgroup:
+                subgroup = grown
+                grown = subgroup | {rows[x][y] for x in subgroup for y in subgroup}
+    return gens
+
+
 def naive_power_index_set(base_order, elems, r) -> set[int]:
     """Indices of the r-fold cartesian power under concatenated-radix indexing."""
     out = {0}

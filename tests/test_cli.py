@@ -557,13 +557,17 @@ def _plgen2_instance():
     ("1", json.loads((FIXTURES / "s3.json").read_text()), ["verify", "FILE", "--check", "noncomm"],
      "2 64-bit words of graph images (2 x 6 bits) exceed the element cap 1"),
     # plgen2's walk keeps two lists of |A| x 15 translates x + B_J, k = 4 and
-    # l = 1; 15 + 4080 = 4095 makes them 64 words wide: 2*16*15*64 words
+    # l = 1, each counted at ceil(4096/64) = 64 words from the group order
+    # before any translate: 2*16*15*64 words, with 4080 in B_1 or without
     ("4096", _plgen2_instance(), ["verify", "FILE", "--check", "plgen2", "--epsilon", "0.1"],
      "30720 64-bit words of subset sumsets exceed the element cap 4096"),
     ("30720", _plgen2_instance(), ["verify", "FILE", "--check", "plgen2", "--epsilon", "0.1"],
      None),
+    ("4096", {**_plgen2_instance(), "B": [[0, 16], [0, 1], [0, 2], [0, 3]]},
+     ["verify", "FILE", "--check", "plgen2", "--epsilon", "0.1"],
+     "30720 64-bit words of subset sumsets exceed the element cap 4096"),
 ], ids=["plgen-over", "plgen-at-cap", "power-square-over", "noncomm-over", "plgen2-over",
-        "plgen2-at-cap"])
+        "plgen2-at-cap", "plgen2-narrow-over"])
 def test_graph_images_are_budgeted_by_the_element_cap(tmp_path, set_cap, capsys, cap, data,
                                                       argv, err):
     # a graph holds |A| images of ceil(|G|/64) words each; the square of Z_64

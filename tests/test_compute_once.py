@@ -46,7 +46,9 @@ def calls(monkeypatch):
         counts["alpha_table"] += 1
         return real_alpha(inst)
 
-    monkeypatch.setattr(magnification, "gamma_flow", gamma_flow)
+    # theorems binds gamma_flow by name, so large and noncomm call its copy
+    for module in (magnification, theorems):
+        monkeypatch.setattr(module, "gamma_flow", gamma_flow)
     monkeypatch.setattr(alphabeta, "alpha_table", alpha_table)
     return counts
 
@@ -152,9 +154,10 @@ def test_verify_plgen_and_pldiff_at_level_one_compare_once(monkeypatch, capsys):
     assert counts == Counter({"cmp_ratio_vs_beta": 1})
 
 
-def test_a_large_call_builds_one_graph(tmp_path, monkeypatch, capsys):
+def test_a_large_call_builds_one_graph(tmp_path, monkeypatch, calls, capsys):
     # X grows in three steps, each on A minus X: every step's graph is the
-    # instance's one graph cut down, not a graph built again
+    # instance's one graph cut down, not a graph built again, and each step
+    # runs one flow, the first through magnification and the rest through theorems
     path = tmp_path / "inst.json"
     path.write_text('{"group": [64], "A": [1, 25, 32, 48, 52], '
                     '"B": [[0, 5, 26], [0, 3, 23]], "l": 1}')
@@ -167,6 +170,13 @@ def test_a_large_call_builds_one_graph(tmp_path, monkeypatch, capsys):
         "large: mode=a value=5.0 |X|=5 lhs=35 bound=285.404166667 HOLDS\n")
     assert '"iterations":3' in (tmp_path / "report.json").read_text()
     assert counts == Counter({"build_plun_graph": 1})
+    assert calls[("gamma_flow", 64)] == 3
+
+
+def test_a_noncomm_call_runs_one_flow(calls, capsys):
+    assert main(["verify", str(FIXTURES / "s3.json"), "--check", "noncomm"]) == 0
+    assert capsys.readouterr().out == "noncomm: ratio=3 bound=3 HOLDS\n"
+    assert calls[("gamma_flow", 6)] == 1
 
 
 def test_sweep_single_runs_one_gamma_per_instance(calls):

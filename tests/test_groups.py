@@ -19,8 +19,8 @@ from plab.groups import WORD_WALK_MIN_BITS, WORD_WALK_MIN_MEMBERS, subset_sumset
 
 from cayley_tables import bundled_tables, cyclic_table, dihedral_table, symmetric_table
 from oracles import (first_associativity_failure, integer_iterated, is_group_table,
-                     naive_iterated, naive_members, naive_power_index_set, naive_sumset,
-                     naive_translate)
+                     greedy_generators, naive_iterated, naive_members, naive_power_index_set,
+                     naive_sumset, naive_translate)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -297,6 +297,21 @@ def test_subset_sumsets_match_oracle(cayley, data):
             for mask, unions in got] == expected
 
 
+def test_subset_sumsets_refuse_before_any_translate(set_cap, monkeypatch):
+    # 2 * 16 members * 15 bases ints of ceil(4096/64) = 64 words each: the
+    # words are counted from the group order, so no translate is computed
+    def translate_bits(self, bits, a):
+        raise AssertionError("a translate was computed before the budget check")
+
+    g = make_abelian_group([4096])
+    set_cap("4096")
+    monkeypatch.setattr(groups.Group, "translate_bits", translate_bits)
+    walk = subset_sumsets(g.set_of(range(16)), [g.set_of([0, 1])] * 15)
+    with pytest.raises(ResourceError) as exc:
+        next(walk)
+    assert str(exc.value) == "30720 64-bit words of subset sumsets exceed the element cap 4096"
+
+
 # -- iterated sumsets -----------------------------------------------------------------
 
 def test_iterated_pair():
@@ -561,6 +576,8 @@ def test_cayley_accepts_exactly_the_group_tables_among_reduced_latin_squares():
             seen += 1
             if is_group_table(table):
                 assert make_cayley_group(table).order == n
+                # the generators are those of a brute-force closure
+                assert groups._generators(tuple(map(tuple, table)), 0) == greedy_generators(table, 0)
                 accepted += 1
             else:
                 with pytest.raises(ValidationError) as exc:
@@ -585,6 +602,11 @@ def test_cayley_validation_composes_rows_per_generator(monkeypatch):
     monkeypatch.setattr(groups, "itemgetter", counting_itemgetter)
     assert make_cayley_group(dihedral_table(12)).order == 24
     assert len(composed) == 2 * 24
+
+
+def test_cayley_generators_are_the_smallest_outside_the_subgroup_so_far():
+    for g in CAYLEY_GROUPS + [make_cayley_group(dihedral_table(n)) for n in (8, 12)]:
+        assert groups._generators(g.table, g.identity) == greedy_generators(g.table, g.identity)
 
 
 @pytest.mark.parametrize("table, message", [

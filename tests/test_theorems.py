@@ -545,6 +545,20 @@ def test_plgen2_ties_go_to_the_lowest_mask():
     assert empirical_plgen2(inst, 1, Fraction(1, 2)).x == inst.a
 
 
+def test_plgen2_search_makes_a_fixed_number_of_exact_comparisons(monkeypatch):
+    # pins the search's work as well as its result: each limit is found once
+    # per best by binary search, and c_of compares each J after the first once
+    calls = []
+    real = theorems.cmp_ratio_vs_beta
+    monkeypatch.setattr(theorems, "cmp_ratio_vs_beta",
+                        lambda *args: calls.append(args) or real(*args))
+    for seed in range(40):
+        inst, l = rand_instance(random.Random(seed), n_range=(16, 64), a_range=(6, 12),
+                                b_range=(1, 4))
+        empirical_plgen2(inst, l, Fraction(1, 2))
+    assert len(calls) == 1205
+
+
 # every (k, l) with k from 2 to 4, so roots beta_J with exponents above 1 occur
 _K_L = [(k, l) for k in range(2, 5) for l in range(1, k)]
 
