@@ -7,10 +7,10 @@ rationals serialize as "p/q" strings; sweep output is CSV with a fixed
 column order (see README) and is byte-identical across runs of the same
 config and seed.
 
-Exit codes: 0 no proved check failed (a failed noncomm is a finding, not a
-violation), 1 a proved inequality failed (the instance is dumped to stderr
-for replay) or an internal error (a rejected gamma certificate, dumped to
-stderr likewise), 2 usage or parse error.
+Exit codes, set by main alone for every command, demos included: 0 no proved
+check failed (a failed noncomm is a finding, not a violation), 1 a proved
+inequality failed (the instance is dumped to stderr for replay) or an internal
+error (a rejected gamma certificate, dumped likewise), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def _float_str(x: float) -> str:
 # verify --json result fields and cells its sweep CSV cells (gamma, beta_base,
 # beta_expo_den, detail), and the check's verify text line after its name.
 # opts carries what verify and sweep choose differently: the restricted
-# subsets (s, all_subsets), plgen2's epsilon, samples and seed, and large's
-# mode and value.
+# subsets (s, all_subsets), plgen2's epsilon, samples and seed, large's mode
+# and value, and power's r.
 
 def _holds(v: theorems.TheoremVerdict) -> str:
     return "HOLDS" if v.holds else "FAILS"
@@ -170,9 +170,10 @@ def _restricted(inst: Instance, l: int, opts):
 
 
 def _power(inst: Instance, l: int, opts):
-    gamma, squared = instance_gamma(inst).gamma, multiplicativity_check(inst, 2)
-    v = theorems.TheoremVerdict(holds=squared == gamma ** 2, lhs=squared, rhs=gamma ** 2)
-    return [(v, {}, (str(gamma), "", "", f"r=2;gamma_r={squared}"))], None
+    r = opts.r
+    gamma, gamma_r = instance_gamma(inst).gamma, multiplicativity_check(inst, r)
+    v = theorems.TheoremVerdict(holds=gamma_r == gamma ** r, lhs=gamma_r, rhs=gamma ** r)
+    return [(v, {}, (str(gamma), "", "", f"r={r};gamma_r={gamma_r}"))], None
 
 
 def _decimal(text: str, flag: str) -> Decimal:
@@ -265,7 +266,7 @@ def _raise_if_violated(check: str, v: theorems.TheoremVerdict, inst: Instance, l
 
 # -- verify -----------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> None:
     inst, l, s = load_instance(args.instance)
     opts = argparse.Namespace(**vars(args), s=s, samples=theorems.DEFAULT_SAMPLES, seed=0)
     checks = []
@@ -293,7 +294,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check, batch, _ in runs:
         for v, fields, _ in batch:  # each of --all-subsets' verdicts checked its own S
             _raise_if_violated(check, v, inst, l, fields.get("S", s) if args.all_subsets else s)
-    return 0
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
     s = (_draw(inst.bk, cfg.seed * (1 << 40) + index * (1 << 8) + 3)
          if levels and "restricted" in cfg.checks else None)
     opts = argparse.Namespace(s=s, all_subsets=False, epsilon="0.5", samples=128,
-                              seed=cfg.seed * 1009 + index)
+                              seed=cfg.seed * 1009 + index, r=2)
     for l in levels:
         for check in cfg.checks:
             start = time.perf_counter()
@@ -452,7 +452,7 @@ def run_sweep(cfg: SweepConfig, *, workers: int = 1, timing: bool = False) -> st
     return buf.getvalue()
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     overrides = {"seed": args.seed, "count": args.count,
@@ -465,12 +465,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 # -- demo -------------------------------------------------------------------------
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: argparse.Namespace) -> None:
     inst, l, s = load_instance(args.instance)
     if args.what != "lemma21" and args.r < 1:  # power and pipeline
         raise UsageError(f"r_max must be >= 1, got {args.r}")
@@ -478,9 +477,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         if args.q is None:
             raise UsageError("demo lemma21 needs --q")
         rep = constructions.lemma21_demo(inst, l, args.q)
-        setup = rep.setup
-        print(f"q={setup.q} n={list(setup.n)} |H|={setup.h_order} "
-              f"|G'|={setup.gprime.order}")
+        print(f"q={rep.setup.q} n={list(rep.setup.n)} |H|={rep.setup.h_order} "
+              f"|G'|={rep.setup.gprime.order}")
         print(f"expected distinct-summand size m*(beta*q)^l = {rep.expected_distinct}")
         for i, size in sorted(rep.distinct_sizes.items()):
             print(f"  |A + B'_(K-{{{i}}})| = {size}")
@@ -494,44 +492,48 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{_float_str(float(rep.repeated_to_distinct_ratio))}")
         print(f"apex identity |X+(B_K x H)| = {rep.apex_lhs}, |H|*|X+B_K| = "
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
-        return 0
-    if args.what == "power":
+        if set(rep.distinct_sizes.values()) != {rep.expected_distinct} or not rep.apex_equal:
+            raise TheoremViolationError(f"cyclic extension at q={args.q} broke a guaranteed "
+                                        "identity", serialize_instance(inst, l))
+    elif args.what == "power":
         _require_commutative("power", inst)
-        beta, gamma = theorems.check_plgen(inst, l).rhs, instance_gamma(inst).gamma
-        powers = {r: multiplicativity_check(inst, r) for r in range(1, args.r + 1)}
-        for r, gamma_r in powers.items():
-            root = math.exp(log_fraction(gamma_r) / r)
-            print(f"r={r} gamma_r={gamma_r} equals gamma^r: "
-                  f"{'yes' if gamma_r == gamma ** r else 'NO'} "
+        beta = theorems.check_plgen(inst, l).rhs
+        verdicts = [CHECKS["power"][0](inst, l, argparse.Namespace(r=r))[0][0][0]
+                    for r in range(1, args.r + 1)]  # every row before any output
+        for r, v in enumerate(verdicts, 1):
+            root = math.exp(log_fraction(v.lhs) / r)
+            print(f"r={r} gamma_r={v.lhs} equals gamma^r: {'yes' if v.holds else 'NO'} "
                   f"root={_float_str(root)} beta~{_float_str(beta.approx)}")
-        all_equal = all(gamma_r == gamma ** r for r, gamma_r in powers.items())
-        print(f"all powers exact: {'yes' if all_equal else 'NO'}")
-        return 0 if all_equal else 1
-    _require_commutative("restricted", inst)  # the pipeline walks restricted's proof
-    subset = s if s is not None else inst.bk
-    rep = theorems.restricted_pipeline(inst, subset, args.r)
-    print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "
-          f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
-    for st in rep.steps:
-        kind = "exact" if st.exact else "float"
-        print(f"  {st.name}: {st.lhs} <= {st.rhs if st.exact else _float_str(st.rhs)} "
-              f"[{kind}] {'HOLDS' if st.holds else 'FAILS'}")
-    for row in rep.power_rows:
-        print(f"  r={row.r}: |S^r+A^r|={row.power_size} "
-              f"identity {'HOLDS' if row.identity_holds else 'FAILS'}; "
-              f"bound k^(1/r)(s|S|)^(1/k)={_float_str(row.bound)} "
-              f"{'HOLDS' if row.bound_holds else 'FAILS'}")
-    print(f"pipeline: {'ALL HOLD' if rep.all_hold else 'SOME STEP FAILED'}")
-    return 0 if rep.all_hold else 1
+        print(f"all powers exact: {'yes' if all(v.holds for v in verdicts) else 'NO'}")
+        for v in verdicts:
+            _raise_if_violated("power", v, inst, l)
+    else:
+        _require_commutative("restricted", inst)  # the pipeline walks restricted's proof
+        subset = s if s is not None else inst.bk
+        rep = theorems.restricted_pipeline(inst, subset, args.r)
+        print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "
+              f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
+        for st in rep.steps:
+            kind = "exact" if st.exact else "float"
+            print(f"  {st.name}: {st.lhs} <= {st.rhs if st.exact else _float_str(st.rhs)} "
+                  f"[{kind}] {'HOLDS' if st.holds else 'FAILS'}")
+        for row in rep.power_rows:
+            print(f"  r={row.r}: |S^r+A^r|={row.power_size} "
+                  f"identity {'HOLDS' if row.identity_holds else 'FAILS'}; "
+                  f"bound k^(1/r)(s|S|)^(1/k)={_float_str(row.bound)} "
+                  f"{'HOLDS' if row.bound_holds else 'FAILS'}")
+        print(f"pipeline: {'ALL HOLD' if rep.all_hold else 'SOME STEP FAILED'}")
+        if not rep.all_hold:
+            raise TheoremViolationError(f"restricted-sum pipeline failed up to r={args.r}",
+                                        serialize_instance(inst, l, subset))
 
 
-def cmd_find_x(args: argparse.Namespace) -> int:
+def cmd_find_x(args: argparse.Namespace) -> None:
     inst, _, _ = load_instance(args.instance)
     res = instance_gamma(inst)
     size = len(res.witness)  # the certificate proved |X+B_K| = gamma*|X|
     print(f"X = {sorted(res.witness)}")
     print(f"|X| = {size}  |X+B_K| = {res.gamma * size}  ratio = {res.gamma}")
-    return 0
 
 
 # -- entry point --------------------------------------------------------------------
@@ -609,7 +611,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except ExitOneError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         if exc.dump is not None:
@@ -619,6 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ValidationError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

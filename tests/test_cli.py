@@ -533,6 +533,68 @@ def test_demo_powers_of_a_one_element_group_are_budgeted(tmp_path, set_cap, caps
         "", f"error: power 28 exceeds 27, the bit length of the element cap {2 ** 26}\n")
 
 
+def _violation_replay(err):
+    """A demo's failure on stderr: one VIOLATION line, then one JSON dump
+    line, read back as an instance file."""
+    violation, dump_line, end = err.split("\n")
+    assert violation.startswith("VIOLATION: ") and end == ""
+    return violation, parse_instance(json.loads(dump_line))
+
+
+def test_demo_power_violation_exit(monkeypatch, capsys):
+    # a failed row leaves after the whole report, like a failed sweep row
+    real = cli.multiplicativity_check
+    monkeypatch.setattr(cli, "multiplicativity_check", lambda inst, r: real(inst, r) + (r == 2))
+    assert main(["demo", "power", str(FIXTURES / "z5.json"), "-r", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "r=1 gamma_r=5/2 equals gamma^r: yes root=2.5 beta~3",
+        "r=2 gamma_r=29/4 equals gamma^r: NO root=2.69258240357 beta~3",
+        "r=3 gamma_r=125/8 equals gamma^r: yes root=2.5 beta~3",
+        "all powers exact: NO"]
+    violation, (inst, l, s) = _violation_replay(err)
+    assert violation == "VIOLATION: guaranteed check 'power' failed: lhs=29/4 rhs=25/4"
+    assert (inst, l, s) == (*cli.load_instance(str(FIXTURES / "z5.json"))[:2], None)
+
+
+def test_demo_pipeline_violation_exit(monkeypatch, capsys):
+    import plab.theorems as theorems_mod
+    real = theorems_mod.restricted_pipeline
+
+    def first_step_fails(inst, s, r_max):
+        rep = real(inst, s, r_max)
+        return rep._replace(steps=(rep.steps[0]._replace(holds=False), *rep.steps[1:]),
+                            all_hold=False)
+
+    monkeypatch.setattr(theorems_mod, "restricted_pipeline", first_step_fails)
+    assert main(["demo", "pipeline", str(FIXTURES / "z5.json"), "-r", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "  product_bound: 4 <= 4 [exact] FAILS\n" in out
+    assert out.endswith("pipeline: SOME STEP FAILED\n")
+    violation, (inst, l, s) = _violation_replay(err)
+    assert violation == "VIOLATION: restricted-sum pipeline failed up to r=2"
+    file_inst, file_l, file_s = cli.load_instance(str(FIXTURES / "z5.json"))
+    assert (inst, l) == (file_inst, file_l) and sorted(s) == sorted(file_s) == [0, 3]
+
+
+@pytest.mark.parametrize("broken", [
+    lambda rep: rep._replace(distinct_sizes={i: 241 for i in rep.distinct_sizes}),
+    lambda rep: rep._replace(apex_lhs=rep.apex_lhs + 1, apex_equal=False),
+], ids=["distinct-size", "apex"])
+def test_demo_lemma21_violation_exit(monkeypatch, capsys, broken):
+    # the construction guarantees both identities, so a break is a violation
+    import plab.constructions as constructions_mod
+    real = constructions_mod.lemma21_demo
+    monkeypatch.setattr(constructions_mod, "lemma21_demo",
+                        lambda inst, l, q: broken(real(inst, l, q)))
+    assert main(["demo", "lemma21", str(FIXTURES / "z9.json"), "--q", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("q=2 n=[8, 6, 5]") and "apex identity" in out
+    violation, (inst, l, s) = _violation_replay(err)
+    assert violation == "VIOLATION: cyclic extension at q=2 broke a guaranteed identity"
+    assert (inst, l, s) == cli.load_instance(str(FIXTURES / "z9.json"))
+
+
 def test_demo_lemma21_rejects_q_below_1(capsys):
     assert main(["demo", "lemma21", str(FIXTURES / "z9.json"), "--q", "0"]) == 2
     assert capsys.readouterr() == ("", "error: q must be >= 1, got 0\n")

@@ -1,9 +1,10 @@
 """Malformed instance files and sweep configs fed to the CLI in process.
 
-Whatever the file holds, `plab` must exit 0 (the input was usable) or 2 (it
-was not), and no exception may escape `main`.  Integers are kept small so
-that an input that happens to be valid runs in milliseconds: a valid sweep
-with a huge "count" is slow, not malformed.
+Whatever the file holds, `plab` (verify, find-x, sweep and each demo) must
+exit 0 (the input was usable) or 2 (it was not), and no exception may escape
+`main`.  Integers are kept small so that an input that happens to be valid
+runs in milliseconds: a valid sweep with a huge "count" is slow, not
+malformed.
 """
 
 import contextlib
@@ -37,6 +38,8 @@ SWEEP = {"seed": 1, "count": 3, "k_range": [2, 3], "l_rule": "all",
          "group_size_range": [2, 12], "set_size_range": [1, 4],
          "checks": ["plgen", "pldiff", "single", "restricted", "power", "plgen2"]}
 SWEEP_KEYS = [*SWEEP, "insert_identity"]
+DEMOS = ([[what, "-r", str(r)] for what in ("power", "pipeline") for r in (1, 2)]
+         + [["lemma21", "--q", str(q)] for q in (1, 2, 3)])
 
 
 @st.composite
@@ -56,13 +59,13 @@ def documents(bases, keys):
             | st.binary(max_size=12))
 
 
-def run_cli(content: bytes, argv_tail: list[str], command: str) -> int:
+def run_cli(content: bytes, argv_tail: list[str], *command: str) -> int:
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "input.json"
         path.write_bytes(content)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            return main([command, str(path), *argv_tail])
+            return main([*command, str(path), *argv_tail])
 
 
 @settings(max_examples=40)
@@ -83,3 +86,11 @@ def test_find_x_fuzz_exits_0_or_2(content):
 @given(documents([SWEEP], SWEEP_KEYS))
 def test_sweep_fuzz_exits_0_or_2(content):
     assert run_cli(content, [], "sweep") in (0, 2)
+
+
+@settings(max_examples=40)
+@given(documents(INSTANCES, INSTANCE_KEYS), st.sampled_from(DEMOS))
+def test_demo_fuzz_exits_0_or_2(content, demo):
+    # a demo exits 1 only when a guaranteed identity fails, never on input
+    what, *flags = demo
+    assert run_cli(content, flags, "demo", what) in (0, 2)
