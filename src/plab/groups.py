@@ -432,7 +432,7 @@ def subset_sumsets(ground: GSet, bases: Sequence[GSet],
     most |ground| per base.  Branches that cannot reach min_size members
     are not entered.  Those two lists of |ground| * |bases| ints are
     budgeted at ceil(|G|/64) words each, from the group order alone, before
-    any translate is computed.
+    any translate is computed.  empirical_plgen2 is its one caller.
     """
     group = ground.group
     for t in bases:

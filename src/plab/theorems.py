@@ -19,12 +19,14 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import combinations
+from operator import add
 from typing import NamedTuple
 
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
                         instance_table, log_fraction, require_level)
 from .errors import UsageError
-from .groups import GSet, Instance, direct_powers, iterated_sumset, subset_sumsets, sumset
+from .groups import (GSet, Instance, check_budget, direct_powers, iterated_sumset,
+                     subset_sumsets, sumset)
 from .magnification import build_plun_graph, gamma_flow, instance_gamma, instance_graph
 
 REL_TOL = 1e-9        # float bound checks
@@ -254,6 +256,20 @@ def _restricted_verdict(k: int, s_size: int, sa_size: int, s_prod: int) -> Theor
     return TheoremVerdict(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
+def _count_meets(counts: list[int], translates: list[int], mask: int, bits: int,
+                 sign: int) -> None:
+    """Depth first below the members that mask selects, whose translates meet
+    in bits: counts[mask | 1 << j] = sign * |bits & translates[j]| for each
+    j above mask's top bit, the sign alternating with depth.  An empty
+    intersection ends its branch and leaves 0, as do all its supersets.  A
+    nested function that called itself would be a reference cycle, keeping
+    the translates alive after the check until the cyclic collector ran."""
+    for j in range(mask.bit_length(), len(translates)):
+        if both := bits & translates[j]:
+            counts[mask | 1 << j] = sign * both.bit_count()
+            _count_meets(counts, translates, mask | 1 << j, both, -sign)
+
+
 def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
                          ) -> TheoremVerdict | list[tuple[list[int], TheoremVerdict]]:
     """For S inside the complete sum B_K:
@@ -261,10 +277,11 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
 
     Returns the verdict for S, kept under ("restricted", S), or with
     every_subset a (members of T, verdict) pair for every nonempty subset T
-    of S, in increasing order of T's mask over the sorted members of S;
-    each |T+A| comes from subset_sumsets, so each s+A is translated once.
-    Time and list double with each member: every_subset refuses an S of
-    more than EVERY_SUBSET_MAX members before it walks any subset.
+    of S, in increasing order of T's mask over the sorted members of S.
+    Each t+A is translated once; by inclusion-exclusion the signed sizes of
+    their intersections (_count_meets) sum to every |T+A|.  Time and list
+    double with each member: above EVERY_SUBSET_MAX members S is refused,
+    then 2*|S| ints of ceil(|G|/64) words are budgeted, before any translate.
     """
     if not every_subset:
         def verdict(i: Instance) -> TheoremVerdict:
@@ -275,10 +292,23 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
         raise UsageError(f"checking every subset of S needs |S| <= {EVERY_SUBSET_MAX}, "
                          f"got {len(s)}")
     s_prod = _leave_one_out_product(inst, s)
-    members = list(s)
-    return [([e for i, e in enumerate(members) if mask >> i & 1],
-             _restricted_verdict(inst.k, mask.bit_count(), union.bit_count(), s_prod))
-            for mask, (union,) in subset_sumsets(s, [inst.a])]
+    group, n = inst.group, len(s)
+    check_budget(2 * n * ((group.order + 63) >> 6), "64-bit words of subset sumsets")
+    translates = [group.translate_bits(inst.a.bits, t) for t in s]
+    counts = [0] * (1 << n)
+    for i, bits in enumerate(translates):
+        counts[1 << i] = len(inst.a)  # |t+A| = |A|
+        _count_meets(counts, translates, 1 << i, bits, -1)
+    # the subset-sum transform: each pass adds the masks without the lowest
+    # bit into those with it, then moves that bit to the top of the index
+    for _ in range(n):
+        without = counts[0::2]
+        counts = without + list(map(add, without, counts[1::2]))
+    subsets = [[]]  # the members of every mask, in increasing mask order
+    for t in s:
+        subsets += [u + [t] for u in subsets]
+    return [(u, _restricted_verdict(inst.k, len(u), size, s_prod))
+            for u, size in zip(subsets[1:], counts[1:])]
 
 
 class PipelineStep(NamedTuple):

@@ -401,6 +401,23 @@ def test_verify_json_report_is_compact(tmp_path, capsys, instance, flags, golden
     assert report == json.loads((ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8"))
 
 
+def test_all_subsets_report_on_a_wide_group_matches_golden(tmp_path, capsys):
+    # fixtures/z5.json fits in one word; Z_256^2 takes 1,024, and the golden
+    # report, byte for byte, was written when each |S+A| was a union of
+    # translates
+    rng = random.Random(2008)
+    a = sorted(rng.sample(range(1 << 16), 200))
+    b = [sorted([0, *rng.sample(range(1, 1 << 16), 1)]),
+         sorted([0, *rng.sample(range(1, 1 << 16), 2)])]
+    path = write_json(tmp_path, "wide.json", {"group": [256, 256], "A": a, "B": b, "l": 1})
+    report = tmp_path / "wide.report.json"
+    assert main(["verify", path, "--check", "restricted", "--all-subsets",
+                 "--json", str(report)]) == 0
+    assert capsys.readouterr() == ("restricted: 63/63 subset checks HOLD\n", "")
+    golden = ROOT / "tests" / "golden" / "report_z256x256_restricted_all_subsets.json"
+    assert report.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("mode, typed", [("a", "100"), ("a", "100.0"), ("a", "1E+2"),
                                          ("t", "5"), ("t", "5.0")])
 def test_verify_large_echoes_a_rejected_value_as_typed(capsys, mode, typed):

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from plab import (EQ, GT, LT, BetaValue, Instance, TheoremViolationError, UsageError,
+from plab import (EQ, GT, LT, BetaValue, Instance, ResourceError, TheoremViolationError,
+                  UsageError,
                   alpha_table, beta_value, build_plun_graph, check_noncommutative,
                   check_pldiff, check_plgen, check_restricted_sum, check_single_summand,
                   cmp_ratio_vs_beta, empirical_plgen2,
                   iterated_sumset, large_subset, make_abelian_group,
                   make_cayley_group, restricted_pipeline, sumset)
-from plab import theorems
+from plab import groups, theorems
+from plab.alphabeta import instance_table
 from plab.cli import _raise_if_violated, serialize_instance
 from plab.theorems import TheoremVerdict
 
@@ -313,15 +315,133 @@ def test_every_subset_restricted_refuses_13_members_before_any_subset(monkeypatc
     # B_K = {0..15}; one S of 13 members would take 8,191 verdicts
     g = make_abelian_group([64])
     inst = Instance(g, g.set_of([0, 1]), (g.set_of([0, 1, 2, 3]), g.set_of([0, 4, 8, 12])))
+    # the walk's budget check is the first step of the every-subset kernel
     def entered(*args):
-        raise AssertionError("subset_sumsets entered")
-    monkeypatch.setattr(theorems, "subset_sumsets", entered)
+        raise AssertionError("every-subset kernel entered")
+    monkeypatch.setattr(theorems, "check_budget", entered)
     with pytest.raises(UsageError, match=r"^checking every subset of S needs \|S\| <= 12, got 13$"):
         check_restricted_sum(inst, g.set_of(range(13)), every_subset=True)
-    with pytest.raises(AssertionError, match="subset_sumsets entered"):
+    with pytest.raises(AssertionError, match="every-subset kernel entered"):
         check_restricted_sum(inst, g.set_of(range(12)), every_subset=True)
     # the cap bounds the subsets, not the one verdict on S itself
     assert check_restricted_sum(inst, g.set_of(range(16))).holds
+
+
+# -- every subset of S: inclusion-exclusion over the intersections of the t+A ----
+
+def _every_subset_naive(inst, s):
+    """(T, lhs, rhs, holds) for every nonempty T inside the sorted list s, in
+    increasing mask order, with T+A the union of the naive sumsets t+A."""
+    g, a = inst.group, list(inst.a)
+    s_prod = math.prod(alpha_table(inst).leave_one_out_sizes())
+    translates = [naive_sumset(g, [t], a) for t in s]
+    rows = []
+    for mask in range(1, 1 << len(s)):
+        chosen = [i for i in range(len(s)) if mask >> i & 1]
+        lhs = len(set().union(*(translates[i] for i in chosen))) ** inst.k
+        rhs = len(chosen) * s_prod
+        rows.append(([s[i] for i in chosen], lhs, rhs, lhs <= rhs))
+    return rows
+
+
+def _every_subset_rows(inst, s):
+    return [(t, v.lhs, v.rhs, v.holds)
+            for t, v in check_restricted_sum(inst, inst.group.set_of(s), every_subset=True)]
+
+
+WIDE_MODULI = [(256, 256), (3, 1, 50), (4096,)]
+
+
+@given(st.data())
+def test_every_subset_restricted_matches_naive_sumsets(data):
+    # groups of more than one word, and bundled Cayley tables, which only the
+    # library takes; A is sparse over the group, or a run of consecutive
+    # indices whose translates by the small elements of B_K overlap
+    moduli = data.draw(st.sampled_from([*WIDE_MODULI, None]))
+    if moduli is None:
+        g = make_cayley_group(data.draw(st.sampled_from(bundled_tables(24)))[1])
+    else:
+        g = make_abelian_group(moduli)
+    small = st.lists(st.integers(0, min(g.order, 16) - 1), min_size=1, max_size=4, unique=True)
+    bs = [g.set_of(data.draw(small)) for _ in range(2)]
+    if data.draw(st.booleans()):
+        start, width = data.draw(st.integers(0, g.order - 1)), data.draw(st.integers(1, 200))
+        a = {(start + i) % g.order for i in range(min(width, g.order))}
+    else:
+        a = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=20))
+    inst = Instance(g, g.set_of(a), bs)
+    bk = list(inst.bk)
+    size = data.draw(st.integers(1, min(12, len(bk))))
+    s = sorted(data.draw(st.lists(st.sampled_from(bk), min_size=size, max_size=size,
+                                  unique=True)))
+    assert _every_subset_rows(inst, s) == _every_subset_naive(inst, s)
+
+
+@pytest.mark.parametrize("moduli", WIDE_MODULI)
+@pytest.mark.parametrize("dense", [False, True])
+def test_every_subset_restricted_at_twelve_members(moduli, dense):
+    # S = B_K of 12 members, the most that every_subset takes
+    rng = random.Random(12)
+    g = make_abelian_group(moduli)
+    a = range(150) if dense else rng.sample(range(g.order), 40)
+    inst = Instance(g, g.set_of(a), (g.set_of([0, 1, 2]), g.set_of([0, 12, 24, 36])))
+    s = list(inst.bk)
+    assert len(s) == 12
+    assert _every_subset_rows(inst, s) == _every_subset_naive(inst, s)
+
+
+def test_every_subset_restricted_stops_at_disjoint_pairs(monkeypatch):
+    # the translates {t, t+1000} of A over the 12 members t of B_K, all below
+    # 51, are pairwise disjoint: the walk takes the 66 pairs and stops there
+    g = make_abelian_group([256, 256])
+    inst = Instance(g, g.set_of([0, 1000]), (g.set_of([0, 1, 2]), g.set_of([0, 16, 32, 48])))
+    s = list(inst.bk)
+    instance_table(inst)  # the leave-one-out sizes, before translates are counted
+
+    class Counted(int):
+        meets = 0
+
+        def __and__(self, other):
+            Counted.meets += 1
+            return int(self) & int(other)
+
+        __rand__ = __and__  # a meet below depth 2 has a plain int on the left
+
+    translate_bits = groups.Group.translate_bits
+    monkeypatch.setattr(groups.Group, "translate_bits",
+                        lambda self, bits, a: Counted(translate_bits(self, bits, a)))
+    rows = _every_subset_rows(inst, s)
+    assert Counted.meets == 66
+    assert [lhs for _, lhs, _, _ in rows] == [(2 * len(t)) ** 2 for t, _, _, _ in rows]
+    assert rows == _every_subset_naive(inst, s)
+
+
+def test_every_subset_restricted_refuses_before_any_translate(set_cap, monkeypatch):
+    # 2 * 12 members ints of ceil(4096/64) = 64 words each, counted from the
+    # group order, so no translate is computed
+    g = make_abelian_group([4096])
+    inst = Instance(g, g.set_of([0, 5, 77]), (g.set_of([0, 1, 2]), g.set_of([0, 256, 512, 768])))
+    s = inst.bk
+    instance_table(inst)  # the leave-one-out sizes come first, and from the table
+    set_cap("1535")
+
+    def translate_bits(self, bits, a):
+        raise AssertionError("a translate was computed before the budget check")
+
+    monkeypatch.setattr(groups.Group, "translate_bits", translate_bits)
+    with pytest.raises(ResourceError) as exc:
+        check_restricted_sum(inst, s, every_subset=True)
+    assert str(exc.value) == "1536 64-bit words of subset sumsets exceed the element cap 1535"
+
+
+def test_every_subset_restricted_exact_tie():
+    # S = {0, 2, 6, 8} has |S+A| = 8, and |S| * |A+B_1| * |A+B_2| = 4 * 4 * 4:
+    # 8^2 = 64 on both sides, which holds, as every other subset of B_K does
+    g = make_abelian_group([10])
+    inst = Instance(g, g.set_of([1, 4]), (g.set_of([0, 3, 6]), g.set_of([0, 2])))
+    rows = _every_subset_rows(inst, list(inst.bk))
+    assert len(rows) == 63 and all(holds for _, _, _, holds in rows)
+    assert ([0, 2, 6, 8], 64, 64, True) in rows
 
 
 def test_restricted_requires_subset(z5):
