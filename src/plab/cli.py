@@ -492,7 +492,7 @@ def cmd_demo(args: argparse.Namespace) -> None:
               f"{_float_str(float(rep.repeated_to_distinct_ratio))}")
         print(f"apex identity |X+(B_K x H)| = {rep.apex_lhs}, |H|*|X+B_K| = "
               f"{rep.apex_rhs} -> {'EQUAL' if rep.apex_equal else 'MISMATCH'}")
-        if set(rep.distinct_sizes.values()) != {rep.expected_distinct} or not rep.apex_equal:
+        if not rep.identities_hold:
             raise TheoremViolationError(f"cyclic extension at q={args.q} broke a guaranteed "
                                         "identity", serialize_instance(inst, l))
     elif args.what == "power":
@@ -515,8 +515,8 @@ def cmd_demo(args: argparse.Namespace) -> None:
               f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
         for st in rep.steps:
             kind = "exact" if st.exact else "float"
-            print(f"  {st.name}: {st.lhs} <= {st.rhs if st.exact else _float_str(st.rhs)} "
-                  f"[{kind}] {'HOLDS' if st.holds else 'FAILS'}")
+            rhs = _float_str(st.rhs) if isinstance(st.rhs, float) else st.rhs
+            print(f"  {st.name}: {st.lhs} <= {rhs} [{kind}] {'HOLDS' if st.holds else 'FAILS'}")
         for row in rep.power_rows:
             print(f"  r={row.r}: |S^r+A^r|={row.power_size} "
                   f"identity {'HOLDS' if row.identity_holds else 'FAILS'}; "

@@ -69,6 +69,11 @@ class Lemma21Report(NamedTuple):
     apex_equal: bool
 
     @property
+    def identities_hold(self) -> bool:
+        """Every distinct-summand size is expected_distinct, and the apex identity holds."""
+        return self.apex_equal and set(self.distinct_sizes.values()) == {self.expected_distinct}
+
+    @property
     def repeated_to_distinct_ratio(self) -> Fraction:
         return Fraction(sum(self.repeated_sizes.values()),
                         sum(self.distinct_sizes.values()))

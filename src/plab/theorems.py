@@ -7,8 +7,9 @@ every command refuses a proved check on a noncommutative group.  A check
 whose bound reads a level l takes it as an argument, and each check refuses
 the inputs it cannot take for every caller, such as more than
 EVERY_SUBSET_MAX members of an every-subset S.  Verdicts are exact, except
-the float bounds of ``large_subset`` and the restricted proof chain, which
-are checked at a fixed relative tolerance.
+the bounds that are sums of roots, checked in floats at a fixed relative
+tolerance: ``large_subset``'s, which the restricted proof chain reuses as its
+``witness_term_bound``, and that chain's ``combined_bound``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .groups import (GSet, Instance, check_budget, direct_powers, iterated_sumse
                      subset_sumsets, sumset)
 from .magnification import build_plun_graph, gamma_flow, instance_gamma, instance_graph
 
-REL_TOL = 1e-9        # float bound checks
+REL_TOL = 1e-9        # float checks of the sum-of-roots bounds
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
 EVERY_SUBSET_MAX = 12  # |S| for check_restricted_sum's 2^|S| - 1 subset verdicts
 
@@ -371,21 +372,22 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         rest = len(sumset(s, inst.a - x)) if r_x < m else 0
         add("complement_term", rest, s_size * (m - r_x), True)
         add("split", sa_size, sx + rest, True)
-        combined = (k * (s_prod * s_size) ** (1 / k)
-                    - (k - 1) * (s_prod / m) ** (1 / (k - 1)))
-        add("combined_bound", sa_size, combined, False)
-        add("relaxed_bound", sa_size, k * (s_prod * s_size) ** (1 / k), False)
+        relaxed = k * (s_prod * s_size) ** (1 / k)
+        add("combined_bound", sa_size, relaxed - (k - 1) * (s_prod / m) ** (1 / (k - 1)), False)
+        relaxed_holds = cmp_ratio_vs_beta(Fraction(sa_size, k),
+                                          BetaValue(Fraction(s_prod * s_size), k)) != GT
+        steps.append(PipelineStep("relaxed_bound", sa_size, relaxed, relaxed_holds, True))
     final = _restricted_verdict(k, s_size, sa_size, s_prod)
     add("kth_power_bound", final.lhs, final.rhs, True)
 
     power_rows: list[PowerRow] = []
     for r in range(1, r_max + 1):
         size_r = len(sumset(*direct_powers((s, inst.a), r))) if r > 1 else sa_size
-        bound_r = k ** (1 / r) * (s_prod * s_size) ** (1 / k)
+        root = BetaValue(Fraction(k ** k * (s_prod * s_size) ** r), r * k)  # the bound as one root
         power_rows.append(PowerRow(
             r=r, power_size=size_r, identity_holds=size_r == sa_size ** r,
-            bound=bound_r,
-            bound_holds=sa_size <= bound_r * (1 + REL_TOL)))
+            bound=k ** (1 / r) * (s_prod * s_size) ** (1 / k),
+            bound_holds=cmp_ratio_vs_beta(Fraction(sa_size), root) != GT))
 
     all_hold = (all(st.holds for st in steps)
                 and all(row.identity_holds and row.bound_holds for row in power_rows))

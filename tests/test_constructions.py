@@ -61,6 +61,14 @@ def test_demo_z9_q2_distinct_sizes(z9):
     assert rep.setup.h_order == beta_l_qk == 240
 
 
+def test_demo_z9_q2_identities_hold(z9):
+    rep = lemma21_demo(z9, 2, 2)
+    assert rep.identities_hold
+    # one distinct-summand size off, or the apex identity broken, breaks it
+    assert not rep._replace(distinct_sizes={**rep.distinct_sizes, 2: 241}).identities_hold
+    assert not rep._replace(apex_equal=False).identities_hold
+
+
 def test_demo_z9_q2_union_and_first_q(z9):
     rep = lemma21_demo(z9, 2, 2)
     assert rep.union_rhs == 1440

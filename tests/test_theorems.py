@@ -504,6 +504,49 @@ def test_pipeline_power_identity(seed):
     assert rep.all_hold
 
 
+def _pipeline_at(monkeypatch, inst, s, s_prod, r_max):
+    """The pipeline with the leave-one-out product s replaced by s_prod."""
+    monkeypatch.setattr(theorems, "_leave_one_out_product", lambda inst, s: s_prod)
+    return restricted_pipeline(inst, s, r_max)
+
+
+@pytest.mark.parametrize("s_prod, holds", [(2, True), (1, False)])
+def test_pipeline_relaxed_bound_at_equality(monkeypatch, z5, s_prod, holds):
+    # S = {0, 3} has |S+A| = 4 and |S| = 2, so |S+A|^2 <= 2^2 * s * |S| is
+    # 16 <= 8s: a tie at s = 2, and one unit below it fails
+    rep = _pipeline_at(monkeypatch, z5, z5.group.set_of([0, 3]), s_prod, 1)
+    assert (rep.branch, rep.sa_size, rep.s_size) == ("large", 4, 2)
+    [step] = [st for st in rep.steps if st.name == "relaxed_bound"]
+    assert step.exact and step.holds is holds
+
+
+@pytest.mark.parametrize("s_prod, holds", [(4, True), (3, False)])
+def test_pipeline_power_row_at_equality(monkeypatch, z5, s_prod, holds):
+    # at r = 2, |S+A|^4 <= 2^2 * (s * |S|)^2 is 256 <= 16 s^2: a tie at s = 4
+    rep = _pipeline_at(monkeypatch, z5, z5.group.set_of([0, 3]), s_prod, 2)
+    assert (rep.sa_size, rep.s_size) == (4, 2)
+    assert rep.power_rows[1].bound_holds is holds
+
+
+@given(st.integers(0, 10_000), st.one_of(st.none(), st.integers(1, 200)))
+@example(seed=0, s_prod=None)
+def test_pipeline_root_bounds_match_integer_forms(seed, s_prod):
+    # relaxed_bound is |S+A|^k <= k^k s |S|, and the power row at r is
+    # |S+A|^(rk) <= k^k (s |S|)^r; s_prod None keeps the instance's own s
+    rng = random.Random(seed)
+    inst, _ = rand_instance(rng, n_range=(2, 12), k_range=(2, 3), a_range=(1, 4),
+                            b_range=(1, 3))
+    s = rand_subset(rng, inst.bk)
+    with pytest.MonkeyPatch.context() as mp:
+        rep = (restricted_pipeline(inst, s, 3) if s_prod is None
+               else _pipeline_at(mp, inst, s, s_prod, 3))
+    k, sa, size, s_prod = inst.k, rep.sa_size, rep.s_size, rep.s_prod
+    relaxed = [st.holds for st in rep.steps if st.name == "relaxed_bound"]
+    assert relaxed == ([] if rep.branch == "small" else [sa ** k <= k ** k * s_prod * size])
+    assert [row.bound_holds for row in rep.power_rows] == [
+        sa ** (r * k) <= k ** k * (s_prod * size) ** r for r in (1, 2, 3)]
+
+
 # -- noncommutative two-sided bound ------------------------------------------------------------
 
 def test_noncomm_identity_sets():
