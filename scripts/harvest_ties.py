@@ -23,21 +23,16 @@ import sys
 from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from inputs import DEFAULT_SEEDS, PLGEN_CONFIG, POWER_CONFIG, POWER_SEED  # noqa: E402
 from plab.alphabeta import EQ, BetaValue, cmp_ratio_vs_beta  # noqa: E402
 from plab.cli import (_draw, generate_base, run_sweep, serialize_instance,  # noqa: E402
                       sweep_config_from_dict)
 
-# the sweep configs of perfbench/inputs.py, at their default seeds
-SWEEPS = {
-    "sweep_plgen": {"seed": 20260808, "count": 1000, "k_range": [2, 4], "l_rule": "all",
-                    "group_size_range": [2, 64], "set_size_range": [1, 8],
-                    "checks": ["plgen"]},
-    "sweep_power": {"seed": 71, "count": 100, "k_range": [2, 4], "l_rule": "all",
-                    "group_size_range": [2, 48], "set_size_range": [1, 6],
-                    "checks": ["plgen", "pldiff", "restricted", "power"]},
-}
+# the benchmark's sweep configs, at their default seeds
+SWEEPS = {"sweep_plgen": {"seed": DEFAULT_SEEDS["sweep_plgen"], **PLGEN_CONFIG},
+          "sweep_power": {"seed": POWER_SEED, **POWER_CONFIG}}
 
 
 def harvest() -> str:
@@ -65,8 +60,7 @@ def harvest() -> str:
             seen.add((index, check, level))
             inst = generate_base(cfg, index)
             # the S that sweep_rows_for_index draws for the instance
-            s = (_draw(inst.bk, cfg.seed * (1 << 40) + index * (1 << 8) + 3)
-                 if check == "restricted" else None)
+            s = _draw(cfg, index, inst.bk) if check == "restricted" else None
             entries.append({"sweep": sweep, "index": index, "check": check,
                             "instance": serialize_instance(inst, level, s), **pair})
     lines = (json.dumps(entry, sort_keys=True, separators=(",", ":")) for entry in entries)

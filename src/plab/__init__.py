@@ -1,7 +1,7 @@
 """Exact verification lab for sumset-cardinality inequalities over finite groups."""
 
 from .alphabeta import (EQ, GT, LT, AlphaTable, BetaValue, alpha_table, beta_value,
-                        cmp_ratio_vs_beta)
+                        cmp_ratio_vs_beta, cmp_ratio_vs_sum)
 from .errors import (CertificateError, PlabError, ResourceError,
                      TheoremViolationError, UsageError, ValidationError)
 from .groups import (GSet, Group, Instance, direct_powers, element_cap,
@@ -25,7 +25,7 @@ __all__ = [
     "admissible_q", "alpha_table", "beta_value",
     "build_extension", "build_plun_graph", "check_noncommutative", "check_pldiff",
     "check_plgen", "check_restricted_sum", "check_single_summand",
-    "cmp_ratio_vs_beta", "direct_powers", "element_cap", "empirical_plgen2",
+    "cmp_ratio_vs_beta", "cmp_ratio_vs_sum", "direct_powers", "element_cap", "empirical_plgen2",
     "gamma_flow", "integer_group", "iterated_sumset", "large_subset", "lemma21_demo",
     "make_abelian_group", "make_cayley_group", "multiplicativity_check",
     "restricted_pipeline", "sumset",

@@ -7,7 +7,9 @@ of every index subset I, so alpha_I = |A+B_I| / |A| is exact.  The bound
 
 is irrational in general, so it is kept as an exact (base, root) pair and
 every order decision is made by raising to the integer root and
-cross-multiplying big integers; a float is only derived, for display.
+cross-multiplying big integers; a float is only derived, for display.  A
+bound that is a sum of rational multiples of such roots is ordered by
+cmp_ratio_vs_sum, in integers too.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import UsageError
+from .errors import CertificateError, UsageError
 from .groups import Instance, sumset
 
 MAX_K = 8
+ROOT_BITS_MAX = 1 << 14  # the finest bracket of a root in cmp_ratio_vs_sum, in bits
 
 LT, EQ, GT = -1, 0, 1
 
@@ -133,3 +136,80 @@ def cmp_ratio_vs_beta(ratio: Fraction, b: BetaValue,
     if lhs > rhs:
         return GT
     return EQ
+
+
+def iroot(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for integers x >= 0 and n >= 1.  A float guess of
+    the root's top bits is refined by Newton's method; the first integer
+    step lands at or above the floor from any guess, and each later one
+    goes down until it would stop."""
+    if x < 2 or n == 1:
+        return x
+    shift = max(0, x.bit_length() // n - 48)  # root bits below a float's reach
+    r = int(math.exp(math.log(x >> shift * n) / n) + 1) << shift
+    r = ((n - 1) * r + x // r ** (n - 1)) // n
+    while (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
+        r = s
+    return r
+
+
+def rational_root(b: BetaValue) -> Fraction | None:
+    """b's value when it is rational, else None: the reduced base is a
+    perfect power exactly when its numerator and denominator are."""
+    n, num, den = b.expo_den, b.base.numerator, b.base.denominator
+    p, q = iroot(num, n), iroot(den, n)
+    return Fraction(p, q) if p ** n == num and q ** n == den else None
+
+
+def root_product(*roots: BetaValue) -> BetaValue:
+    """A product of roots as one root, over the lcm of their roots."""
+    n = math.lcm(*(b.expo_den for b in roots))
+    return BetaValue(math.prod(b.base ** (n // b.expo_den) for b in roots), n)
+
+
+def cmp_ratio_vs_sum(lhs: Fraction, terms: Sequence[tuple[Fraction, BetaValue]]) -> int:
+    """Exact order of a rational lhs against the sum of c * b over (c, b)
+    in terms, each b a positive root: LT, EQ or GT.  Rational roots are
+    summed as Fractions.  If the other coefficients differ in sign, roots
+    with a rational ratio are merged, so that what cancels cancels exactly.
+    A lone irrational root goes to cmp_ratio_vs_beta; several are bracketed
+    between integer n-th roots, at double the bits each round up to
+    ROOT_BITS_MAX, past which CertificateError carries lhs and the terms.
+    """
+    rest, roots = Fraction(lhs), {}
+    for c, b in terms:
+        if (exact := rational_root(b)) is not None:
+            rest -= c * exact
+        elif c:
+            roots[b] = roots.get(b, 0) + c
+    if len({c > 0 for c in roots.values() if c}) > 1:
+        merged: dict[BetaValue, Fraction] = {}
+        for b, c in roots.items():
+            for b0 in merged:
+                if ratio := rational_root(root_product(b, BetaValue(1 / b0.base, b0.expo_den))):
+                    merged[b0] += c * ratio
+                    break
+            else:
+                merged[b] = c
+        roots = merged
+    roots = [(c, b) for b, c in roots.items() if c]
+    if not roots:
+        return (rest > 0) - (rest < 0)
+    if len(roots) == 1:
+        [(c, b)] = roots
+        order = cmp_ratio_vs_beta(rest / c, b) if rest / c > 0 else LT
+        return order if c > 0 else -order
+    bits = 64
+    while bits <= ROOT_BITS_MAX:
+        lo = hi = 0  # 2^bits times the sum lies strictly between them
+        for c, b in roots:
+            n = b.expo_den
+            f = iroot((b.base.numerator << bits * n) // b.base.denominator, n)
+            lo, hi = (lo + c * f, hi + c * (f + 1)) if c > 0 else (lo + c * (f + 1), hi + c * f)
+        if rest * (1 << bits) <= lo:
+            return LT
+        if rest * (1 << bits) >= hi:
+            return GT
+        bits *= 2
+    raise CertificateError(f"exact comparison undecided at {ROOT_BITS_MAX} bits", {
+        "lhs": str(lhs), "terms": [[str(c), str(b.base), b.expo_den] for c, b in terms]})

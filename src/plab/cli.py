@@ -391,9 +391,10 @@ def _levels(cfg: SweepConfig, k: int) -> list[int]:
     return [int(cfg.l_rule)] if int(cfg.l_rule) < k else []
 
 
-def _draw(bk: GSet, seed: int) -> GSet:
-    """The sweep's random nonempty S inside B_K, drawn from Random(seed)."""
-    rng = random.Random(seed)
+def _draw(cfg: SweepConfig, index: int, bk: GSet) -> GSet:
+    """The sweep's random nonempty S inside B_K of instance #index, drawn
+    from a seed of its own, so that no other cell depends on the draw."""
+    rng = random.Random(cfg.seed * (1 << 40) + index * (1 << 8) + 3)
     members = list(bk)
     return bk.group.set_of(rng.sample(members, rng.randint(1, len(members))))
 
@@ -407,8 +408,7 @@ def sweep_rows_for_index(cfg: SweepConfig, index: int, timing: bool) -> list[lis
     b_sizes = ";".join(str(len(b)) for b in inst.bs)
     levels = _levels(cfg, inst.k)
     # restricted's S does not depend on the level: drawn once, before any row
-    s = (_draw(inst.bk, cfg.seed * (1 << 40) + index * (1 << 8) + 3)
-         if levels and "restricted" in cfg.checks else None)
+    s = _draw(cfg, index, inst.bk) if levels and "restricted" in cfg.checks else None
     opts = argparse.Namespace(s=s, all_subsets=False, epsilon="0.5", samples=128,
                               seed=cfg.seed * 1009 + index, r=2)
     for l in levels:
@@ -513,10 +513,9 @@ def cmd_demo(args: argparse.Namespace) -> None:
         rep = theorems.restricted_pipeline(inst, subset, args.r)
         print(f"branch={rep.branch} |S|={rep.s_size} |S+A|={rep.sa_size} "
               f"s={rep.s_prod}" + (f" t={_float_str(rep.t)}" if rep.t is not None else ""))
-        for st in rep.steps:
-            kind = "exact" if st.exact else "float"
+        for st in rep.steps:  # every step is decided exactly; a float rhs is shown
             rhs = _float_str(st.rhs) if isinstance(st.rhs, float) else st.rhs
-            print(f"  {st.name}: {st.lhs} <= {rhs} [{kind}] {'HOLDS' if st.holds else 'FAILS'}")
+            print(f"  {st.name}: {st.lhs} <= {rhs} [exact] {'HOLDS' if st.holds else 'FAILS'}")
         for row in rep.power_rows:
             print(f"  r={row.r}: |S^r+A^r|={row.power_size} "
                   f"identity {'HOLDS' if row.identity_holds else 'FAILS'}; "

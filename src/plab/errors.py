@@ -37,7 +37,9 @@ class TheoremViolationError(ExitOneError):
 
 
 class CertificateError(ExitOneError):
-    """gamma's certificate was rejected: a bug in the flow engine, never a
-    verdict.  dump holds the graph and the certificate for replay."""
+    """An internal error, never a verdict: gamma's certificate was rejected,
+    a bug in the flow engine, and dump holds the graph and the certificate;
+    or an exact comparison was left undecided at its precision cap, and dump
+    holds its two sides."""
 
     prefix = "internal error"

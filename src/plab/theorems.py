@@ -6,10 +6,11 @@ which are findings, is recorded once, in ``cli.CHECKS``, through which
 every command refuses a proved check on a noncommutative group.  A check
 whose bound reads a level l takes it as an argument, and each check refuses
 the inputs it cannot take for every caller, such as more than
-EVERY_SUBSET_MAX members of an every-subset S.  Verdicts are exact, except
-the bounds that are sums of roots, checked in floats at a fixed relative
-tolerance: ``large_subset``'s, which the restricted proof chain reuses as its
-``witness_term_bound``, and that chain's ``combined_bound``.
+EVERY_SUBSET_MAX members of an every-subset S.  Every verdict is exact: a
+bound that is a single root is decided by ``cmp_ratio_vs_beta``, and one
+that is a sum of roots, as ``large_subset``'s and the restricted proof
+chain's ``combined_bound`` are, by ``cmp_ratio_vs_sum``.  Floats are only
+derived, for display.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from itertools import combinations
 from operator import add
 from typing import NamedTuple
 
-from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta,
-                        instance_table, log_fraction, require_level)
+from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta, cmp_ratio_vs_sum,
+                        instance_table, iroot, log_fraction, require_level, root_product)
 from .errors import UsageError
 from .groups import (GSet, Instance, check_budget, direct_powers, iterated_sumset,
                      subset_sumsets, sumset)
 from .magnification import build_plun_graph, gamma_flow, instance_gamma, instance_graph
 
-REL_TOL = 1e-9        # float checks of the sum-of-roots bounds
 NEAR_FLAG_TOL = 1e-6  # flag verdicts this close to the boundary
 EVERY_SUBSET_MAX = 12  # |S| for check_restricted_sum's 2^|S| - 1 subset verdicts
 
@@ -185,7 +185,7 @@ def empirical_plgen2(inst: Instance, l: int, epsilon, *, samples: int = DEFAULT_
 
 class LargeSubsetResult(NamedTuple):
     x: GSet
-    bound: float
+    bound: float  # for display; holds is decided exactly
     holds: bool
     lhs: int
     iterations: int
@@ -198,10 +198,10 @@ def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
 
     mode "a": integer target 1 <= a <= |A|, result has |X| >= a.
     mode "t": real target 0 <= t < |A|, result has |X| > t.
-    The value may be any exact real (int, Fraction, Decimal or float); the
-    target and size tests compare it exactly.  The bound is evaluated in
-    floats (the inner powers are irrational) and checked at 1e-9 relative
-    tolerance, with a near-boundary flag at 1e-6.
+    The value may be any exact real (int, Fraction, Decimal or float); it
+    is read exactly.  The bound, beta times a sum of roots, is decided by
+    cmp_ratio_vs_sum; its float is for display, with a near-boundary flag
+    at 1e-6.
     """
     require_level(inst.k, l)
     m = len(inst.a)
@@ -215,8 +215,23 @@ def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
         raise UsageError(f"mode 'a' needs an integer 1 <= a <= {m}, got {value}")
     if mode == "t" and not 0 <= target < m:
         raise UsageError(f"mode 't' needs 0 <= t < {m}, got {value}")
-    size = math.floor(target) + (mode == "t")  # the least |X| that meets the target
+    if mode == "a":
+        return _large_subset(inst, l, int(target), None)
+    return _large_subset(inst, l, None, BetaValue(m - target, 1))
 
+
+def _large_subset(inst: Instance, l: int, a: int | None, gap: BetaValue | None
+                  ) -> LargeSubsetResult:
+    """large_subset to |X| >= a, or, given the gap g = |A| - t as a root
+    with 0 < g <= |A|, to |X| > t, whose least size is |A| - ceil(g) + 1.
+    With rho = (|A|/g)^(k/l), mode t's bound is beta times
+    (k/(k-l)) g rho + (|X| - |A|) rho - (l/(k-l)) |A|."""
+    k, m = inst.k, len(inst.a)
+    if gap is None:
+        size = a
+    else:
+        floor_gap = iroot(gap.base.numerator // gap.base.denominator, gap.expo_den)
+        size = m + 1 - floor_gap - (floor_gap ** gap.expo_den != gap.base)
     start = check_plgen(inst, l)  # beta, and the witness of all of A
     graph, x = instance_graph(inst), start.witness
     iterations = 1
@@ -225,19 +240,26 @@ def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
         iterations += 1
     lhs = graph.restricted(x).right_bits.bit_count()  # |X+B_K|
 
-    kl = inst.k / l
-    if mode == "a":
-        total = sum((m / (m - i)) ** kl for i in range(size))
-        total += (len(x) - size) * (m / (m - size + 1)) ** kl
+    beta, kl = start.rhs, k / l
+    if gap is None:
+        def term(i: int) -> BetaValue:  # beta * (m / (m - i))^(k/l)
+            return root_product(beta, BetaValue(Fraction(m, m - i) ** k, l))
+        terms = [(1, term(i)) for i in range(a)] + [(len(x) - a, term(a - 1))]
+        total = sum((m / (m - i)) ** kl for i in range(a))
+        total += (len(x) - a) * (m / (m - a + 1)) ** kl
     else:
-        gap = float(m - target)  # rounded once, so positive even for t next to |A|
-        head = m ** kl * (l / (inst.k - l)) * (gap ** (1 - kl) - m ** (1 - kl))
-        total = head + float(len(x) - target) * (m / gap) ** kl
-    bound = start.rhs.approx * total
-    holds = lhs <= bound * (1 + REL_TOL)
+        rho = BetaValue((m ** gap.expo_den / gap.base) ** k, l * gap.expo_den)
+        terms = [(Fraction(k, k - l), root_product(beta, gap, rho)),
+                 (len(x) - m, root_product(beta, rho)), (Fraction(-l * m, k - l), beta)]
+        # for display, a root gap is rounded as the float t = m - g rounds it
+        g = (gap.base if gap.expo_den == 1
+             else m - Fraction(m - float(gap.base) ** (1 / gap.expo_den)))
+        head = m ** kl * (l / (k - l)) * (float(g) ** (1 - kl) - m ** (1 - kl))
+        total = head + float(len(x) - m + g) * (m / float(g)) ** kl
+    bound = beta.approx * total
     near = abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0)
-    return LargeSubsetResult(x=x, bound=bound, holds=holds, lhs=lhs,
-                             iterations=iterations, near_boundary=near)
+    return LargeSubsetResult(x=x, bound=bound, holds=cmp_ratio_vs_sum(Fraction(lhs), terms) != GT,
+                             lhs=lhs, iterations=iterations, near_boundary=near)
 
 
 # -- restricted sums ------------------------------------------------------------
@@ -314,10 +336,9 @@ def check_restricted_sum(inst: Instance, s: GSet, *, every_subset: bool = False
 
 class PipelineStep(NamedTuple):
     name: str
-    lhs: float
-    rhs: float
+    lhs: int
+    rhs: int | float  # a float only for display; holds is decided exactly
     holds: bool
-    exact: bool
 
 
 class PowerRow(NamedTuple):
@@ -333,7 +354,7 @@ class RestrictedPipelineReport(NamedTuple):
     s_size: int
     sa_size: int
     s_prod: int
-    t: float | None
+    t: float | None  # for display
     steps: tuple[PipelineStep, ...]
     power_rows: tuple[PowerRow, ...]
     all_hold: bool
@@ -350,35 +371,36 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     s_size, sa_size = len(s), len(sumset(s, inst.a))
     steps: list[PipelineStep] = []
 
-    def add(name: str, lhs: float, rhs: float, exact: bool) -> None:
-        holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
-        steps.append(PipelineStep(name=name, lhs=lhs, rhs=rhs, holds=holds, exact=exact))
+    def add(name: str, lhs: int, rhs: int | float, holds: bool | None = None) -> None:
+        """A step; an integer rhs is compared here, a root bound's verdict given."""
+        steps.append(PipelineStep(name, lhs, rhs, lhs <= rhs if holds is None else holds))
 
     # exact branch test: |S|^(k-1) <= s_prod / m^k
     small_branch = s_size ** (k - 1) * m ** k <= s_prod
     t = None
     if small_branch:
         branch = "small"
-        add("product_bound", sa_size, s_size * m, True)
+        add("product_bound", sa_size, s_size * m)
     else:
         branch = "large"
+        # X grows past t = m - g, with the gap g = (s_prod / |S|^(k-1))^(1/k) < m
         t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
-        res = large_subset(inst, k - 1, "t", t)
+        res = _large_subset(inst, k - 1, None, BetaValue(Fraction(s_prod, s_size ** (k - 1)), k))
         x, r_x = res.x, len(res.x)
         sx = len(sumset(s, x)) if r_x < m else sa_size
-        add("witness_term_subset", sx, res.lhs, True)  # res.lhs is |X+B_K|
-        # large_subset's verdict: a second float test could differ in the last bit
-        steps.append(PipelineStep("witness_term_bound", res.lhs, res.bound, res.holds, False))
+        add("witness_term_subset", sx, res.lhs)  # res.lhs is |X+B_K|
+        add("witness_term_bound", res.lhs, res.bound, res.holds)
         rest = len(sumset(s, inst.a - x)) if r_x < m else 0
-        add("complement_term", rest, s_size * (m - r_x), True)
-        add("split", sa_size, sx + rest, True)
-        relaxed = k * (s_prod * s_size) ** (1 / k)
-        add("combined_bound", sa_size, relaxed - (k - 1) * (s_prod / m) ** (1 / (k - 1)), False)
-        relaxed_holds = cmp_ratio_vs_beta(Fraction(sa_size, k),
-                                          BetaValue(Fraction(s_prod * s_size), k)) != GT
-        steps.append(PipelineStep("relaxed_bound", sa_size, relaxed, relaxed_holds, True))
+        add("complement_term", rest, s_size * (m - r_x))
+        add("split", sa_size, sx + rest)
+        relaxed, root = k * (s_prod * s_size) ** (1 / k), BetaValue(Fraction(s_prod * s_size), k)
+        add("combined_bound", sa_size, relaxed - (k - 1) * (s_prod / m) ** (1 / (k - 1)),
+            cmp_ratio_vs_sum(Fraction(sa_size),
+                             [(k, root), (1 - k, BetaValue(Fraction(s_prod, m), k - 1))]) != GT)
+        add("relaxed_bound", sa_size, relaxed,
+            cmp_ratio_vs_beta(Fraction(sa_size, k), root) != GT)
     final = _restricted_verdict(k, s_size, sa_size, s_prod)
-    add("kth_power_bound", final.lhs, final.rhs, True)
+    add("kth_power_bound", final.lhs, final.rhs)
 
     power_rows: list[PowerRow] = []
     for r in range(1, r_max + 1):

@@ -25,9 +25,10 @@ from plab import (LT, BetaValue, EmpiricalConstant, GSet, LargeSubsetResult, Mag
                   UsageError, alpha_table, beta_value, build_plun_graph, cmp_ratio_vs_beta,
                   gamma_flow, iterated_sumset, sumset)
 from plab.groups import subset_sumsets
-from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX, NEAR_FLAG_TOL, REL_TOL
+from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX, NEAR_FLAG_TOL
 
 EXHAUSTIVE_MAX = 22
+LARGE_REL_TOL = 1e-9  # large_subset_reference decides its float bound at this tolerance
 
 
 def op(group, a: int, b: int) -> int:
@@ -280,7 +281,9 @@ def large_subset_reference(inst, l, mode, value) -> LargeSubsetResult:
     """large_subset as its loop was first written: X starts as the witness
     of all of A and, while it is too small, adjoins the witness of a graph
     built afresh on A minus X; |X+B_K| is one sumset at the end.  Nothing
-    is read from the instance's memo.  The bound is the same float formula."""
+    is read from the instance's memo.  The bound is the same float formula,
+    decided in floats at LARGE_REL_TOL, independently of large_subset's exact
+    comparison."""
     m, k = len(inst.a), inst.k
     target = Fraction(value)
     bk = iterated_sumset(inst.bs)
@@ -300,6 +303,6 @@ def large_subset_reference(inst, l, mode, value) -> LargeSubsetResult:
         head = m ** kl * (l / (k - l)) * (gap ** (1 - kl) - m ** (1 - kl))
         total = head + float(len(x) - target) * (m / gap) ** kl
     bound = beta_value(alpha_table(inst), frozenset(range(1, k + 1)), l).approx * total
-    return LargeSubsetResult(x=x, bound=bound, holds=lhs <= bound * (1 + REL_TOL), lhs=lhs,
+    return LargeSubsetResult(x=x, bound=bound, holds=lhs <= bound * (1 + LARGE_REL_TOL), lhs=lhs,
                              iterations=iterations,
                              near_boundary=abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0))

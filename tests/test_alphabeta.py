@@ -1,17 +1,19 @@
 import math
 import random
+import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from plab import (EQ, GT, LT, Instance, UsageError, alpha_table, beta_value,
-                  cmp_ratio_vs_beta, iterated_sumset, make_abelian_group,
+from plab import (EQ, GT, LT, Instance, UsageError, alpha_table, alphabeta, beta_value,
+                  cmp_ratio_vs_beta, cmp_ratio_vs_sum, iterated_sumset, make_abelian_group,
                   make_cayley_group)
-from plab.alphabeta import BetaValue
+from plab.alphabeta import BetaValue, iroot, root_product
 
 from cayley_tables import bundled_tables
 from gen import rand_instance, synthetic_alpha_table
@@ -246,6 +248,112 @@ def test_cmp_agrees_with_floats_off_boundary(ratio, base, root):
     if gap > 1e-6 * max(approx, 1.0):
         expected = LT if float(ratio) < approx else GT
         assert cmp_ratio_vs_beta(ratio, b) == expected
+
+
+# -- sums of roots ------------------------------------------------------------------
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=50),
+       st.lists(st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=20),
+                          st.fractions(min_value="1/100", max_value=100, max_denominator=100),
+                          st.integers(1, 6)), min_size=1, max_size=5))
+def test_cmp_sum_agrees_with_a_60_digit_oracle_off_ties(lhs, terms):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        diff = _decimal(lhs) - sum(_decimal(c) * _decimal(b) ** (Decimal(1) / n)
+                                   for c, b, n in terms)
+    assume(abs(diff) > Decimal("1e-40"))
+    expected = LT if diff < 0 else GT
+    assert cmp_ratio_vs_sum(lhs, [(c, BetaValue(b, n)) for c, b, n in terms]) == expected
+
+
+@pytest.mark.parametrize("lhs, terms", [
+    (5, [(1, BetaValue(Fraction(4), 2)), (1, BetaValue(Fraction(27), 3))]),  # 2 + 3
+    (Fraction(5, 2), [(1, BetaValue(Fraction(9, 4), 2)), (1, BetaValue(Fraction(1), 7))]),
+    (Fraction(14, 3), [(2, BetaValue(Fraction(16, 81), 4)),
+                       (Fraction(-1, 3), BetaValue(Fraction(1, 8), 3)),
+                       (Fraction(7, 2), BetaValue(Fraction(1), 1))]),  # 4/3 - 1/6 + 7/2
+], ids=["integer-roots", "fraction-root", "mixed-signs"])
+def test_cmp_sum_ties_on_perfect_power_bases(lhs, terms):
+    assert cmp_ratio_vs_sum(Fraction(lhs), terms) == EQ
+    assert cmp_ratio_vs_sum(Fraction(lhs) - Fraction(1, 10 ** 30), terms) == LT
+    assert cmp_ratio_vs_sum(Fraction(lhs) + Fraction(1, 10 ** 30), terms) == GT
+
+
+@pytest.mark.parametrize("terms", [
+    # 2 sqrt 8 - sqrt 32 + 1: the roots of 8 and 32 cancel
+    [(2, BetaValue(Fraction(8), 2)), (-1, BetaValue(Fraction(32), 2)),
+     (1, BetaValue(Fraction(1), 1))],
+    # 2 * 4^(1/4) - sqrt 8 + 1: the same root 2^(1/2), written at two orders
+    [(2, BetaValue(Fraction(4), 4)), (-1, BetaValue(Fraction(8), 2)),
+     (1, BetaValue(Fraction(1), 1))],
+    # 3 sqrt 12 - 2 sqrt 27 + 2 sqrt 3 - (48 * 3)^(1/4) + 1, all but 1 multiples of sqrt 3
+    [(3, BetaValue(Fraction(12), 2)), (-2, BetaValue(Fraction(27), 2)),
+     (2, BetaValue(Fraction(3), 2)), (-1, root_product(BetaValue(Fraction(48), 4),
+                                                       BetaValue(Fraction(3), 4))),
+     (1, BetaValue(Fraction(1), 1))],
+], ids=["two-bases", "two-orders", "five-terms"])
+def test_cmp_sum_cancels_irrational_roots_of_opposite_signs_exactly(terms):
+    # the irrational parts sum to 0, so the sum is the rational 1; bracketing
+    # alone would never decide it
+    assert cmp_ratio_vs_sum(Fraction(1), terms) == EQ
+    assert cmp_ratio_vs_sum(Fraction(1) - Fraction(1, 10 ** 40), terms) == LT
+    assert cmp_ratio_vs_sum(Fraction(1) + Fraction(1, 10 ** 40), terms) == GT
+
+
+@pytest.mark.parametrize("lhs, terms, asked, order", [
+    # 3 against sqrt 2 + 2: the rational 2 is taken off, then 1 against sqrt 2
+    (3, [(1, BetaValue(Fraction(2), 2)), (1, BetaValue(Fraction(4), 2))], (1, Fraction(2)), LT),
+    # 0 against 1 - sqrt 2: a negative root turns -1 against -sqrt 2 into 1 against sqrt 2
+    (0, [(-1, BetaValue(Fraction(2), 2)), (1, BetaValue(Fraction(1), 1))], (1, Fraction(2)), GT),
+    # 4 against 3 sqrt 2, merged from 4 sqrt 2 - sqrt 2: 4/3 against sqrt 2
+    (4, [(4, BetaValue(Fraction(2), 2)), (-1, BetaValue(Fraction(2), 2))],
+     (Fraction(4, 3), Fraction(2)), LT),
+])
+def test_cmp_sum_hands_a_lone_irrational_root_to_cmp_ratio_vs_beta(
+        monkeypatch, lhs, terms, asked, order):
+    asks = []
+
+    def recording(ratio, b, *rest):
+        asks.append((ratio, b.base))
+        return cmp_ratio_vs_beta(ratio, b, *rest)
+
+    monkeypatch.setattr(alphabeta, "cmp_ratio_vs_beta", recording)
+    assert cmp_ratio_vs_sum(Fraction(lhs), terms) == order
+    assert asks == [asked]
+
+
+def test_cmp_sum_decides_a_999_term_large_bound_quickly():
+    # large's mode-a bound on |A| = 1000 at a = 999, k = 3, l = 2, beta = sqrt 30:
+    # sum over i < 999 of beta * (1000 / (1000 - i))^(3/2)
+    m, beta = 1000, BetaValue(Fraction(30), 2)
+    terms = [(1, root_product(beta, BetaValue(Fraction(m, m - i) ** 3, 2))) for i in range(999)]
+    approx = sum(b.approx for _, b in terms)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        orders = (cmp_ratio_vs_sum(Fraction(math.floor(approx)), terms),
+                  cmp_ratio_vs_sum(Fraction(math.ceil(approx)), terms))
+        best = min(best, (time.perf_counter() - start) / 2)
+    assert orders == (LT, GT)
+    assert best < 0.05
+
+
+def test_cmp_sum_undecided_at_the_cap_raises_with_both_sides(monkeypatch):
+    monkeypatch.setattr(alphabeta, "ROOT_BITS_MAX", 32)  # below the first bracket
+    terms = [(1, BetaValue(Fraction(2), 2)), (1, BetaValue(Fraction(3), 2))]
+    with pytest.raises(alphabeta.CertificateError) as info:
+        cmp_ratio_vs_sum(Fraction(3), terms)
+    assert info.value.dump == {"lhs": "3", "terms": [["1", "2", 2], ["1", "3", 2]]}
+
+
+@given(st.integers(0, 1 << 300), st.integers(1, 40))
+def test_iroot_is_the_floor_of_the_root(x, n):
+    r = iroot(x, n)
+    assert r ** n <= x < (r + 1) ** n
 
 
 # -- the sub-bound product identity ---------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plab import cli, element_cap
+from plab import alphabeta, cli, element_cap
 from plab.alphabeta import alpha_table, beta_value
 from plab.cli import (VERIFY_CHECKS, SweepConfig, _raise_if_violated, build_parser,
                       generate_base, load_sweep_config, main, parse_instance, run_sweep,
@@ -458,6 +458,21 @@ def test_exit_1_errors_print_their_prefix_and_dump(monkeypatch, capsys, exc, err
     monkeypatch.setattr(cli, "load_instance", load_instance)
     assert main(["find-x", str(FIXTURES / "z5.json")]) == 1
     assert capsys.readouterr() == ("", err)
+
+
+def test_an_undecided_sum_of_roots_exits_1_with_its_terms(monkeypatch, capsys):
+    # z9's large bound at a = 2 is sqrt 30 + sqrt 240 (the last term has no
+    # weight at |X| = 2); with the precision cap below the first bracket it
+    # stays undecided, which is an internal error and never a verdict
+    monkeypatch.setattr(alphabeta, "ROOT_BITS_MAX", 32)
+    code = main(["verify", str(FIXTURES / "z9.json"), "--check", "large", "--mode", "a",
+                 "--value", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    head, dump = err.splitlines()
+    assert head == "internal error: exact comparison undecided at 32 bits"
+    assert json.loads(dump) == {"lhs": "9", "terms": [["1", "30", 2], ["1", "240", 2],
+                                                      ["0", "240", 2]]}
 
 
 def test_find_x(capsys):

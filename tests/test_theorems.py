@@ -517,7 +517,20 @@ def test_pipeline_relaxed_bound_at_equality(monkeypatch, z5, s_prod, holds):
     rep = _pipeline_at(monkeypatch, z5, z5.group.set_of([0, 3]), s_prod, 1)
     assert (rep.branch, rep.sa_size, rep.s_size) == ("large", 4, 2)
     [step] = [st for st in rep.steps if st.name == "relaxed_bound"]
-    assert step.exact and step.holds is holds
+    assert step.holds is holds
+
+
+def test_pipeline_grows_x_past_a_gap_that_is_an_integer_root(monkeypatch):
+    # s = 124,416 and |S| = 2 at k = 5 make the gap (s / |S|^4)^(1/5) = 7776^(1/5)
+    # exactly 6, so t = 9 - 6 = 3 and the proof needs |X| > 3; a float t,
+    # 9 - 6.000000000000001, stopped at |X| = 3 with complement_term 12 <= 12
+    g = make_abelian_group([64])
+    inst = Instance(g, g.set_of([0, 1, 2, 10, 20, 30, 40, 50, 60]),
+                    [g.set_of([0, 1])] + [g.set_of([0])] * 4)
+    rep = _pipeline_at(monkeypatch, inst, inst.bk, 124_416, 1)
+    assert (rep.branch, rep.s_size) == ("large", 2)
+    [step] = [st for st in rep.steps if st.name == "complement_term"]
+    assert step.rhs <= 10  # |S| * (|A| - |X|) with |X| >= 4
 
 
 @pytest.mark.parametrize("s_prod, holds", [(4, True), (3, False)])

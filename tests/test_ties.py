@@ -58,6 +58,27 @@ def test_a_fresh_harvest_reproduces_the_corpus(tmp_path):
     assert out.read_bytes() == CORPUS.read_bytes()
 
 
+def test_large_ties_with_beta_at_t_0_and_a_1(monkeypatch):
+    # X is A's witness at t = 0 and at a = 1, so |X+B_K| = gamma |X|, and
+    # gamma = beta makes the bound beta |X| a tie, decided as EQ and held
+    orders, real = [], theorems.cmp_ratio_vs_sum
+
+    def recording(*args):
+        orders.append(real(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(theorems, "cmp_ratio_vs_sum", recording)
+    # 52 of the plgen entries have a root beta, whose base is a perfect power
+    entries = [e for e in json.loads(CORPUS.read_text()) if e["check"] == "plgen"]
+    assert sum(e["beta_expo_den"] > 1 for e in entries) == 52
+    for entry in entries:
+        inst, l, _ = parse_instance(entry["instance"])
+        for mode, value in (("t", 0), ("a", 1)):
+            del orders[:]
+            assert theorems.large_subset(inst, l, mode, value).holds, (entry, mode)
+            assert orders == [EQ], (entry, mode)
+
+
 def _strict_cmp(real):
     """cmp_ratio_vs_beta as a verdict of lhs < rhs reads it: a tie counts as GT."""
     return lambda *args: GT if real(*args) == EQ else real(*args)
