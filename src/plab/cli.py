@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import random
 import re
@@ -30,7 +29,7 @@ from functools import cache, partial
 from typing import Iterable, NamedTuple, Sequence
 
 from . import constructions, theorems
-from .alphabeta import log_fraction, require_level
+from .alphabeta import BetaValue, require_level
 from .errors import (ExitOneError, ResourceError, TheoremViolationError, UsageError,
                      ValidationError)
 from .groups import GSet, Instance, integer_group, make_abelian_group, make_cayley_group
@@ -118,6 +117,8 @@ def _load_json(path: str):
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+        except (RecursionError, ValueError) as exc:  # too deep, or an integer too long
+            raise UsageError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_instance(path: str) -> tuple[Instance, int, GSet | None]:
@@ -501,9 +502,8 @@ def cmd_demo(args: argparse.Namespace) -> None:
         verdicts = [CHECKS["power"][0](inst, l, argparse.Namespace(r=r))[0][0][0]
                     for r in range(1, args.r + 1)]  # every row before any output
         for r, v in enumerate(verdicts, 1):
-            root = math.exp(log_fraction(v.lhs) / r)
             print(f"r={r} gamma_r={v.lhs} equals gamma^r: {'yes' if v.holds else 'NO'} "
-                  f"root={_float_str(root)} beta~{_float_str(beta.approx)}")
+                  f"root={_float_str(BetaValue(v.lhs, r).approx)} beta~{_float_str(beta.approx)}")
         print(f"all powers exact: {'yes' if all(v.holds for v in verdicts) else 'NO'}")
         for v in verdicts:
             _raise_if_violated("power", v, inst, l)

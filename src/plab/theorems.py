@@ -9,8 +9,8 @@ the inputs it cannot take for every caller, such as more than
 EVERY_SUBSET_MAX members of an every-subset S.  Every verdict is exact: a
 bound that is a single root is decided by ``cmp_ratio_vs_beta``, and one
 that is a sum of roots, as ``large_subset``'s and the restricted proof
-chain's ``combined_bound`` are, by ``cmp_ratio_vs_sum``.  Floats are only
-derived, for display.
+chain's ``combined_bound`` are, by ``cmp_ratio_vs_sum``.  Each float shown
+is read, for display, from the exact root or terms that were decided.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from operator import add
 from typing import NamedTuple
 
 from .alphabeta import (BetaValue, GT, LT, beta_value, cmp_ratio_vs_beta, cmp_ratio_vs_sum,
-                        instance_table, iroot, log_fraction, require_level, root_product)
+                        instance_table, iroot, log_fraction, rational_root, require_level,
+                        root_product)
 from .errors import UsageError
 from .groups import (GSet, Instance, check_budget, direct_powers, iterated_sumset,
                      subset_sumsets, sumset)
@@ -185,7 +186,7 @@ def empirical_plgen2(inst: Instance, l: int, epsilon, *, samples: int = DEFAULT_
 
 class LargeSubsetResult(NamedTuple):
     x: GSet
-    bound: float  # for display; holds is decided exactly
+    bound: float  # the float of the terms decided exactly, for display
     holds: bool
     lhs: int
     iterations: int
@@ -200,8 +201,8 @@ def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
     mode "t": real target 0 <= t < |A|, result has |X| > t.
     The value may be any exact real (int, Fraction, Decimal or float); it
     is read exactly.  The bound, beta times a sum of roots, is decided by
-    cmp_ratio_vs_sum; its float is for display, with a near-boundary flag
-    at 1e-6.
+    cmp_ratio_vs_sum; its float, for display with a near-boundary flag at
+    1e-6, is read from the same roots.
     """
     require_level(inst.k, l)
     m = len(inst.a)
@@ -220,46 +221,45 @@ def large_subset(inst: Instance, l: int, mode: str, value) -> LargeSubsetResult:
     return _large_subset(inst, l, None, BetaValue(m - target, 1))
 
 
+def _approx_sum(terms) -> float:
+    """The float of the sum of c * b over (c, b) in terms: rational roots are
+    summed exactly, so large's factors give exactly |X| at t = 0 and a = 1."""
+    roots = [(c, b, rational_root(b)) for c, b in terms]
+    return math.fsum([float(sum(c * q for c, _, q in roots if q is not None)),
+                      *(float(c) * b.approx for c, b, q in roots if q is None)])
+
+
 def _large_subset(inst: Instance, l: int, a: int | None, gap: BetaValue | None
                   ) -> LargeSubsetResult:
     """large_subset to |X| >= a, or, given the gap g = |A| - t as a root
     with 0 < g <= |A|, to |X| > t, whose least size is |A| - ceil(g) + 1.
-    With rho = (|A|/g)^(k/l), mode t's bound is beta times
+    The bound is beta times a sum of factors, decided exactly and shown as
+    beta's float times theirs; with rho = (|A|/g)^(k/l), mode t's is
     (k/(k-l)) g rho + (|X| - |A|) rho - (l/(k-l)) |A|."""
     k, m = inst.k, len(inst.a)
-    if gap is None:
-        size = a
-    else:
+    if gap is not None:  # grow X to the least size above t
         floor_gap = iroot(gap.base.numerator // gap.base.denominator, gap.expo_den)
-        size = m + 1 - floor_gap - (floor_gap ** gap.expo_den != gap.base)
+        a = m + 1 - floor_gap - (floor_gap ** gap.expo_den != gap.base)
     start = check_plgen(inst, l)  # beta, and the witness of all of A
     graph, x = instance_graph(inst), start.witness
     iterations = 1
-    while len(x) < size:
+    while len(x) < a:
         x = x | gamma_flow(graph.restricted(inst.a - x)).witness
         iterations += 1
     lhs = graph.restricted(x).right_bits.bit_count()  # |X+B_K|
 
-    beta, kl = start.rhs, k / l
-    if gap is None:
-        def term(i: int) -> BetaValue:  # beta * (m / (m - i))^(k/l)
-            return root_product(beta, BetaValue(Fraction(m, m - i) ** k, l))
-        terms = [(1, term(i)) for i in range(a)] + [(len(x) - a, term(a - 1))]
-        total = sum((m / (m - i)) ** kl for i in range(a))
-        total += (len(x) - a) * (m / (m - a + 1)) ** kl
+    beta = start.rhs
+    if gap is None:  # f = (m / (m - i))^(k/l) for i < a, and at i = a - 1 for the rest of X
+        factors = [(1, BetaValue(Fraction(m, m - i) ** k, l)) for i in range(a)]
+        factors.append((len(x) - a, factors[-1][1]))
     else:
         rho = BetaValue((m ** gap.expo_den / gap.base) ** k, l * gap.expo_den)
-        terms = [(Fraction(k, k - l), root_product(beta, gap, rho)),
-                 (len(x) - m, root_product(beta, rho)), (Fraction(-l * m, k - l), beta)]
-        # for display, a root gap is rounded as the float t = m - g rounds it
-        g = (gap.base if gap.expo_den == 1
-             else m - Fraction(m - float(gap.base) ** (1 / gap.expo_den)))
-        head = m ** kl * (l / (k - l)) * (float(g) ** (1 - kl) - m ** (1 - kl))
-        total = head + float(len(x) - m + g) * (m / float(g)) ** kl
-    bound = beta.approx * total
-    near = abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0)
-    return LargeSubsetResult(x=x, bound=bound, holds=cmp_ratio_vs_sum(Fraction(lhs), terms) != GT,
-                             lhs=lhs, iterations=iterations, near_boundary=near)
+        factors = [(Fraction(k, k - l), root_product(gap, rho)), (len(x) - m, rho),
+                   (Fraction(-l * m, k - l), BetaValue(Fraction(1), 1))]
+    bound = beta.approx * _approx_sum(factors)
+    holds = cmp_ratio_vs_sum(Fraction(lhs), [(c, root_product(beta, f)) for c, f in factors]) != GT
+    return LargeSubsetResult(x=x, bound=bound, holds=holds, lhs=lhs, iterations=iterations,
+                             near_boundary=abs(lhs - bound) <= NEAR_FLAG_TOL * max(bound, 1.0))
 
 
 # -- restricted sums ------------------------------------------------------------
@@ -384,8 +384,8 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
     else:
         branch = "large"
         # X grows past t = m - g, with the gap g = (s_prod / |S|^(k-1))^(1/k) < m
-        t = m - (s_prod / s_size ** (k - 1)) ** (1 / k)
-        res = _large_subset(inst, k - 1, None, BetaValue(Fraction(s_prod, s_size ** (k - 1)), k))
+        gap = BetaValue(Fraction(s_prod, s_size ** (k - 1)), k)
+        t, res = m - gap.approx, _large_subset(inst, k - 1, None, gap)
         x, r_x = res.x, len(res.x)
         sx = len(sumset(s, x)) if r_x < m else sa_size
         add("witness_term_subset", sx, res.lhs)  # res.lhs is |X+B_K|
@@ -393,11 +393,11 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         rest = len(sumset(s, inst.a - x)) if r_x < m else 0
         add("complement_term", rest, s_size * (m - r_x))
         add("split", sa_size, sx + rest)
-        relaxed, root = k * (s_prod * s_size) ** (1 / k), BetaValue(Fraction(s_prod * s_size), k)
-        add("combined_bound", sa_size, relaxed - (k - 1) * (s_prod / m) ** (1 / (k - 1)),
-            cmp_ratio_vs_sum(Fraction(sa_size),
-                             [(k, root), (1 - k, BetaValue(Fraction(s_prod, m), k - 1))]) != GT)
-        add("relaxed_bound", sa_size, relaxed,
+        root = BetaValue(Fraction(s_prod * s_size), k)
+        combined = [(k, root), (1 - k, BetaValue(Fraction(s_prod, m), k - 1))]
+        add("combined_bound", sa_size, _approx_sum(combined),
+            cmp_ratio_vs_sum(Fraction(sa_size), combined) != GT)
+        add("relaxed_bound", sa_size, k * root.approx,
             cmp_ratio_vs_beta(Fraction(sa_size, k), root) != GT)
     final = _restricted_verdict(k, s_size, sa_size, s_prod)
     add("kth_power_bound", final.lhs, final.rhs)
@@ -407,8 +407,7 @@ def restricted_pipeline(inst: Instance, s: GSet, r_max: int) -> RestrictedPipeli
         size_r = len(sumset(*direct_powers((s, inst.a), r))) if r > 1 else sa_size
         root = BetaValue(Fraction(k ** k * (s_prod * s_size) ** r), r * k)  # the bound as one root
         power_rows.append(PowerRow(
-            r=r, power_size=size_r, identity_holds=size_r == sa_size ** r,
-            bound=k ** (1 / r) * (s_prod * s_size) ** (1 / k),
+            r=r, power_size=size_r, identity_holds=size_r == sa_size ** r, bound=root.approx,
             bound_holds=cmp_ratio_vs_beta(Fraction(sa_size), root) != GT))
 
     all_hold = (all(st.holds for st in steps)

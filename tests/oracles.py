@@ -11,13 +11,15 @@ sumsets and exact comparisons, large_subset_reference, which checks
 large_subset's greedy growth with the same flow engine on freshly built
 graphs, beta_reference, which checks beta_value's
 integer arithmetic on the same alpha table, and beta_identity_holds, which
-checks an identity between beta_value's results.
+checks an identity between beta_value's results.  decimal_roots evaluates
+sums of roots in decimal, apart from plab's integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -29,6 +31,17 @@ from plab.theorems import DEFAULT_SAMPLES, EXHAUSTIVE_M_MAX, NEAR_FLAG_TOL
 
 EXHAUSTIVE_MAX = 22
 LARGE_REL_TOL = 1e-9  # large_subset_reference decides its float bound at this tolerance
+
+
+def decimal_roots(terms) -> Decimal:
+    """The sum of c * base^(1/n) over (c, base, n) in terms, each c and base
+    an exact rational, to 60 significant digits."""
+    def dec(x) -> Decimal:
+        x = Fraction(x)
+        return Decimal(x.numerator) / x.denominator
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return sum((dec(c) * dec(b) ** (Decimal(1) / n) for c, b, n in terms), Decimal(0))
 
 
 def op(group, a: int, b: int) -> int:
@@ -281,9 +294,9 @@ def large_subset_reference(inst, l, mode, value) -> LargeSubsetResult:
     """large_subset as its loop was first written: X starts as the witness
     of all of A and, while it is too small, adjoins the witness of a graph
     built afresh on A minus X; |X+B_K| is one sumset at the end.  Nothing
-    is read from the instance's memo.  The bound is the same float formula,
-    decided in floats at LARGE_REL_TOL, independently of large_subset's exact
-    comparison."""
+    is read from the instance's memo.  The bound is the closed float formula
+    of the paper's bound, decided in floats at LARGE_REL_TOL, independently of
+    large_subset's exact comparison and of the roots it reads its float from."""
     m, k = len(inst.a), inst.k
     target = Fraction(value)
     bk = iterated_sumset(inst.bs)

@@ -2,7 +2,7 @@ import math
 import random
 import time
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +17,8 @@ from plab.alphabeta import BetaValue, iroot, root_product
 
 from cayley_tables import bundled_tables
 from gen import rand_instance, synthetic_alpha_table
-from oracles import beta_identity_holds, beta_reference, naive_iterated, naive_sumset
+from oracles import (beta_identity_holds, beta_reference, decimal_roots, naive_iterated,
+                     naive_sumset)
 
 
 def identity_instance(k=3):
@@ -252,19 +253,12 @@ def test_cmp_agrees_with_floats_off_boundary(ratio, base, root):
 
 # -- sums of roots ------------------------------------------------------------------
 
-def _decimal(x: Fraction) -> Decimal:
-    return Decimal(x.numerator) / x.denominator
-
-
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=50),
        st.lists(st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=20),
                           st.fractions(min_value="1/100", max_value=100, max_denominator=100),
                           st.integers(1, 6)), min_size=1, max_size=5))
 def test_cmp_sum_agrees_with_a_60_digit_oracle_off_ties(lhs, terms):
-    with localcontext() as ctx:
-        ctx.prec = 60
-        diff = _decimal(lhs) - sum(_decimal(c) * _decimal(b) ** (Decimal(1) / n)
-                                   for c, b, n in terms)
+    diff = decimal_roots([(lhs, 1, 1), *((-c, b, n) for c, b, n in terms)])
     assume(abs(diff) > Decimal("1e-40"))
     expected = LT if diff < 0 else GT
     assert cmp_ratio_vs_sum(lhs, [(c, BetaValue(b, n)) for c, b, n in terms]) == expected

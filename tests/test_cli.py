@@ -119,6 +119,26 @@ def test_malformed_input_exits_2(tmp_path, command, patch):
     assert (flags[-1] if flags else f'"{next(iter(patch))}"') in proc.stderr
 
 
+@pytest.mark.parametrize("command, text", [
+    ("verify", '{"group": [5], "A": [%s], "B": [[0, 1], [0, 2]], "l": 1}'),
+    ("sweep", '{"seed": %s}')], ids=["instance", "sweep-config"])
+@pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "7" * 5_000],
+                         ids=["deep-nesting", "huge-integer"])
+def test_undecodable_json_exits_2(tmp_path, command, text, value):
+    # the raw text, which json.dumps writes for neither: nesting deeper than
+    # the decoder's stack, and an integer longer than the 4,300 digits that
+    # int() reads by default
+    path = tmp_path / "input.json"
+    path.write_text(text % value)
+    proc = subprocess.run([sys.executable, "-m", "plab.cli", command, str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {path}: unreadable JSON: ")
+
+
 @pytest.mark.parametrize("level", [0, 2])
 @pytest.mark.parametrize("argv", [
     ["verify", "FILE", "--check", "restricted"], ["verify", "FILE", "--check", "pldiff"],

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,8 +22,8 @@ from plab.theorems import TheoremVerdict
 
 from cayley_tables import bundled_tables, cyclic_table, symmetric_table
 from gen import rand_instance, rand_subset
-from oracles import (gamma_exhaustive, large_subset_reference, naive_iterated, naive_sumset,
-                     nonempty_subsets, plgen2_reference)
+from oracles import (decimal_roots, gamma_exhaustive, large_subset_reference, naive_iterated,
+                     naive_sumset, nonempty_subsets, plgen2_reference)
 
 
 def identity_instance(k=2):
@@ -272,7 +273,8 @@ def test_large_subset_growth_and_termination(seed):
 @example(1040)  # mode "a" at a = |A| takes five steps at level 1
 def test_large_subset_matches_a_fresh_graph_at_every_step(seed):
     # each step's graph is the base graph cut down to A minus X, and |X+B_K|
-    # is read off the images: X, lhs, steps and bound are the fresh loop's
+    # is read off the images: X, lhs, steps and verdict are the fresh loop's,
+    # and the bound, the float of the exact factors, is its formula's to 1e-12
     rng = random.Random(seed)
     g = make_abelian_group([rng.randint(2, 30) for _ in range(rng.randint(1, 2))])
     a = g.set_of(rng.sample(range(g.order), rng.randint(1, min(g.order, 12))))
@@ -284,8 +286,10 @@ def test_large_subset_matches_a_fresh_graph_at_every_step(seed):
     for l in range(1, inst.k):
         for mode, value in (("a", rng.randint(1, m)), ("a", m), ("t", 0),
                             ("t", Fraction(rng.randrange(4 * m), 4))):
-            assert (large_subset(inst, l, mode, value)
-                    == large_subset_reference(inst, l, mode, value))
+            res, ref = (large_subset(inst, l, mode, value),
+                        large_subset_reference(inst, l, mode, value))
+            assert res._replace(bound=ref.bound) == ref
+            assert res.bound == pytest.approx(ref.bound, rel=1e-12)
 
 
 # -- restricted sums --------------------------------------------------------------------
@@ -558,6 +562,64 @@ def test_pipeline_root_bounds_match_integer_forms(seed, s_prod):
     assert relaxed == ([] if rep.branch == "small" else [sa ** k <= k ** k * s_prod * size])
     assert [row.bound_holds for row in rep.power_rows] == [
         sa ** (r * k) <= k ** k * (s_prod * size) ** r for r in (1, 2, 3)]
+
+
+def _shown_near(shown: float, exact: Decimal) -> bool:
+    """Within 1e-12 of exact: relative, or absolute below 1, as near_boundary
+    measures."""
+    return abs(Decimal(shown) - exact) <= Decimal("1e-12") * max(abs(exact), Decimal(1))
+
+
+def _large_bound(inst, l: int, x_size: int, a: int | None, gap) -> Decimal:
+    """large's bound at 60 digits from the paper's sums of roots: to |X| >= a,
+    or past t = |A| - g with gap = (base, n) the root g."""
+    k, m = inst.k, len(inst.a)
+    beta = beta_value(alpha_table(inst), inst.key_set, l)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        kl = Decimal(k) / l
+        if a is not None:
+            total = (sum((Decimal(m) / (m - i)) ** kl for i in range(a))
+                     + (x_size - a) * (Decimal(m) / (m - a + 1)) ** kl)
+        else:
+            g = decimal_roots([(1, *gap)])
+            rho = (m / g) ** kl
+            total = Decimal(k) / (k - l) * g * rho + (x_size - m) * rho - Decimal(l * m) / (k - l)
+        return decimal_roots([(1, beta.base, beta.expo_den)]) * total
+
+
+@given(st.integers(0, 10_000))
+def test_every_shown_root_bound_is_its_exact_roots_to_1e_12(seed):
+    # large's bound in both modes, at a = 1 and t = 0 too, and each float a
+    # large-branch pipeline shows: t, witness_term_bound, relaxed_bound,
+    # combined_bound and every power row's bound
+    rng = random.Random(seed)
+    inst, l = rand_instance(rng, n_range=(2, 40), k_range=(2, 4), a_range=(1, 12),
+                            b_range=(1, 4))
+    m = len(inst.a)
+    for a in {1, rng.randint(1, m), m}:
+        res = large_subset(inst, l, "a", a)
+        assert _shown_near(res.bound, _large_bound(inst, l, len(res.x), a, None))
+    for t in {Fraction(0), Fraction(rng.randrange(4 * m), 4), Fraction(rng.uniform(0, m - 1e-9))}:
+        res = large_subset(inst, l, "t", t)
+        assert _shown_near(res.bound, _large_bound(inst, l, len(res.x), None, (m - t, 1)))
+    while True:
+        inst, _ = rand_instance(rng, n_range=(2, 12), k_range=(2, 4), a_range=(1, 6),
+                                b_range=(1, 3))
+        rep = restricted_pipeline(inst, rand_subset(rng, inst.bk), 3)
+        if rep.branch == "large":
+            break
+    k, m, s, size = inst.k, len(inst.a), rep.s_prod, rep.s_size
+    steps = {st.name: st for st in rep.steps}
+    gap = (Fraction(s, size ** (k - 1)), k)
+    x_size = m - steps["complement_term"].rhs // size
+    assert _shown_near(rep.t, decimal_roots([(m, 1, 1), (-1, *gap)]))
+    assert _shown_near(steps["witness_term_bound"].rhs, _large_bound(inst, k - 1, x_size, None, gap))
+    assert _shown_near(steps["relaxed_bound"].rhs, decimal_roots([(k, s * size, k)]))
+    assert _shown_near(steps["combined_bound"].rhs,
+                       decimal_roots([(k, s * size, k), (1 - k, Fraction(s, m), k - 1)]))
+    for row in rep.power_rows:
+        assert _shown_near(row.bound, decimal_roots([(1, k ** k * (s * size) ** row.r, row.r * k)]))
 
 
 # -- noncommutative two-sided bound ------------------------------------------------------------
